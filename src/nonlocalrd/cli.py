@@ -261,6 +261,8 @@ def _cmd_spectrum(args, out_dir: Path) -> int:
         "is_principal": rep.is_principal,
         "method": rep.method,
         "residual": rep.residual,
+        "certificate": None if rep.certificate is None else {
+            "lower": rep.certificate.lower, "upper": rep.certificate.upper},
         "essential_range": [[v, m] for v, m in rep.essential_range],
         "bounds": {"lower": -float(np.min(exp.h)),
                    "upper": float(np.max(exp.op.h0 - exp.h))},
@@ -405,7 +407,7 @@ def _case_logistic(name: str, cfg: dict, out_dir: Path) -> dict:
     f = rxmod.LogisticReaction(g=float(cfg["g"]), n=float(cfg["ncoef"]),
                                m=float(cfg["m"]), rho=float(cfg["rho"]), n_nodes=n)
     lam_n = spmod.principal_value(
-        build_operator(kern, -np.full(n, float(cfg["ncoef"]))), "dense").lam
+        build_operator(kern, -np.full(n, float(cfg["ncoef"])))).lam
     es = eqmod.extremal_equilibria(op, f)
     _write_profile(es.phi_M, space, out_dir, f"{name}_phi_M.csv")
     t_end = float(cfg["t_end"])
@@ -495,7 +497,7 @@ def _case_shift(name: str, cfg: dict, out_dir: Path) -> dict:
     rows = []
     for a in cfg["levels"]:
         shifted = spmod.shifted_potential(h, mask, float(a))
-        lam = spmod.principal_value(build_operator(kern, -shifted), "dense").lam
+        lam = spmod.principal_value(build_operator(kern, -shifted)).lam
         rhs = spmod.shift_bound_rhs(kern, h, mask, float(a))
         closed = (-(a - 1.0) + math.sqrt(a * a + 1.0)) / 2.0
         rows.append({"A": float(a), "lambda_H": lam, "bound_rhs": rhs,
@@ -525,7 +527,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="principal spectral bound")
     sp.add_argument("--config", required=True)
-    sp.add_argument("--method", default="auto", choices=["auto", "dense", "power"])
+    sp.add_argument("--method", default="auto", choices=["auto", "dense", "power"],
+                    help="auto: certified Lanczos/Arnoldi with a dense fallback; "
+                         "dense (full eigensolver) and power (power iteration) "
+                         "are reference methods")
     sp.add_argument("--emit-eigenfunction", metavar="CSV")
 
     ev = sub.add_parser("evolve", help="time integration")

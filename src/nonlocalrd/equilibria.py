@@ -79,7 +79,7 @@ def solve_phi(kernel: Kernel, c, d) -> np.ndarray:
     if np.any(d < 0):
         raise ValueError("the inhomogeneity D must be nonnegative")
     op_c = build_operator(kernel, -c)
-    lam = principal_value(op_c, method="dense").lam
+    lam = principal_value(op_c).lam
     if lam >= 0:
         raise ValueError(f"spectral precondition fails: sup Re sigma(K+CI) = {lam:.3g} >= 0")
     amat = op_c.amat
@@ -104,7 +104,7 @@ def _envelope(op: NonlocalOperator, f: Reaction):
     """
     sb = structure_bounds(f, "plain")
     c_eff = sb.c - op.h
-    lam = principal_value(build_operator(op.kernel, -c_eff), method="dense").lam
+    lam = principal_value(build_operator(op.kernel, -c_eff)).lam
     d = sb.d
     if lam >= 0:
         if isinstance(f, LogisticReaction) and float(np.min(f.m)) > 0:
@@ -120,8 +120,7 @@ def _envelope(op: NonlocalOperator, f: Reaction):
 
 
 def _block_config(op: NonlocalOperator, f: Reaction, k_window: float,
-                  block_t: float) -> IntegratorConfig:
-    beta = monotone_shift(truncate(f, k_window), k_window)
+                  block_t: float, beta: float) -> IntegratorConfig:
     cfg = monotone_config(op, f, np.zeros(op.n), block_t, trunc_k=k_window, beta=beta)
     cfg.store_every = _nsteps_of(cfg)
     return cfg
@@ -148,13 +147,15 @@ def _monotone_orbit(op: NonlocalOperator, f: Reaction, u_start: np.ndarray,
     scale = 1.0 + float(np.max(np.abs(u)))
     blocks = 0
     criterion = "sup"
+    beta = monotone_shift(truncate(f, k_window), k_window)  # fixed by f and the window
+    config = _block_config(op, f, k_window, block_t, beta)
     while blocks < MAX_BLOCKS:
-        config = _block_config(op, f, k_window, block_t)
         u_new = evolve_nonlinear(op, f, u, config).final()
         gap = direction * (u_new - u)
         if np.min(gap) < -1e-12 * scale:
             if blocks == 0 and block_t < 64.0:
                 block_t *= 2.0
+                config = _block_config(op, f, k_window, block_t, beta)
                 continue
             raise RuntimeError(
                 f"monotone orbit violated ordering at block {blocks} "

@@ -350,7 +350,7 @@ def envelope_U(op_c: NonlocalOperator, d, u0, times) -> np.ndarray:
     from nonlocalrd.equilibria import solve_phi
     from nonlocalrd.spectral import principal_value
 
-    lam = principal_value(op_c, method="dense").lam
+    lam = principal_value(op_c).lam
     if lam >= 0:
         raise ValueError(f"envelope needs a negative spectral bound, got {lam:.3g}")
     d = np.asarray(d, dtype=float)
@@ -470,7 +470,7 @@ def fit_growth_constant(op: NonlocalOperator, trajectory: Trajectory,
     """Smallest M with ‖u(t)‖_∞ <= M e^{(Λ+margin) t} ‖u0‖_∞ on the stored orbit."""
     from nonlocalrd.spectral import principal_value
 
-    lam = principal_value(op, method="dense").lam + margin
+    lam = principal_value(op).lam + margin
     norms = np.max(np.abs(trajectory.states), axis=1)
     base = norms[0]
     if base == 0:

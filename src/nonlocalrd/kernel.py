@@ -39,6 +39,9 @@ class Kernel:
         n = self.space.n
         if j.shape != (n, n):
             raise ValueError("kernel matrix shape mismatch")
+        if not np.all(np.isfinite(j)):
+            i, k = np.argwhere(~np.isfinite(j))[0]
+            raise ValueError(f"kernel entry ({i},{k}) is {j[i, k]}, not finite")
         if np.any(j < 0):
             raise ValueError("kernel entries must be nonnegative")
         sym = bool(np.max(np.abs(j - j.T)) <= SYMMETRY_TOL * max(1.0, np.max(np.abs(j)))) if n > 0 else True

@@ -1,10 +1,10 @@
 """Spectral quantities of L = K - hI.
 
-Computes the spectral bound Λ = sup Re σ(K - hI) by dense eigensolve or
-by power iteration on the entrywise-nonnegative shift amat + (max h + 1)I,
-the Collatz-Wielandt ratio sandwich, the essential range of -h, the
-symmetric Rayleigh characterization, the sign-criteria report, and the
-potential-shifting experiment on a subdomain.
+Computes the spectral bound Λ = sup Re σ(K - hI) by certified ARPACK,
+dense eigensolve or power iteration, the Collatz-Wielandt ratio
+sandwich, the essential range of -h, the symmetric Rayleigh
+characterization, the sign-criteria report, and the potential-shifting
+experiment on a subdomain.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from nonlocalrd.space import MeasureSpace
 POWER_MAX_ITER = 100_000
 POWER_RTOL = 1e-12
 PRINCIPAL_FLOOR = 1e-12  # eigenvector entries above this (sup-normalized) count as positive
+DENSE_CUTOFF = 64  # below this many nodes "auto" runs the dense eigensolver
+CERT_RTOL = 1e-9  # widest accepted sandwich around an ARPACK Λ, relative to max(1, |Λ|)
 
 
 @dataclass
@@ -30,6 +32,7 @@ class SpectralReport:
     essential_range: List[Tuple[float, float]]
     method: str
     residual: Optional[float]
+    certificate: Optional[CwBounds] = None  # sandwich of the eigenfunction when principal
 
 
 @dataclass
@@ -107,41 +110,95 @@ def _dense_top(amat: np.ndarray) -> Tuple[float, np.ndarray]:
     return lam, np.asarray(v, dtype=float)
 
 
-def principal_value(op: NonlocalOperator, method: str = "auto") -> SpectralReport:
-    """Λ = sup Re σ(amat) with an eigenfunction when one is positive.
+def _weight_symmetrized(kernel: Kernel, h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """S = W^½ J W^½ - diag(h), similar to amat by W^½, and √w.
 
-    method "dense" uses the full eigensolver; "power" shifts by
-    s = max(h) + 1 so the matrix is entrywise nonnegative and iterates;
-    "auto" tries power first and falls back to dense on stagnation.
+    S is symmetric for symmetric kernels (exactly so after averaging with
+    its transpose); an eigenvector ψ of S maps back to the eigenvector
+    ψ / √w of amat.
     """
-    if method not in ("dense", "power", "auto"):
-        raise ValueError(f"unknown method {method!r}")
-    ess = essential_range(op.h, op.space.weights)
-    lam = None
-    vec = None
-    used = method
-    if method in ("power", "auto"):
-        shift = float(np.max(op.h)) + 1.0
-        bmat = op.amat + shift * np.eye(op.n)
-        rho, v, converged = _power_iteration(bmat)
-        if converged:
-            lam, vec, used = rho - shift, v, "power"
-        elif method == "power":
-            raise RuntimeError("power iteration did not converge; use dense")
-    if lam is None:
-        lam, vec = _dense_top(op.amat)
-        used = "dense"
+    sq = np.sqrt(kernel.space.weights)
+    smat = sq[:, None] * kernel.jmat * sq[None, :] - np.diag(h)
+    return 0.5 * (smat + smat.T), sq
+
+
+def _arpack_top(op: NonlocalOperator) -> Optional[Tuple[float, np.ndarray, str]]:
+    """Rightmost eigenpair by implicitly restarted Lanczos/Arnoldi.
+
+    Starts from the constant vector so that repeated calls are bit
+    identical.  Returns None when ARPACK fails or its rightmost value is
+    complex (never the spectral bound of a Metzler matrix).
+    """
+    from scipy.sparse.linalg import ArpackError, eigs, eigsh
+
+    v0 = np.ones(op.n)
+    try:
+        if op.kernel.symmetric:
+            smat, sq = _weight_symmetrized(op.kernel, op.h)
+            vals, vecs = eigsh(smat, k=1, which="LA", v0=v0)
+            return float(vals[0]), vecs[:, 0] / sq, "lanczos"
+        vals, vecs = eigs(op.amat, k=1, which="LR", v0=v0)
+    except ArpackError:  # includes ArpackNoConvergence
+        return None
+    if vals[0].imag != 0.0:
+        return None
+    v = vecs[:, 0]
+    return float(vals[0].real), np.real(v / v[np.argmax(np.abs(v))]), "arnoldi"
+
+
+def _report(op: NonlocalOperator, lam: float, vec: np.ndarray, method: str) -> SpectralReport:
+    """Report for a computed eigenpair, certified when the eigenfunction is positive."""
     phi = _sup_normalize(vec)
-    residual = float(np.max(np.abs(op.amat @ phi - lam * phi)))
     is_principal = bool(np.all(phi > PRINCIPAL_FLOOR))
     return SpectralReport(
         lam=float(lam),
         eigenfunction=phi if is_principal else None,
         is_principal=is_principal,
-        essential_range=ess,
-        method=used,
-        residual=residual if is_principal else None,
+        essential_range=essential_range(op.h, op.space.weights),
+        method=method,
+        residual=float(np.max(np.abs(op.amat @ phi - lam * phi))) if is_principal else None,
+        certificate=cw_bounds(op, phi) if is_principal else None,
     )
+
+
+def _certified(rep: SpectralReport) -> bool:
+    """Whether an ARPACK answer can stand without the dense check.
+
+    A positive eigenfunction's sandwich must hold Λ within CERT_RTOL;
+    without one, only a symmetric (Lanczos) answer is kept, since a
+    nonsymmetric Arnoldi value has nothing to certify that it is rightmost.
+    """
+    cert = rep.certificate
+    if cert is None:
+        return rep.method == "lanczos"
+    width = max(cert.upper, rep.lam) - min(cert.lower, rep.lam)
+    return width <= CERT_RTOL * max(1.0, abs(rep.lam))
+
+
+def principal_value(op: NonlocalOperator, method: str = "auto") -> SpectralReport:
+    """Λ = sup Re σ(amat) with an eigenfunction, and its certificate, when one is positive.
+
+    method "auto" keeps a certified ARPACK answer ("lanczos" for symmetric
+    kernels, "arnoldi" otherwise) from DENSE_CUTOFF nodes up and otherwise
+    uses the full eigensolver ("dense").  The reference methods are
+    "dense" and "power", which shifts by s = max(h) + 1 so the matrix is
+    entrywise nonnegative and iterates.
+    """
+    if method not in ("dense", "power", "auto"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "power":
+        shift = float(np.max(op.h)) + 1.0
+        rho, v, converged = _power_iteration(op.amat + shift * np.eye(op.n))
+        if not converged:
+            raise RuntimeError("power iteration did not converge; use dense")
+        return _report(op, rho - shift, v, "power")
+    if method == "auto" and op.n >= DENSE_CUTOFF:
+        top = _arpack_top(op)
+        if top is not None:
+            rep = _report(op, *top)
+            if _certified(rep):
+                return rep
+    return _report(op, *_dense_top(op.amat), "dense")
 
 
 def cw_bounds(op: NonlocalOperator, phi: np.ndarray) -> CwBounds:
@@ -193,29 +250,10 @@ def rayleigh_lambda(kernel: Kernel, h) -> SpectralReport:
     """
     if not kernel.symmetric:
         raise ValueError("rayleigh characterization requires a symmetric kernel")
-    space = kernel.space
-    n = space.n
-    h = np.asarray(h, dtype=float)
-    if h.shape == ():
-        h = np.full(n, float(h))
-    sq = np.sqrt(space.weights)
-    smat = sq[:, None] * kernel.jmat * sq[None, :] - np.diag(h)
-    smat = 0.5 * (smat + smat.T)
-    vals, vecs = np.linalg.eigh(smat)
-    lam = float(vals[-1])
-    phi = vecs[:, -1] / sq  # back to raw node values
-    phi = _sup_normalize(phi)
     op = build_operator(kernel, h)
-    residual = float(np.max(np.abs(op.amat @ phi - lam * phi)))
-    is_principal = bool(np.all(phi > PRINCIPAL_FLOOR))
-    return SpectralReport(
-        lam=lam,
-        eigenfunction=phi if is_principal else None,
-        is_principal=is_principal,
-        essential_range=essential_range(h, space.weights),
-        method="rayleigh",
-        residual=residual if is_principal else None,
-    )
+    smat, sq = _weight_symmetrized(kernel, op.h)
+    vals, vecs = np.linalg.eigh(smat)
+    return _report(op, float(vals[-1]), vecs[:, -1] / sq, "rayleigh")
 
 
 def spectral_energy(kernel: Kernel, h, phi: np.ndarray) -> float:
@@ -360,6 +398,6 @@ def shift_bound_rhs(kernel: Kernel, h, mask, a: float) -> float:
     if not np.any(mask) or np.all(mask):
         raise ValueError("mask must split the domain into two nonempty parts")
     op = build_operator(kernel, -h)
-    lam_omega = principal_value(restrict_operator(op, mask), method="dense").lam
-    lam_comp = principal_value(restrict_operator(op, ~mask), method="dense").lam
+    lam_omega = principal_value(restrict_operator(op, mask)).lam
+    lam_comp = principal_value(restrict_operator(op, ~mask)).lam
     return float(np.max(op.h0)) + lam_comp + lam_omega - float(a)

@@ -373,7 +373,7 @@ def asymptotic_suite(trials: int, seed: int) -> PropertyReport:
                              rho=float(rng.choice([2.0, 3.0])), n_nodes=space.n)
         sb = structure_bounds(f, "plain")
         op_c = build_operator(kern, -sb.c)
-        lam = principal_value(op_c, method="dense").lam
+        lam = principal_value(op_c).lam
         phi = solve_phi(kern, sb.c, sb.d)
         # (a) invariance inside the envelope (0.99 keeps a margin above
         # integrator error without weakening the analytic claim)

@@ -31,6 +31,9 @@ class TestSpectrumCommand:
         payload = json.loads((tmp_path / "spectrum.json").read_text())
         assert abs(payload["lambda"]) <= 1e-10
         assert payload["schema_version"] == "1"
+        cert = payload["certificate"]
+        assert cert["lower"] - 1e-12 <= payload["lambda"] <= cert["upper"] + 1e-12
+        assert cert["upper"] - cert["lower"] <= 1e-10
 
     def test_eigenfunction_csv_has_node_rows(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -51,6 +54,13 @@ class TestSpectrumCommand:
         rc = main(["--out", str(tmp_path), "spectrum", "--config", str(cfg)])
         assert rc == 2
         assert "(2,1)" in capsys.readouterr().err
+
+    def test_non_finite_kernel_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, kernel={"law": "gaussian", "sigma": float("nan")})
+        rc = main(["--out", str(tmp_path), "spectrum", "--config", str(cfg)])
+        assert rc == 2
+        assert "kernel" in capsys.readouterr().err
+        assert not (tmp_path / "spectrum.json").exists()
 
     def test_dry_run_validates_without_output(self, tmp_path):
         cfg = write_config(tmp_path)

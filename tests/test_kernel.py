@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nonlocalrd.kernel import apply_K, assemble_kernel, build_operator, compute_h0
+from nonlocalrd.kernel import Kernel, apply_K, assemble_kernel, build_operator, compute_h0
 from nonlocalrd.space import build_interval
 
 
@@ -38,6 +38,16 @@ def test_table_kernel_rejects_negative_entry():
     bad[1, 2] = -0.5
     with pytest.raises(ValueError, match=r"\(1,2\)"):
         assemble_kernel(s, "table", jmat=bad)
+
+
+def test_non_finite_kernel_entries_rejected():
+    s = build_interval(0, 1, 4)
+    with pytest.raises(ValueError, match="kernel entry .* not finite"):
+        assemble_kernel(s, "gaussian", sigma=float("nan"))
+    jmat = np.ones((4, 4))
+    jmat[2, 1] = np.inf
+    with pytest.raises(ValueError, match=r"kernel entry \(2,1\) is inf"):
+        Kernel(space=s, jmat=jmat)
 
 
 def test_apply_K_constant_data():

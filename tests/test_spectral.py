@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import scipy.sparse.linalg
+
 from nonlocalrd.kernel import assemble_kernel, build_operator, compute_h0
-from nonlocalrd.space import build_interval
+from nonlocalrd.space import build_graph, build_interval, merge_spaces
 from nonlocalrd.spectral import (
+    DENSE_CUTOFF,
     cw_bounds,
     essential_range,
     principal_value,
@@ -113,6 +116,83 @@ class TestPrincipalValue:
         _, k = unit_system(n=8)
         with pytest.raises(ValueError):
             principal_value(build_operator(k, np.zeros(8)), "qr")
+
+
+def sampled_operator(rng, kind, n):
+    """Random interval, graph, union (two disconnected parts) or nonsymmetric table system."""
+    if kind == "graph":
+        edges = [[i, (i + 1) % n, float(rng.uniform(0.5, 1.5))] for i in range(n)]
+        edges += [[int(i), int(j), float(rng.uniform(1.0, 5.0))]
+                  for i, j in rng.integers(0, n, size=(n // 4, 2)) if i != j]
+        s = build_graph(n, edges, rng.uniform(0.5, 1.5, size=n) / n)
+        k = assemble_kernel(s, "gaussian", sigma=float(rng.uniform(2.0, 6.0)),
+                            scale=float(rng.uniform(0.5, 1.5)))
+    elif kind == "union":
+        s = merge_spaces(build_interval(0, 1, n // 2), build_interval(1.5, 2.5, n - n // 2))
+        k = assemble_kernel(s, "tophat", R=float(rng.uniform(0.05, 0.3)),
+                            J0=float(rng.uniform(0.5, 2.0)))
+    else:
+        s = build_interval(0, 1, n)
+        r = float(rng.uniform(0.05, 0.5))
+        if kind == "interval":
+            k = assemble_kernel(s, "tophat", R=r, J0=float(rng.uniform(0.5, 2.0)))
+        else:  # tophat with a drift term and noise: nonsymmetric
+            d = s.x[None, :] - s.x[:, None]
+            jmat = 2.0 * (np.abs(d) < r) * (1.0 + 0.5 * d / r) * rng.uniform(0.9, 1.1, (n, n))
+            k = assemble_kernel(s, "table", jmat=jmat)
+    h = rng.uniform(0.5, 1.5) + rng.uniform(-0.5, 0.5) * np.sin(2 * np.pi * np.arange(n) / n)
+    return build_operator(k, h)
+
+
+class TestCertifiedSolver:
+    KINDS = ("interval", "graph", "union", "table")
+    SIZES = (24, DENSE_CUTOFF - 1, DENSE_CUTOFF, 100, 200)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_dense_eigvals_with_bracketing_certificate(self, kind):
+        rng = np.random.default_rng(self.KINDS.index(kind))
+        for n in self.SIZES:
+            op = sampled_operator(rng, kind, n)
+            ref = float(np.max(np.linalg.eigvals(op.amat).real))
+            scale = max(1.0, abs(ref))
+            rep = principal_value(op)
+            if n < DENSE_CUTOFF:
+                assert rep.method == "dense"
+            else:
+                assert rep.method == ("arnoldi" if kind == "table" else "lanczos")
+            assert abs(rep.lam - ref) <= 1e-10 * scale
+            assert rep.is_principal == (kind != "union")
+            if rep.is_principal:
+                # the ratios carry rounding, so the bracket gets a rounding-sized slack
+                assert rep.certificate.lower - 1e-12 * scale <= ref
+                assert ref <= rep.certificate.upper + 1e-12 * scale
+            else:
+                assert rep.certificate is None
+            again = principal_value(op)
+            assert again.lam == rep.lam and again.method == rep.method
+            if rep.is_principal:
+                assert np.array_equal(again.eigenfunction, rep.eigenfunction)
+                assert again.certificate.lower == rep.certificate.lower
+                assert again.certificate.upper == rep.certificate.upper
+
+    @pytest.mark.parametrize("kind", ("interval", "table"))
+    @pytest.mark.parametrize("error", (
+        scipy.sparse.linalg.ArpackError(-9),
+        scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0))),
+    ))
+    def test_arpack_failure_falls_back_to_dense(self, monkeypatch, kind, error):
+        op = sampled_operator(np.random.default_rng(5), kind, 100)
+        fast = principal_value(op)
+
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", fail)
+        rep = principal_value(op)
+        assert rep.method == "dense"
+        assert rep.lam == pytest.approx(fast.lam, abs=1e-10 * max(1.0, abs(fast.lam)))
+        assert rep.lam == principal_value(op, "dense").lam
 
 
 class TestCwBounds:
