@@ -199,7 +199,10 @@ class Experiment:
     def initial_state(self) -> np.ndarray:
         if "u0" not in self.raw:
             raise ConfigError("u0", "missing")
-        return _node_vector(self.raw["u0"], self.space, self.kernel, "u0")
+        u0 = _node_vector(self.raw["u0"], self.space, self.kernel, "u0")
+        if not np.all(np.isfinite(u0)):
+            raise ConfigError("u0", "initial state must be finite")
+        return u0
 
 
 def load_config(path: str) -> dict:
@@ -295,6 +298,7 @@ def _cmd_evolve(args, out_dir: Path) -> int:
         "t_end": exp.config.t_end,
         "beta": traj.metadata.get("beta"),
         "trunc_k": traj.metadata.get("trunc_k"),
+        "propagator": traj.metadata.get("propagator"),
         "blowup": traj.blowup,
         "blowup_time": traj.metadata.get("blowup_time"),
         "final_sup_norm": float(np.max(np.abs(traj.final()))),

@@ -41,14 +41,17 @@ class MeasureSpace:
         n = w.shape[0]
         if n < 1:
             raise ValueError("space needs at least one node")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("all weights must be finite")
         if np.any(w <= 0):
             raise ValueError("all weights must be positive")
         if d.shape != (n, n):
             raise ValueError("distance matrix shape mismatch")
         if np.any(np.abs(np.diagonal(d)) > 0):
             raise ValueError("metric must vanish on the diagonal")
-        if not np.allclose(d, d.T, rtol=0, atol=1e-12):
-            raise ValueError("metric must be symmetric")
+        # NaN fails the comparison, so a non-finite distance is rejected too
+        if not (np.max(np.abs(d - d.T)) <= 1e-12):
+            raise ValueError("metric must be symmetric with finite distances")
         _check_triangle_inequality(d)
 
     @property

@@ -108,6 +108,28 @@ class TestEvolveCommand:
         assert "potential" in capsys.readouterr().err
 
 
+    def test_non_finite_u0_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, u0={"kind": "expr", "expr": "log(x - 2)"})
+        with np.errstate(invalid="ignore"):
+            rc = main(["--out", str(tmp_path), "evolve", "--config", str(cfg)])
+        assert rc == 2
+        assert "config field 'u0'" in capsys.readouterr().err
+        assert not (tmp_path / "evolve.json").exists()
+
+    @pytest.mark.parametrize("scheme", ["rk4", "vcf_exact_linear"])
+    def test_propagator_key(self, tmp_path, scheme):
+        cfg = write_config(tmp_path, integrator={"scheme": scheme, "dt": 0.01,
+                                                 "t_end": 0.1})
+        rc = main(["--out", str(tmp_path), "evolve", "--config", str(cfg)])
+        assert rc == 0
+        prop = json.loads((tmp_path / "evolve.json").read_text())["propagator"]
+        if scheme == "rk4":
+            assert prop is None
+        else:
+            assert set(prop) == {"taylor_degree", "squarings"}
+            assert prop["squarings"] == 0 and prop["taylor_degree"] >= 1
+
+
 class TestEquilibriaCommand:
     def test_profiles_and_summary(self, tmp_path):
         cfg = write_config(tmp_path, potential={"kind": "constant", "value": 0.0})

@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from nonlocalrd.equilibria import solve_phi
 from nonlocalrd.evolve import (
     IntegratorConfig,
+    _expm_phi1,
     bernoulli_blowup_time,
     envelope_U,
     evolve_nonlinear,
@@ -107,7 +108,101 @@ class TestLinearSemigroup:
             linear_semigroup_apply(op, np.inf, np.ones(4))
 
 
+def augmented_reference(mat):
+    """e^M and φ1(M) from one expm of [[M, I], [0, 0]]."""
+    n = mat.shape[0]
+    aug = np.zeros((2 * n, 2 * n))
+    aug[:n, :n] = mat
+    aug[:n, n:] = np.eye(n)
+    eaug = expm(aug)
+    return eaug[:n, :n], eaug[:n, n:]
+
+
+def table_op(n, seed):
+    s = build_interval(0, 1, n)
+    rng = np.random.default_rng(seed)
+    k = assemble_kernel(s, "table", jmat=rng.uniform(0.0, 2.0, size=(n, n)))
+    assert n == 1 or not k.symmetric
+    return build_operator(k, rng.uniform(0.0, 1.0, size=n))
+
+
+class TestExpmPhi1:
+    def check(self, mat):
+        emat, phi1, plan = _expm_phi1(mat)
+        ref_e, ref_phi = augmented_reference(mat)
+        for got, ref in ((emat, ref_e), (phi1, ref_phi)):
+            scale = max(1.0, float(np.linalg.norm(ref, 1)))
+            assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+        return plan
+
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_small_norm_needs_no_squaring(self, n):
+        _, _, op = unit_op(n, h=np.linspace(0.0, 1.0, n))
+        plan = self.check(op.amat * 1e-3)
+        assert plan["squarings"] == 0 and plan["taylor_degree"] >= 1
+
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_large_norm_runs_the_squarings(self, n):
+        _, _, op = unit_op(n, h=np.linspace(0.5, 2.0, n))
+        plan = self.check(op.amat * 5.0)
+        assert plan["squarings"] >= 3
+
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_shifted_operator(self, n):
+        _, _, op = unit_op(n, h=np.linspace(0.0, 1.0, n))
+        beta = 2.5
+        for dt in (0.01, 0.5, 2.0):
+            self.check((op.amat - beta * np.eye(n)) * dt)
+
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_nonsymmetric_table_kernel(self, n):
+        op = table_op(n, seed=n)
+        for dt in (1e-3, 0.3, 3.0):
+            self.check(op.amat * dt)
+
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_zero_matrix_gives_identities(self, n):
+        emat, phi1, plan = _expm_phi1(np.zeros((n, n)))
+        assert np.array_equal(emat, np.eye(n)) and np.array_equal(phi1, np.eye(n))
+        assert emat is not phi1
+        assert plan == {"taylor_degree": 0, "squarings": 0}
+
+
+class TestExponentialEuler:
+    def test_zero_reaction_is_the_linear_semigroup(self):
+        _, _, op = unit_op(24, h=np.linspace(0.0, 1.0, 24))
+        u0 = np.random.default_rng(5).standard_normal(24)
+        cfg = IntegratorConfig(scheme="vcf_exact_linear", dt=0.01, t_end=1.0,
+                               store_every=25)
+        tr = evolve_nonlinear(op, zero_reaction(24), u0, cfg)
+        np.testing.assert_allclose(tr.final(), linear_semigroup_apply(op, 1.0, u0),
+                                   rtol=0, atol=1e-12)
+
+    def test_constant_source_matches_closed_form(self):
+        op = table_op(16, seed=7)
+        rng = np.random.default_rng(8)
+        u0 = rng.standard_normal(16)
+        src = rng.uniform(-1.0, 1.0, size=16)
+        f = LogisticReaction(g=src, n=0.0, m=0.0, rho=2.0, n_nodes=16)
+        t_end = 0.6
+        cfg = IntegratorConfig(scheme="vcf_exact_linear", dt=0.01, t_end=t_end,
+                               store_every=10 ** 6)
+        tr = evolve_nonlinear(op, f, u0, cfg)
+        e_at, phi_at = augmented_reference(op.amat * t_end)
+        np.testing.assert_allclose(tr.final(), e_at @ u0 + t_end * phi_at @ src,
+                                   rtol=0, atol=1e-12)
+
+
 class TestEvolveNonlinear:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_initial_state(self, bad):
+        _, _, op = unit_op(8)
+        u0 = np.ones(8)
+        u0[3] = bad
+        cfg = IntegratorConfig(scheme="rk4", dt=0.01, t_end=0.1)
+        with pytest.raises(ValueError, match="finite"):
+            evolve_nonlinear(op, zero_reaction(8), u0, cfg)
+
     def test_zero_reaction_reduces_to_linear(self):
         _, _, op = unit_op(24, h=np.linspace(0.0, 1.0, 24))
         rng = np.random.default_rng(2)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nonlocalrd.space import (
+    MeasureSpace,
     build_graph,
     build_interval,
     is_r_connected,
@@ -130,3 +131,36 @@ def test_connectivity_monotone_in_radius():
         if is_r_connected(space, r).connected:
             for factor in (1.5, 3.0, 10.0):
                 assert is_r_connected(space, r * factor).connected
+
+
+def _path_metric(n):
+    x = np.arange(float(n))
+    return np.abs(x[:, None] - x[None, :])
+
+
+def test_nan_distance_rejected():
+    d = _path_metric(4)
+    d[1, 2] = d[2, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        MeasureSpace(points=None, weights=np.ones(4), dist=d, kind="graph")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_weight_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        MeasureSpace(points=None, weights=[1.0, bad, 1.0], dist=_path_metric(3),
+                     kind="graph")
+
+
+def test_asymmetry_beyond_tolerance_rejected():
+    d = _path_metric(4)
+    d[0, 3] += 2e-12
+    with pytest.raises(ValueError, match="symmetric"):
+        MeasureSpace(points=None, weights=np.ones(4), dist=d, kind="graph")
+
+
+def test_asymmetry_within_tolerance_accepted():
+    d = _path_metric(4)
+    d[0, 3] += 5e-13
+    s = MeasureSpace(points=None, weights=np.ones(4), dist=d, kind="graph")
+    assert s.dist[0, 3] - s.dist[3, 0] == pytest.approx(5e-13, rel=1e-2)
