@@ -10,9 +10,11 @@ Exit codes: 0 success, 2 config or precondition failure, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import json
 import math
+import operator
 import sys
 from pathlib import Path
 
@@ -47,11 +49,49 @@ _EXPR_NAMES = {
 }
 
 
+_EXPR_FUNCS = frozenset(k for k, v in _EXPR_NAMES.items() if callable(v))
+_EXPR_OPS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.Pow: operator.pow, ast.Mod: operator.mod,
+    ast.UAdd: operator.pos, ast.USub: operator.neg,
+    ast.Lt: operator.lt, ast.LtE: operator.le, ast.Gt: operator.gt,
+    ast.GtE: operator.ge, ast.Eq: operator.eq, ast.NotEq: operator.ne,
+}
+
+
+def _eval_node(node: ast.AST, ns: dict):
+    """Evaluate a whitelisted expression tree and refuse every other node.
+
+    Numbers become floats, so no integer power can grow without bound;
+    a chained comparison is the elementwise conjunction of its links.
+    """
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id in ns:
+        return ns[node.id]
+    if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPS:
+        return _EXPR_OPS[type(node.op)](_eval_node(node.left, ns), _eval_node(node.right, ns))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_OPS:
+        return _EXPR_OPS[type(node.op)](_eval_node(node.operand, ns))
+    if isinstance(node, ast.Compare) and all(type(op) in _EXPR_OPS for op in node.ops):
+        left, out = _eval_node(node.left, ns), True
+        for op, comp in zip(node.ops, node.comparators):
+            right = _eval_node(comp, ns)
+            out = np.logical_and(out, _EXPR_OPS[type(op)](left, right))
+            left = right
+        return out
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _EXPR_FUNCS and not node.keywords):
+        return ns[node.func.id](*[_eval_node(arg, ns) for arg in node.args])
+    raise ValueError(f"{type(node).__name__} is not allowed")
+
+
 def _eval_expr(expr: str, x: np.ndarray, field: str) -> np.ndarray:
-    ns = dict(_EXPR_NAMES)
-    ns["x"] = x
+    """Evaluate a config expression in x over numbers, the names of
+    _EXPR_NAMES, arithmetic, comparisons and calls of its functions."""
     try:
-        val = eval(expr, {"__builtins__": {}}, ns)  # noqa: S307 - whitelisted names only
+        tree = ast.parse(expr, mode="eval")
+        val = _eval_node(tree.body, {**_EXPR_NAMES, "x": x})
     except Exception as exc:
         raise ConfigError(field, f"bad expression {expr!r}: {exc}") from exc
     return np.broadcast_to(np.asarray(val, dtype=float), x.shape).copy()

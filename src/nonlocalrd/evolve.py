@@ -10,16 +10,23 @@ M = (L - βI)·dt, is formed once per run at size n by scaling and
 modified squaring (Skaflestad & Wright 2009): a Taylor sum for φ1 of
 M/2^s, then s doublings φ1(2Y) = ½φ1(Y)(e^Y + I), e^{2Y} = (e^Y)².
 Blow-up is a first-class outcome.
+
+make_stepper does every piece of set-up a scheme needs once — the
+truncation level, the monotone shift and its step-size check, the
+positive part of the operator, the propagator pair — and returns a
+Stepper holding the prepared one-step map.  evolve_nonlinear builds
+one, or takes one built earlier for the same config, and runs the
+single stepping loop: per step it applies the map, makes one cheap
+blow-up test and stores the state on steps chosen before the loop.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, List, Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from nonlocalrd.kernel import Kernel, NonlocalOperator, apply_K
 from nonlocalrd.reaction import (
@@ -86,6 +93,8 @@ def _nsteps(dt: float, t_end: float) -> int:
 
 def linear_semigroup_apply(op: NonlocalOperator, t: float, u0: np.ndarray) -> np.ndarray:
     """e^{amat·t} u0 via scaling-and-squaring; t may be negative (group)."""
+    from scipy.linalg import expm
+
     if not np.isfinite(t):
         raise ValueError("time must be finite")
     u0 = np.asarray(u0, dtype=float)
@@ -182,14 +191,95 @@ def _expm_phi1(mat: np.ndarray):
     return emat, phi, {"taylor_degree": d, "squarings": s}
 
 
-def evolve_nonlinear(op: NonlocalOperator, f: Reaction, u0: np.ndarray,
-                     config: IntegratorConfig) -> Trajectory:
-    """Integrate u_t = amat·u + f(x, u) and record the sampled orbit.
+@dataclass(frozen=True, eq=False)
+class Stepper:
+    """The prepared one-step map u ↦ u(t + dt) of one scheme.
+
+    Built by make_stepper for one operator, reaction and config; scheme,
+    beta, trunc_k and propagator are what evolve_nonlinear records in the
+    trajectory metadata.  When euler_op derives its truncation level, or
+    its shift without one, it reads ‖u0‖_∞, kept as u0_sup, and the
+    stepper serves only initial states of that sup norm.
+    """
+
+    step: Callable[[np.ndarray], np.ndarray]
+    config: IntegratorConfig
+    scheme: str
+    beta: Optional[float]
+    trunc_k: Optional[float]
+    propagator: Optional[dict]
+    op: NonlocalOperator
+    f: Reaction
+    u0_sup: Optional[float]
+
+
+def make_stepper(op: NonlocalOperator, f: Reaction, u0: np.ndarray,
+                 config: IntegratorConfig) -> Stepper:
+    """Prepare the one-step map of config.scheme for u_t = amat·u + f(x, u).
 
     euler_op truncates locally Lipschitz reactions at the level the
-    scalar supersolution bound provides over [0, t_end]; rk4 and the
-    exponential-Euler scheme integrate the raw reaction and flag blow-up
-    when the sup norm passes the threshold or a step goes non-finite.
+    scalar supersolution bound provides over [0, t_end] and checks the
+    monotone step-size condition; rk4 and the exponential-Euler scheme
+    use the raw reaction.  The config is copied, so later edits to it do
+    not reach the stepper.
+    """
+    dt = config.dt
+    beta = k = propagator = u0_sup = None
+    if config.scheme == "euler_op":
+        f_used, beta, k = _prepare_monotone(op, f, u0, config)
+        config.check_monotone_dt(op.h, beta)
+        if config.trunc_k is None and (f.kind != "globally_lipschitz" or config.beta is None):
+            u0_sup = float(np.max(np.abs(u0)))
+        kw = op.amat.copy()  # jmat @ diag(w), the positive part
+        kw.flat[::op.n + 1] += op.h
+        decay = 1.0 - dt * (op.h + beta)
+
+        def step(v):
+            return decay * v + dt * (kw @ v) + dt * (f_used.apply(v) + beta * v)
+    elif config.scheme == "rk4":
+        amat = op.amat
+        half, sixth = 0.5 * dt, dt / 6.0
+
+        def rhs(v):
+            return amat @ v + f.apply(v)
+
+        def step(v):
+            k1 = rhs(v)
+            k2 = rhs(v + half * k1)
+            k3 = rhs(v + half * k2)
+            k4 = rhs(v + dt * k3)
+            return v + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+    else:  # vcf_exact_linear
+        beta = float(config.beta) if config.beta is not None else 0.0
+        emat, phi1, propagator = _expm_phi1((op.amat - beta * np.eye(op.n)) * dt)
+        phi1 *= dt
+
+        def step(v):
+            return emat @ v + phi1 @ (f.apply(v) + beta * v)
+    return Stepper(step=step, config=replace(config), scheme=config.scheme, beta=beta,
+                   trunc_k=k, propagator=propagator, op=op, f=f, u0_sup=u0_sup)
+
+
+def _check_stepper(stepper: Stepper, op: NonlocalOperator, f: Reaction,
+                   u: np.ndarray, config: IntegratorConfig) -> None:
+    if stepper.config != config:
+        raise ValueError("stepper was built for another config")
+    if stepper.op is not op or stepper.f is not f:
+        raise ValueError("stepper was built for another operator or reaction")
+    if stepper.u0_sup is not None and float(np.max(np.abs(u))) != stepper.u0_sup:
+        raise ValueError("stepper derived its truncation from an initial state "
+                         "of another sup norm")
+
+
+def evolve_nonlinear(op: NonlocalOperator, f: Reaction, u0: np.ndarray,
+                     config: IntegratorConfig, *,
+                     stepper: Optional[Stepper] = None) -> Trajectory:
+    """Integrate u_t = amat·u + f(x, u) and record the sampled orbit.
+
+    The step is stepper's, or make_stepper's for these arguments when
+    none is given.  A run flags blow-up and stops when a step goes
+    non-finite or its sup norm passes the threshold; the last finite
+    state is stored.
     """
     u = np.array(u0, dtype=float)
     if u.shape != (op.n,):
@@ -197,57 +287,45 @@ def evolve_nonlinear(op: NonlocalOperator, f: Reaction, u0: np.ndarray,
     if not np.all(np.isfinite(u)):
         raise ValueError("initial state must be finite")
     nsteps = _nsteps(config.dt, config.t_end)
+    if stepper is None:
+        stepper = make_stepper(op, f, u, config)
+    else:
+        _check_stepper(stepper, op, f, u, config)
     dt = config.dt
     meta = {"scheme": config.scheme, "blowup": False, "blowup_time": None,
-            "beta": None, "trunc_k": None, "propagator": None}
+            "beta": stepper.beta, "trunc_k": stepper.trunc_k,
+            "propagator": stepper.propagator}
 
-    if config.scheme == "euler_op":
-        f_used, beta, k = _prepare_monotone(op, f, u0, config)
-        config.check_monotone_dt(op.h, beta)
-        meta["beta"], meta["trunc_k"] = beta, k
-        kw = op.amat + np.diag(op.h)  # jmat @ diag(w), the positive part
-        decay = 1.0 - dt * (op.h + beta)
-
-        def step(v):
-            return decay * v + dt * (kw @ v) + dt * (f_used.apply(v) + beta * v)
-    elif config.scheme == "rk4":
-        def rhs(v):
-            return op.amat @ v + f.apply(v)
-
-        def step(v):
-            k1 = rhs(v)
-            k2 = rhs(v + 0.5 * dt * k1)
-            k3 = rhs(v + 0.5 * dt * k2)
-            k4 = rhs(v + dt * k3)
-            return v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    else:  # vcf_exact_linear
-        beta = float(config.beta) if config.beta is not None else 0.0
-        meta["beta"] = beta
-        emat, phi1, meta["propagator"] = _expm_phi1((op.amat - beta * np.eye(op.n)) * dt)
-        phi1 *= dt
-
-        def step(v):
-            return emat @ v + phi1 @ (f.apply(v) + beta * v)
-
+    step = stepper.step
+    thr = config.blowup_threshold
+    # u·u <= (thr/2)² forces every entry finite with |u_i| <= thr, since
+    # NaN, inf and an overflowing sum all fail the comparison; a state
+    # failing it takes the exact test.  Outside [1e-150, 1e150] thr² is
+    # no normal double and every state takes the exact test; inside, a
+    # sum can overflow (and numpy warn) only on a blow-up step.
+    guard = 0.25 * thr * thr if 1e-150 <= thr <= 1e150 else None
+    every = config.store_every
+    next_store = min(every, nsteps)
     times = [0.0]
     states = [u.copy()]
     steps_idx = [0]
     for m in range(1, nsteps + 1):
         u = step(u)
-        t = m * dt
-        finite = bool(np.all(np.isfinite(u)))
-        if not finite or np.max(np.abs(u)) > config.blowup_threshold:
-            meta["blowup"] = True
-            meta["blowup_time"] = t
-            if finite:
-                times.append(t)
-                states.append(u.copy())
-                steps_idx.append(m)
-            break
-        if m % config.store_every == 0 or m == nsteps:
-            times.append(t)
+        if guard is None or not (u.dot(u) <= guard):
+            finite = bool(np.all(np.isfinite(u)))
+            if not finite or np.max(np.abs(u)) > thr:
+                meta["blowup"] = True
+                meta["blowup_time"] = m * dt
+                if finite:
+                    times.append(m * dt)
+                    states.append(u.copy())
+                    steps_idx.append(m)
+                break
+        if m == next_store:
+            times.append(m * dt)
             states.append(u.copy())
             steps_idx.append(m)
+            next_store = min(m + every, nsteps)
     meta["steps"] = np.asarray(steps_idx, dtype=int)
     return Trajectory(times=np.asarray(times), states=np.asarray(states),
                       scheme=config.scheme, dt=dt, metadata=meta)
@@ -329,6 +407,8 @@ def picard_solve(op: NonlocalOperator, f: Reaction, u0: np.ndarray, tau: float,
     contraction factor q = tau·(Lip(f)+β)·sup‖e^{(L-βI)s}‖ is computed
     and reported; tau must keep it below 1.
     """
+    from scipy.linalg import expm
+
     if f.kind != "globally_lipschitz":
         raise ValueError("picard iteration needs a globally Lipschitz reaction")
     if tau <= 0:
@@ -382,6 +462,8 @@ def envelope_U(op_c: NonlocalOperator, d, u0, times) -> np.ndarray:
     op_c must be the operator with potential -C(x) so amat = K + CI, and
     its spectral bound must be negative for the Φ solve to make sense.
     """
+    from scipy.linalg import expm
+
     from nonlocalrd.equilibria import solve_phi
     from nonlocalrd.spectral import principal_value
 

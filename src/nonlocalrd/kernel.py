@@ -9,7 +9,7 @@ algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -30,8 +30,8 @@ class Kernel:
 
     space: MeasureSpace
     jmat: np.ndarray
-    symmetric: bool = True  # recomputed by inspection on construction
     positivity_cert: Optional[Tuple[float, float]] = None
+    symmetric: bool = field(init=False)  # found by inspection of jmat
 
     def __post_init__(self):
         j = np.asarray(self.jmat, dtype=float)
@@ -89,21 +89,21 @@ def assemble_kernel(space: MeasureSpace, law: str, **params) -> Kernel:
         if c > 0:
             # any radius certifies a constant kernel; pick one covering the space
             cert = (2.0 * max(space.diameter(), 1.0), c / 2.0)
-        return Kernel(space=space, jmat=jmat, symmetric=True, positivity_cert=cert)
+        return Kernel(space=space, jmat=jmat, positivity_cert=cert)
     if law == "tophat":
         r = float(params["R"])
         j0 = float(params["J0"])
         if r <= 0 or j0 <= 0:
             raise ValueError("tophat law needs R > 0 and J0 > 0")
         jmat = np.where(d < r, j0, 0.0)
-        return Kernel(space=space, jmat=jmat, symmetric=True, positivity_cert=(r, j0 / 2.0))
+        return Kernel(space=space, jmat=jmat, positivity_cert=(r, j0 / 2.0))
     if law == "gaussian":
         sigma = float(params["sigma"])
         scale = float(params.get("scale", 1.0))
         if sigma <= 0 or scale <= 0:
             raise ValueError("gaussian law needs sigma > 0 and scale > 0")
         jmat = scale * np.exp(-0.5 * (d / sigma) ** 2)
-        return Kernel(space=space, jmat=jmat, symmetric=True, positivity_cert=None)
+        return Kernel(space=space, jmat=jmat)
     if law == "table":
         jmat = np.asarray(params["jmat"], dtype=float)
         if jmat.shape != (space.n, space.n):
@@ -111,7 +111,7 @@ def assemble_kernel(space: MeasureSpace, law: str, **params) -> Kernel:
         if np.any(jmat < 0):
             i, j = np.unravel_index(int(np.argmin(jmat)), jmat.shape)
             raise ValueError(f"table law entry ({i},{j}) is negative")
-        return Kernel(space=space, jmat=jmat, symmetric=True)
+        return Kernel(space=space, jmat=jmat)
     raise ValueError(f"unknown kernel law {law!r}")
 
 

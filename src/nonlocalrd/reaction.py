@@ -47,7 +47,11 @@ class Reaction:
         return (self.eval_grid(smat + step) - self.eval_grid(smat - step)) / (2 * step)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """Nemitcky lift: F(u)[i] = f(x_i, u_i)."""
+        """Nemitcky lift: F(u)[i] = f(x_i, u_i).
+
+        Subclasses may override it with a 1-D path, which must do the
+        IEEE operations of eval_grid(u[:, None])[:, 0] in the same order.
+        """
         return self.eval_grid(np.asarray(u, dtype=float)[:, None])[:, 0]
 
     def apply_ds(self, u: np.ndarray) -> np.ndarray:
@@ -137,6 +141,10 @@ class LogisticReaction(Reaction):
         s = np.asarray(smat, dtype=float)
         return self.g[:, None] + self.ncoef[:, None] * s - self.m[:, None] * np.abs(s) ** (self.rho - 1) * s
 
+    def apply(self, u):
+        s = np.asarray(u, dtype=float)
+        return self.g + self.ncoef * s - self.m * np.abs(s) ** (self.rho - 1) * s
+
     def eval_ds_grid(self, smat):
         s = np.asarray(smat, dtype=float)
         return self.ncoef[:, None] - self.rho * self.m[:, None] * np.abs(s) ** (self.rho - 1)
@@ -164,6 +172,11 @@ class TruncatedReaction(Reaction):
 
     def eval_grid(self, smat):
         return self.base.eval_grid(np.clip(smat, -self.k, self.k))
+
+    def apply(self, u):
+        # np.clip's semantics (NaN passes through) at a fraction of its call cost
+        s = np.asarray(u, dtype=float)
+        return self.base.apply(np.minimum(np.maximum(s, -self.k), self.k))
 
     def eval_ds_grid(self, smat):
         s = np.asarray(smat, dtype=float)
@@ -195,6 +208,9 @@ class ShiftedReaction(Reaction):
     def eval_grid(self, smat):
         return self.base.eval_grid(smat) + self.bump[:, None]
 
+    def apply(self, u):
+        return self.base.apply(u) + self.bump
+
     def eval_ds_grid(self, smat):
         return self.base.eval_ds_grid(smat)
 
@@ -217,6 +233,10 @@ class PotentialAbsorbedReaction(Reaction):
 
     def eval_grid(self, smat):
         return self.base.eval_grid(smat) - self.h[:, None] * np.asarray(smat, dtype=float)
+
+    def apply(self, u):
+        s = np.asarray(u, dtype=float)
+        return self.base.apply(s) - self.h * s
 
     def eval_ds_grid(self, smat):
         return self.base.eval_ds_grid(smat) - self.h[:, None]

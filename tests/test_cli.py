@@ -1,11 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nonlocalrd.cli import main
+from nonlocalrd.cli import _EXPR_NAMES, _eval_expr, main
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -106,6 +110,57 @@ class TestEvolveCommand:
         rc = main(["--out", str(tmp_path), "evolve", "--config", str(cfg)])
         assert rc == 2
         assert "potential" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("expr", [
+        "().__class__.__mro__[1].__subclasses__()",
+        "x.__class__",
+        "x[0]",
+        "(lambda y: y)(x)",
+        "[y for y in x][0]",
+        "sum(y for y in x)",
+        "sin(x, out=x)",
+        "sin(**{'x': x})",
+        "sin(*[x])",
+        "__import__('os')",
+        "(y := x)",
+        "'x'",
+        "x if x else 1",
+        "pi(x)",
+        "9.0 ** 9 ** 9",
+    ])
+    def test_expression_outside_the_grammar_exits_2(self, tmp_path, capsys, expr):
+        cfg = write_config(tmp_path, potential={"kind": "expr", "expr": expr})
+        rc = main(["--out", str(tmp_path), "evolve", "--config", str(cfg)])
+        assert rc == 2
+        assert "config field 'potential'" in capsys.readouterr().err
+        assert not (tmp_path / "evolve.json").exists()
+
+    @pytest.mark.parametrize("expr", [
+        "1.0193 + 0.4871*sin(2*pi*x)",
+        "0.98 + 0.31*cos(2*pi*x)",
+        "1.0 + 0.0021*x",
+        "-x**2 + 3 % 2 - +x / 7",
+        "where(x < 0.5, exp(-x), sqrt(abs(tanh(x) - e)))",
+        "maximum(minimum(log(1 + x), 0.3), tan(x / 4))",
+        "(x >= 0.25) * 1.0 + (x != 0.5) - (x == 0.75) + (x <= 0.1)",
+        "2 ** -1 + 10 % 3",
+    ])
+    def test_expression_values_match_python_evaluation(self, expr):
+        x = np.linspace(0.0, 1.0, 17)
+        ref = eval(expr, {"__builtins__": {}}, dict(_EXPR_NAMES, x=x))  # trusted literal
+        ref = np.broadcast_to(np.asarray(ref, dtype=float), x.shape)
+        assert _eval_expr(expr, x, "potential").tobytes() == ref.tobytes()
+
+    def test_numbers_are_floats(self):
+        # as integers this would be 10.0; as floats 10**400 overflows
+        from nonlocalrd.cli import ConfigError
+        with pytest.raises(ConfigError, match="config field 'u0'"):
+            _eval_expr("10 ** 400 / 10 ** 399", np.zeros(3), "u0")
+
+    def test_chained_comparison_is_elementwise(self):
+        x = np.linspace(0.0, 1.0, 11)
+        np.testing.assert_array_equal(_eval_expr("0.2 < x <= 0.6", x, "u0"),
+                                      ((x > 0.2) & (x <= 0.6)).astype(float))
 
 
     def test_non_finite_u0_exits_2(self, tmp_path, capsys):
@@ -243,3 +298,12 @@ def test_invalid_json_exits_2(tmp_path, capsys):
     rc = main(["--out", str(tmp_path), "spectrum", "--config", str(bad)])
     assert rc == 2
     assert "line" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, nonlocalrd.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert res.stdout.strip() == "False"

@@ -7,7 +7,10 @@ from scipy.linalg import expm
 from nonlocalrd.equilibria import solve_phi
 from nonlocalrd.evolve import (
     IntegratorConfig,
+    Stepper,
     _expm_phi1,
+    _nsteps,
+    _prepare_monotone,
     bernoulli_blowup_time,
     envelope_U,
     evolve_nonlinear,
@@ -15,12 +18,19 @@ from nonlocalrd.evolve import (
     kaplan_witness,
     linear_semigroup_apply,
     lyapunov_E,
+    make_stepper,
     monotone_config,
     picard_solve,
     supersolution_ode,
 )
 from nonlocalrd.kernel import assemble_kernel, build_operator, compute_h0
-from nonlocalrd.reaction import CallableReaction, LogisticReaction, truncate
+from nonlocalrd.reaction import (
+    CallableReaction,
+    LogisticReaction,
+    absorb_potential,
+    add_bump,
+    truncate,
+)
 from nonlocalrd.space import build_interval
 from nonlocalrd.spectral import cw_bounds
 
@@ -322,6 +332,240 @@ class TestEvolveNonlinear:
         for t in (0.5, 1.0, 2.0):
             flow = linear_semigroup_apply(op, t, phi)
             assert np.all(math.exp(lam_tilde * t) * phi <= flow + 1e-9)
+
+
+def _reference_apply(f, v):
+    return f.eval_grid(v[:, None])[:, 0]
+
+
+def _reference_step(op, f, u0, config):
+    """The one-step maps as evolve_nonlinear formed them before steppers."""
+    dt = config.dt
+    meta = {"beta": None, "trunc_k": None, "propagator": None}
+    if config.scheme == "euler_op":
+        f_used, beta, k = _prepare_monotone(op, f, u0, config)
+        config.check_monotone_dt(op.h, beta)
+        meta["beta"], meta["trunc_k"] = beta, k
+        kw = op.amat + np.diag(op.h)
+        decay = 1.0 - dt * (op.h + beta)
+
+        def step(v):
+            return decay * v + dt * (kw @ v) + dt * (_reference_apply(f_used, v) + beta * v)
+    elif config.scheme == "rk4":
+        def rhs(v):
+            return op.amat @ v + _reference_apply(f, v)
+
+        def step(v):
+            k1 = rhs(v)
+            k2 = rhs(v + 0.5 * dt * k1)
+            k3 = rhs(v + 0.5 * dt * k2)
+            k4 = rhs(v + dt * k3)
+            return v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    else:
+        beta = float(config.beta) if config.beta is not None else 0.0
+        meta["beta"] = beta
+        emat, phi1, meta["propagator"] = _expm_phi1((op.amat - beta * np.eye(op.n)) * dt)
+        phi1 *= dt
+
+        def step(v):
+            return emat @ v + phi1 @ (_reference_apply(f, v) + beta * v)
+    return step, meta
+
+
+def _reference_loop(step, u0, config, meta):
+    """The stepping loop as it stood before the cheap blow-up guard."""
+    u = np.array(u0, dtype=float)
+    nsteps = _nsteps(config.dt, config.t_end)
+    dt = config.dt
+    meta = dict(meta, scheme=config.scheme, blowup=False, blowup_time=None)
+    times, states, steps_idx = [0.0], [u.copy()], [0]
+    for m in range(1, nsteps + 1):
+        u = step(u)
+        t = m * dt
+        finite = bool(np.all(np.isfinite(u)))
+        if not finite or np.max(np.abs(u)) > config.blowup_threshold:
+            meta["blowup"] = True
+            meta["blowup_time"] = t
+            if finite:
+                times.append(t)
+                states.append(u.copy())
+                steps_idx.append(m)
+            break
+        if m % config.store_every == 0 or m == nsteps:
+            times.append(t)
+            states.append(u.copy())
+            steps_idx.append(m)
+    meta["steps"] = np.asarray(steps_idx, dtype=int)
+    return np.asarray(times), np.asarray(states), meta
+
+
+def assert_same_run(tr, ref):
+    times, states, meta = ref
+    assert tr.times.tobytes() == times.tobytes()
+    assert tr.states.shape == states.shape
+    assert tr.states.tobytes() == states.tobytes()
+    assert tr.metadata["steps"].tolist() == meta["steps"].tolist()
+    for key in ("scheme", "blowup", "blowup_time", "beta", "trunc_k", "propagator"):
+        assert tr.metadata[key] == meta[key], key
+
+
+def smooth_system(n=20):
+    s = build_interval(0, 1, n)
+    k = assemble_kernel(s, "tophat", R=0.3, J0=2.0)
+    op = build_operator(k, 1.0 + 0.5 * np.sin(2 * np.pi * s.x))
+    f = LogisticReaction(g=0.2, n=1.0, m=1.0, rho=3.0, n_nodes=n)
+    u0 = 0.5 + 0.4 * np.cos(2 * np.pi * s.x)
+    return op, f, u0
+
+
+class TestPreparedStepper:
+    """evolve_nonlinear against the frozen pre-stepper loop, bit for bit."""
+
+    @pytest.mark.parametrize("scheme", ["euler_op", "rk4", "vcf_exact_linear"])
+    @pytest.mark.parametrize("store_every", [1, 7, 50])
+    def test_matches_frozen_loop(self, scheme, store_every):
+        op, f, u0 = smooth_system()
+        f = add_bump(absorb_potential(f, 0.1 * np.ones(op.n)), np.full(op.n, 0.05))
+        cfg = IntegratorConfig(scheme=scheme, dt=0.01, t_end=0.2, store_every=store_every,
+                               beta=0.5 if scheme == "vcf_exact_linear" else None)
+        step, meta = _reference_step(op, f, u0, cfg)
+        assert_same_run(evolve_nonlinear(op, f, u0, cfg), _reference_loop(step, u0, cfg, meta))
+
+    @pytest.mark.parametrize("rho", [2.0, 2.5, 3.0])
+    def test_monotone_config_runs_match(self, rho):
+        op, _, u0 = smooth_system(24)
+        f = LogisticReaction(g=0.1, n=0.8, m=1.2, rho=rho, n_nodes=24)
+        cfg = monotone_config(op, f, u0, 1.0, store_every=3)
+        step, meta = _reference_step(op, f, u0, cfg)
+        assert_same_run(evolve_nonlinear(op, f, u0, cfg), _reference_loop(step, u0, cfg, meta))
+
+    @pytest.mark.parametrize("scheme", ["rk4", "vcf_exact_linear", "euler_op"])
+    def test_blowup_on_the_last_step(self, scheme):
+        _, _, op = unit_op(12)
+        f = CallableReaction(lambda s: s ** 3, lambda s: 3 * s ** 2, n_nodes=12)
+        u0 = np.full(12, 2.0)
+        extra = {"trunc_k": 1e6, "beta": 1.0} if scheme == "euler_op" else {}
+        long = IntegratorConfig(scheme=scheme, dt=1e-3, t_end=1.0, blowup_threshold=50.0,
+                                store_every=4, **extra)
+        hit = evolve_nonlinear(op, f, u0, long).metadata["blowup_time"]
+        assert hit is not None
+        cfg = IntegratorConfig(scheme=scheme, dt=1e-3, t_end=hit, blowup_threshold=50.0,
+                               store_every=4, **extra)
+        tr = evolve_nonlinear(op, f, u0, cfg)
+        step, meta = _reference_step(op, f, u0, cfg)
+        assert_same_run(tr, _reference_loop(step, u0, cfg, meta))
+        assert tr.blowup and tr.metadata["steps"][-1] == _nsteps(cfg.dt, cfg.t_end)
+
+    def test_stepper_reuse_matches_a_fresh_run(self):
+        op, f, u0 = smooth_system()
+        cfg = monotone_config(op, f, np.zeros(op.n), 0.5, trunc_k=3.0, beta=4.0)
+        stepper = make_stepper(op, f, np.zeros(op.n), cfg)
+        assert isinstance(stepper, Stepper)
+        assert (stepper.scheme, stepper.beta, stepper.trunc_k) == ("euler_op", 4.0, 3.0)
+        for data in (u0, 2.0 * u0, -u0):
+            step, meta = _reference_step(op, f, data, cfg)
+            assert_same_run(evolve_nonlinear(op, f, data, cfg, stepper=stepper),
+                            _reference_loop(step, data, cfg, meta))
+
+    def test_rejects_a_stepper_built_for_another_config(self):
+        op, f, u0 = smooth_system()
+        cfg = IntegratorConfig(scheme="rk4", dt=0.01, t_end=0.1)
+        stepper = make_stepper(op, f, u0, cfg)
+        for other in (IntegratorConfig(scheme="rk4", dt=0.02, t_end=0.1),
+                      IntegratorConfig(scheme="rk4", dt=0.01, t_end=0.1, store_every=2),
+                      IntegratorConfig(scheme="vcf_exact_linear", dt=0.01, t_end=0.1)):
+            with pytest.raises(ValueError, match="another config"):
+                evolve_nonlinear(op, f, u0, other, stepper=stepper)
+        cfg.dt = 0.02  # the stepper kept its own copy
+        with pytest.raises(ValueError, match="another config"):
+            evolve_nonlinear(op, f, u0, cfg, stepper=stepper)
+
+    def test_rejects_a_stepper_for_another_system(self):
+        op, f, u0 = smooth_system()
+        cfg = IntegratorConfig(scheme="rk4", dt=0.01, t_end=0.1)
+        stepper = make_stepper(op, f, u0, cfg)
+        other_f = LogisticReaction(g=0.2, n=1.0, m=1.0, rho=3.0, n_nodes=op.n)
+        with pytest.raises(ValueError, match="operator or reaction"):
+            evolve_nonlinear(op, other_f, u0, cfg, stepper=stepper)
+        other_op = build_operator(op.kernel, op.h)
+        with pytest.raises(ValueError, match="operator or reaction"):
+            evolve_nonlinear(other_op, f, u0, cfg, stepper=stepper)
+
+    def test_derived_truncation_binds_the_sup_norm(self):
+        op, f, u0 = smooth_system()
+        cfg = IntegratorConfig(scheme="euler_op", dt=0.01, t_end=0.1)
+        stepper = make_stepper(op, f, u0, cfg)
+        assert stepper.u0_sup == float(np.max(np.abs(u0)))
+        same_sup = u0[::-1].copy()
+        step, meta = _reference_step(op, f, same_sup, cfg)
+        assert_same_run(evolve_nonlinear(op, f, same_sup, cfg, stepper=stepper),
+                        _reference_loop(step, same_sup, cfg, meta))
+        with pytest.raises(ValueError, match="sup norm"):
+            evolve_nonlinear(op, f, 3.0 * u0, cfg, stepper=stepper)
+
+
+def _scripted_stepper(op, f, cfg, script):
+    """A stepper whose m-th step returns script[m-1]."""
+    it = iter(script)
+    return Stepper(step=lambda v: next(it).copy(), config=cfg, scheme=cfg.scheme,
+                   beta=None, trunc_k=None, propagator=None, op=op, f=f, u0_sup=None)
+
+
+class TestBlowupGuard:
+    """The cheap u·u guard decides exactly as the old sup-norm test."""
+
+    THR = 4.0
+
+    def run_both(self, last, thr=THR, n=6):
+        _, _, op = unit_op(n)
+        f = zero_reaction(n)
+        cfg = IntegratorConfig(scheme="rk4", dt=0.25, t_end=1.0, store_every=2,
+                               blowup_threshold=thr)
+        script = [np.full(n, 0.1), np.full(n, 0.2), np.full(n, 0.3), np.asarray(last, float)]
+        tr = evolve_nonlinear(op, f, np.zeros(n), cfg,
+                              stepper=_scripted_stepper(op, f, cfg, script))
+        ref = _reference_loop(_scripted_stepper(op, f, cfg, script).step, np.zeros(n), cfg,
+                              {"beta": None, "trunc_k": None, "propagator": None})
+        assert_same_run(tr, ref)
+        return tr
+
+    def test_sup_equal_to_threshold_is_not_blowup(self):
+        assert not self.run_both([self.THR, 0, 0, 0, 0, -self.THR]).blowup
+
+    def test_just_above_threshold_is_blowup(self):
+        tr = self.run_both([0, 0, np.nextafter(self.THR, np.inf), 0, 0, 0])
+        assert tr.blowup and tr.metadata["blowup_time"] == 1.0
+        assert tr.states[-1][2] == np.nextafter(self.THR, np.inf)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_is_blowup(self, bad):
+        tr = self.run_both([0, bad, 0, 0, 0, 0])
+        assert tr.blowup and tr.metadata["blowup_time"] == 1.0
+        assert tr.metadata["steps"].tolist() == [0, 2]
+
+    def test_large_norm_within_threshold_is_not_blowup(self):
+        # u·u = 6·(0.9 thr)² exceeds (thr/2)² while max|u| stays below thr
+        tr = self.run_both(np.full(6, 0.9 * self.THR))
+        assert not tr.blowup and tr.metadata["steps"].tolist() == [0, 2, 4]
+
+    def test_overflowing_sum_is_blowup(self):
+        with np.errstate(over="ignore"):
+            tr = self.run_both(np.full(6, 1e200))
+        assert tr.blowup and tr.states[-1][0] == 1e200
+
+    @pytest.mark.parametrize("thr, last", [
+        (np.inf, [0, np.inf, 0, 0, 0, 0]),
+        (np.inf, [1e300, 1e300, 0, 0, 0, 0]),
+        (1e200, [0, 0, 1e201, 0, 0, 0]),
+        (1e200, [1e199, 1e199, 1e199, 0, 0, 0]),
+        (1e-200, [0, 0, 0, 1e-170, 0, 0]),
+        (0.0, [0, 0, 0, 0, 0, 0]),
+        (0.0, [0, 0, 0, 0, 0, 5e-324]),
+        (np.nan, [1e300, 0, 0, 0, 0, 0]),
+        (np.nan, [np.nan, 0, 0, 0, 0, 0]),
+    ])
+    def test_thresholds_outside_the_guard_range(self, thr, last):
+        self.run_both(last, thr=thr)
 
 
 class TestPicard:

@@ -50,6 +50,14 @@ def test_non_finite_kernel_entries_rejected():
         Kernel(space=s, jmat=jmat)
 
 
+def test_symmetry_is_derived_not_passed():
+    s = build_interval(0, 1, 4)
+    with pytest.raises(TypeError):
+        Kernel(space=s, jmat=np.ones((4, 4)), symmetric=False)
+    assert Kernel(space=s, jmat=np.ones((4, 4))).symmetric
+    assert not assemble_kernel(s, "table", jmat=np.triu(np.ones((4, 4)))).symmetric
+
+
 def test_apply_K_constant_data():
     s = build_interval(0, 1, 16)
     k = assemble_kernel(s, "constant", c=1.0)

@@ -5,6 +5,9 @@ from hypothesis import given, settings, strategies as st
 from nonlocalrd.reaction import (
     CallableReaction,
     LogisticReaction,
+    PotentialAbsorbedReaction,
+    ShiftedReaction,
+    TruncatedReaction,
     absorb_potential,
     add_bump,
     check_sign_condition,
@@ -92,6 +95,56 @@ class TestLogistic:
             svals = np.linspace(-k, k, 512)
             sampled = float(np.max(np.abs(f.eval_ds_grid(np.broadcast_to(svals, (5, 512))))))
             assert f.lip_on(k) >= sampled - 1e-12
+
+
+N_APPLY = 9
+K_APPLY = 1.5
+
+
+def _apply_cases():
+    """Every Reaction subclass, alone and nested, at ρ ∈ {2, 2.5, 3}."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for rho in (2.0, 2.5, 3.0):
+        logi = LogisticReaction(g=rng.uniform(-1, 1, N_APPLY), n=rng.uniform(-1, 2, N_APPLY),
+                                m=rng.uniform(0, 2, N_APPLY), rho=rho)
+        bump = rng.uniform(0, 1, N_APPLY)
+        h = rng.uniform(-1, 1, N_APPLY)
+        cases += [
+            (f"logistic-{rho}", logi),
+            (f"truncated-{rho}", TruncatedReaction(logi, K_APPLY)),
+            (f"shifted-{rho}", ShiftedReaction(logi, bump)),
+            (f"absorbed-{rho}", PotentialAbsorbedReaction(logi, h)),
+            (f"nested-{rho}", TruncatedReaction(
+                ShiftedReaction(PotentialAbsorbedReaction(logi, h), bump), K_APPLY)),
+        ]
+    cub = cube(N_APPLY)
+    cases += [("callable", cub), ("truncated-callable", TruncatedReaction(cub, K_APPLY)),
+              ("absorbed-callable", PotentialAbsorbedReaction(cub, 0.5))]
+    return cases
+
+
+def _apply_inputs():
+    rng = np.random.default_rng(12)
+    k = K_APPLY
+    return [
+        rng.standard_normal(N_APPLY) * 2.0,
+        np.array([k, -k, np.nextafter(k, 0), np.nextafter(-k, 0), 2 * k, -2 * k,
+                  1e300, -1e300, 0.0]),
+        np.array([-0.0, 0.0, k, -k, 3.0, -3.0, 1e-310, -1e-310, 0.5]),
+        np.array([np.nan, np.inf, -np.inf, k, -k, 0.0, 1.0, -1.0, 2.0]),
+    ]
+
+
+@pytest.mark.parametrize("name, f", _apply_cases(), ids=[c[0] for c in _apply_cases()])
+def test_apply_is_bitwise_the_grid_column(name, f):
+    with np.errstate(all="ignore"):
+        for u in _apply_inputs():
+            fast = f.apply(u)
+            grid = f.eval_grid(u[:, None])[:, 0]
+            assert fast.shape == (N_APPLY,)
+            assert fast.tobytes() == grid.tobytes(), (name, u)
+            assert f.apply(list(u)).tobytes() == grid.tobytes()
 
 
 class TestStructureBounds:
