@@ -49,7 +49,9 @@ _EXPR_NAMES = {
 }
 
 
-_EXPR_FUNCS = frozenset(k for k, v in _EXPR_NAMES.items() if callable(v))
+# positional arity of each function: one more argument would be its `out`
+_EXPR_ARITY = {k: (v.nin if isinstance(v, np.ufunc) else 3)
+               for k, v in _EXPR_NAMES.items() if callable(v)}
 _EXPR_OPS = {
     ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
     ast.Div: operator.truediv, ast.Pow: operator.pow, ast.Mod: operator.mod,
@@ -81,17 +83,22 @@ def _eval_node(node: ast.AST, ns: dict):
             left = right
         return out
     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id in _EXPR_FUNCS and not node.keywords):
+            and node.func.id in _EXPR_ARITY and not node.keywords
+            and len(node.args) == _EXPR_ARITY[node.func.id]):
         return ns[node.func.id](*[_eval_node(arg, ns) for arg in node.args])
     raise ValueError(f"{type(node).__name__} is not allowed")
 
 
 def _eval_expr(expr: str, x: np.ndarray, field: str) -> np.ndarray:
     """Evaluate a config expression in x over numbers, the names of
-    _EXPR_NAMES, arithmetic, comparisons and calls of its functions."""
+    _EXPR_NAMES, arithmetic, comparisons and calls of its functions with
+    exactly their positional arity.  The expression sees a read-only copy
+    of x, so no call can write into the caller's coordinates."""
+    x_in = x.copy()
+    x_in.flags.writeable = False
     try:
         tree = ast.parse(expr, mode="eval")
-        val = _eval_node(tree.body, {**_EXPR_NAMES, "x": x})
+        val = _eval_node(tree.body, {**_EXPR_NAMES, "x": x_in})
     except Exception as exc:
         raise ConfigError(field, f"bad expression {expr!r}: {exc}") from exc
     return np.broadcast_to(np.asarray(val, dtype=float), x.shape).copy()

@@ -18,9 +18,7 @@ import numpy as np
 from nonlocalrd.kernel import Kernel, NonlocalOperator, build_operator
 from nonlocalrd.evolve import (
     IntegratorConfig,
-    Stepper,
     evolve_nonlinear,
-    make_stepper,
     monotone_config,
     supersolution_ode,
 )
@@ -121,16 +119,15 @@ def _envelope(op: NonlocalOperator, f: Reaction):
     return c_eff, d, phi
 
 
-def _block_stepper(op: NonlocalOperator, f: Reaction, k_window: float,
-                   block_t: float, beta: float) -> Stepper:
-    """euler_op stepper over one block of length block_t, storing its end.
+def _block_config(op: NonlocalOperator, f: Reaction, k_window: float,
+                  block_t: float, beta: float) -> IntegratorConfig:
+    cfg = monotone_config(op, f, np.zeros(op.n), block_t, trunc_k=k_window, beta=beta)
+    cfg.store_every = _nsteps_of(cfg)
+    return cfg
 
-    Truncation level and shift are fixed, so it serves every block state.
-    """
-    zero = np.zeros(op.n)
-    cfg = monotone_config(op, f, zero, block_t, trunc_k=k_window, beta=beta)
-    cfg.store_every = int(round(cfg.t_end / cfg.dt))
-    return make_stepper(op, f, zero, cfg)
+
+def _nsteps_of(cfg: IntegratorConfig) -> int:
+    return int(round(cfg.t_end / cfg.dt))
 
 
 def _monotone_orbit(op: NonlocalOperator, f: Reaction, u_start: np.ndarray,
@@ -151,14 +148,14 @@ def _monotone_orbit(op: NonlocalOperator, f: Reaction, u_start: np.ndarray,
     blocks = 0
     criterion = "sup"
     beta = monotone_shift(truncate(f, k_window), k_window)  # fixed by f and the window
-    stepper = _block_stepper(op, f, k_window, block_t, beta)
+    config = _block_config(op, f, k_window, block_t, beta)
     while blocks < MAX_BLOCKS:
-        u_new = evolve_nonlinear(op, f, u, stepper.config, stepper=stepper).final()
+        u_new = evolve_nonlinear(op, f, u, config).final()
         gap = direction * (u_new - u)
         if np.min(gap) < -1e-12 * scale:
             if blocks == 0 and block_t < 64.0:
                 block_t *= 2.0
-                stepper = _block_stepper(op, f, k_window, block_t, beta)
+                config = _block_config(op, f, k_window, block_t, beta)
                 continue
             raise RuntimeError(
                 f"monotone orbit violated ordering at block {blocks} "

@@ -119,6 +119,11 @@ class TestEvolveCommand:
         "[y for y in x][0]",
         "sum(y for y in x)",
         "sin(x, out=x)",
+        "sin(x, x)",
+        "abs(x, x)",
+        "minimum(x, 1.0, x)",
+        "where(x > 0.5)",
+        "where(x > 0.5, x, 0.0, x)",
         "sin(**{'x': x})",
         "sin(*[x])",
         "__import__('os')",
@@ -150,6 +155,24 @@ class TestEvolveCommand:
         ref = eval(expr, {"__builtins__": {}}, dict(_EXPR_NAMES, x=x))  # trusted literal
         ref = np.broadcast_to(np.asarray(ref, dtype=float), x.shape)
         assert _eval_expr(expr, x, "potential").tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("expr", ["sin(x, x)", "minimum(x, 1.0, x)", "where(x > 0.5)"])
+    def test_calls_take_exactly_their_arity(self, expr):
+        from nonlocalrd.cli import ConfigError
+        with pytest.raises(ConfigError, match="Call is not allowed"):
+            _eval_expr(expr, np.linspace(0.0, 1.0, 5), "u0")
+
+    def test_expression_cannot_write_into_x(self, monkeypatch):
+        # with the arity check lifted, the read-only copy still stops an `out`
+        import nonlocalrd.cli as climod
+        from nonlocalrd.cli import ConfigError
+        monkeypatch.setitem(climod._EXPR_ARITY, "sin", 2)
+        x = np.linspace(0.0, 1.0, 5)
+        before = x.copy()
+        with pytest.raises(ConfigError, match="read-only"):
+            _eval_expr("sin(x, x)", x, "u0")
+        assert x.tobytes() == before.tobytes()
+        assert x.flags.writeable
 
     def test_numbers_are_floats(self):
         # as integers this would be 10.0; as floats 10**400 overflows

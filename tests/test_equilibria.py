@@ -79,39 +79,34 @@ class TestMonotoneOrbit:
     def record(self, monkeypatch):
         import nonlocalrd.equilibria as eqmod
 
-        built, runs = [], []
-        make, evolve = eqmod.make_stepper, eqmod.evolve_nonlinear
+        configs = []
+        evolve = eqmod.evolve_nonlinear
 
-        def recording_make(*args, **kwargs):
-            built.append(make(*args, **kwargs))
-            return built[-1]
+        def recording_evolve(op, f, u0, config):
+            configs.append(config)
+            return evolve(op, f, u0, config)
 
-        def recording_evolve(op, f, u0, config, *, stepper=None):
-            runs.append((stepper, config))
-            return evolve(op, f, u0, config, stepper=stepper)
-
-        monkeypatch.setattr(eqmod, "make_stepper", recording_make)
         monkeypatch.setattr(eqmod, "evolve_nonlinear", recording_evolve)
-        return eqmod, built, runs
+        return eqmod, configs
 
-    def test_one_stepper_serves_every_block(self, monkeypatch):
-        eqmod, built, runs = self.record(monkeypatch)
+    def test_one_config_serves_every_block(self, monkeypatch):
+        eqmod, configs = self.record(monkeypatch)
         _, _, op = unit_op(24)
         u, blocks, _ = eqmod._monotone_orbit(op, logistic(24), np.full(24, 3.0), -1,
                                              1e-10, 4.0)
         np.testing.assert_allclose(u, SQRT3, atol=1e-8)
-        assert len(built) == 1 and len(runs) == blocks > 1
-        assert all(st is built[0] and cfg is st.config for st, cfg in runs)
+        assert len(configs) == blocks > 1
+        assert all(cfg is configs[0] for cfg in configs)
 
-    def test_stepper_rebuilt_only_when_the_block_doubles(self, monkeypatch):
-        eqmod, built, runs = self.record(monkeypatch)
+    def test_config_rebuilt_only_when_the_block_doubles(self, monkeypatch):
+        eqmod, configs = self.record(monkeypatch)
         _, _, op = unit_op(24)
         u0 = np.full(24, 3.0)
         u0[5] = 0.5  # rises first, so no block length sees a non-increasing orbit
         with pytest.raises(RuntimeError, match="ordering"):
             eqmod._monotone_orbit(op, logistic(24), u0, -1, 1e-10, 4.0)
-        assert [st.config.t_end for st in built] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
-        assert [st for st, _ in runs] == built
+        assert [cfg.t_end for cfg in configs] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+        assert len({id(cfg) for cfg in configs}) == 7
 
 
 class TestExtremal:

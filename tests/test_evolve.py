@@ -456,59 +456,24 @@ class TestPreparedStepper:
         assert_same_run(tr, _reference_loop(step, u0, cfg, meta))
         assert tr.blowup and tr.metadata["steps"][-1] == _nsteps(cfg.dt, cfg.t_end)
 
-    def test_stepper_reuse_matches_a_fresh_run(self):
+    @pytest.mark.parametrize("scheme", ["euler_op", "rk4", "vcf_exact_linear"])
+    def test_stepper_carries_the_run_metadata(self, scheme):
         op, f, u0 = smooth_system()
-        cfg = monotone_config(op, f, np.zeros(op.n), 0.5, trunc_k=3.0, beta=4.0)
-        stepper = make_stepper(op, f, np.zeros(op.n), cfg)
+        cfg = IntegratorConfig(scheme=scheme, dt=0.01, t_end=0.1,
+                               beta=0.5 if scheme == "vcf_exact_linear" else None)
+        stepper = make_stepper(op, f, u0, cfg)
         assert isinstance(stepper, Stepper)
-        assert (stepper.scheme, stepper.beta, stepper.trunc_k) == ("euler_op", 4.0, 3.0)
-        for data in (u0, 2.0 * u0, -u0):
-            step, meta = _reference_step(op, f, data, cfg)
-            assert_same_run(evolve_nonlinear(op, f, data, cfg, stepper=stepper),
-                            _reference_loop(step, data, cfg, meta))
-
-    def test_rejects_a_stepper_built_for_another_config(self):
-        op, f, u0 = smooth_system()
-        cfg = IntegratorConfig(scheme="rk4", dt=0.01, t_end=0.1)
-        stepper = make_stepper(op, f, u0, cfg)
-        for other in (IntegratorConfig(scheme="rk4", dt=0.02, t_end=0.1),
-                      IntegratorConfig(scheme="rk4", dt=0.01, t_end=0.1, store_every=2),
-                      IntegratorConfig(scheme="vcf_exact_linear", dt=0.01, t_end=0.1)):
-            with pytest.raises(ValueError, match="another config"):
-                evolve_nonlinear(op, f, u0, other, stepper=stepper)
-        cfg.dt = 0.02  # the stepper kept its own copy
-        with pytest.raises(ValueError, match="another config"):
-            evolve_nonlinear(op, f, u0, cfg, stepper=stepper)
-
-    def test_rejects_a_stepper_for_another_system(self):
-        op, f, u0 = smooth_system()
-        cfg = IntegratorConfig(scheme="rk4", dt=0.01, t_end=0.1)
-        stepper = make_stepper(op, f, u0, cfg)
-        other_f = LogisticReaction(g=0.2, n=1.0, m=1.0, rho=3.0, n_nodes=op.n)
-        with pytest.raises(ValueError, match="operator or reaction"):
-            evolve_nonlinear(op, other_f, u0, cfg, stepper=stepper)
-        other_op = build_operator(op.kernel, op.h)
-        with pytest.raises(ValueError, match="operator or reaction"):
-            evolve_nonlinear(other_op, f, u0, cfg, stepper=stepper)
-
-    def test_derived_truncation_binds_the_sup_norm(self):
-        op, f, u0 = smooth_system()
-        cfg = IntegratorConfig(scheme="euler_op", dt=0.01, t_end=0.1)
-        stepper = make_stepper(op, f, u0, cfg)
-        assert stepper.u0_sup == float(np.max(np.abs(u0)))
-        same_sup = u0[::-1].copy()
-        step, meta = _reference_step(op, f, same_sup, cfg)
-        assert_same_run(evolve_nonlinear(op, f, same_sup, cfg, stepper=stepper),
-                        _reference_loop(step, same_sup, cfg, meta))
-        with pytest.raises(ValueError, match="sup norm"):
-            evolve_nonlinear(op, f, 3.0 * u0, cfg, stepper=stepper)
+        step, meta = _reference_step(op, f, u0, cfg)
+        assert stepper.step(u0).tobytes() == step(u0).tobytes()
+        run = evolve_nonlinear(op, f, u0, cfg).metadata
+        for key in ("beta", "trunc_k", "propagator"):
+            assert getattr(stepper, key) == meta[key] == run[key], key
 
 
-def _scripted_stepper(op, f, cfg, script):
+def _scripted_stepper(script):
     """A stepper whose m-th step returns script[m-1]."""
     it = iter(script)
-    return Stepper(step=lambda v: next(it).copy(), config=cfg, scheme=cfg.scheme,
-                   beta=None, trunc_k=None, propagator=None, op=op, f=f, u0_sup=None)
+    return Stepper(step=lambda v: next(it).copy(), beta=None, trunc_k=None, propagator=None)
 
 
 class TestBlowupGuard:
@@ -516,56 +481,73 @@ class TestBlowupGuard:
 
     THR = 4.0
 
-    def run_both(self, last, thr=THR, n=6):
+    def run_both(self, monkeypatch, last, thr=THR, n=6):
+        import nonlocalrd.evolve as evmod
+
         _, _, op = unit_op(n)
         f = zero_reaction(n)
         cfg = IntegratorConfig(scheme="rk4", dt=0.25, t_end=1.0, store_every=2,
                                blowup_threshold=thr)
-        script = [np.full(n, 0.1), np.full(n, 0.2), np.full(n, 0.3), np.asarray(last, float)]
-        tr = evolve_nonlinear(op, f, np.zeros(n), cfg,
-                              stepper=_scripted_stepper(op, f, cfg, script))
-        ref = _reference_loop(_scripted_stepper(op, f, cfg, script).step, np.zeros(n), cfg,
+        scale = thr / 4 if 0 <= thr < 1 else 1.0  # keep the early states within thr
+        script = [np.full(n, c * scale) for c in (0.1, 0.2, 0.3)] + [np.asarray(last, float)]
+        monkeypatch.setattr(evmod, "make_stepper",
+                            lambda *args: _scripted_stepper(script))
+        tr = evolve_nonlinear(op, f, np.zeros(n), cfg)
+        ref = _reference_loop(_scripted_stepper(script).step, np.zeros(n), cfg,
                               {"beta": None, "trunc_k": None, "propagator": None})
         assert_same_run(tr, ref)
         return tr
 
-    def test_sup_equal_to_threshold_is_not_blowup(self):
-        assert not self.run_both([self.THR, 0, 0, 0, 0, -self.THR]).blowup
+    def test_sup_equal_to_threshold_is_not_blowup(self, monkeypatch):
+        assert not self.run_both(monkeypatch, [self.THR, 0, 0, 0, 0, -self.THR]).blowup
 
-    def test_just_above_threshold_is_blowup(self):
-        tr = self.run_both([0, 0, np.nextafter(self.THR, np.inf), 0, 0, 0])
+    def test_just_above_threshold_is_blowup(self, monkeypatch):
+        tr = self.run_both(monkeypatch, [0, 0, np.nextafter(self.THR, np.inf), 0, 0, 0])
         assert tr.blowup and tr.metadata["blowup_time"] == 1.0
         assert tr.states[-1][2] == np.nextafter(self.THR, np.inf)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_is_blowup(self, bad):
-        tr = self.run_both([0, bad, 0, 0, 0, 0])
+    def test_non_finite_is_blowup(self, monkeypatch, bad):
+        tr = self.run_both(monkeypatch, [0, bad, 0, 0, 0, 0])
         assert tr.blowup and tr.metadata["blowup_time"] == 1.0
         assert tr.metadata["steps"].tolist() == [0, 2]
 
-    def test_large_norm_within_threshold_is_not_blowup(self):
+    def test_large_norm_within_threshold_is_not_blowup(self, monkeypatch):
         # u·u = 6·(0.9 thr)² exceeds (thr/2)² while max|u| stays below thr
-        tr = self.run_both(np.full(6, 0.9 * self.THR))
+        tr = self.run_both(monkeypatch, np.full(6, 0.9 * self.THR))
         assert not tr.blowup and tr.metadata["steps"].tolist() == [0, 2, 4]
 
-    def test_overflowing_sum_is_blowup(self):
-        with np.errstate(over="ignore"):
-            tr = self.run_both(np.full(6, 1e200))
-        assert tr.blowup and tr.states[-1][0] == 1e200
+    @pytest.mark.parametrize("last", [np.full(6, 1e200), [0, 0, 1.7e308, 0, 0, -1.7e308],
+                                      [0, np.nan, np.inf, 0, 0, 1e300]])
+    def test_overflowing_sum_raises_no_floating_point_error(self, monkeypatch, last):
+        # u·u overflows on these blow-up steps; the old test raised nothing
+        with np.errstate(all="raise"):
+            tr = self.run_both(monkeypatch, last)
+        assert tr.blowup and tr.metadata["blowup_time"] == 1.0
 
     @pytest.mark.parametrize("thr, last", [
         (np.inf, [0, np.inf, 0, 0, 0, 0]),
-        (np.inf, [1e300, 1e300, 0, 0, 0, 0]),
+        (np.inf, [0, 0, -np.inf, 0, 0, 0]),
+        (np.inf, [1.7e308, 1e300, 0, 0, 0, 0]),
+        (1e150, [1e150, 0, 0, 0, 0, -1e150]),
+        (1e150, [0, 0, np.nextafter(1e150, np.inf), 0, 0, 0]),
+        (1e155, [0, 0, np.inf, 0, 0, 0]),
+        (1e-165, [0, 0, 2e-165, 0, 0, 0]),
+        (1e-150, [0, 1e-150, 0, 0, 0, 0]),
+        (1e-150, [0, 0, 0, 0, 2e-150, 0]),
         (1e200, [0, 0, 1e201, 0, 0, 0]),
         (1e200, [1e199, 1e199, 1e199, 0, 0, 0]),
         (1e-200, [0, 0, 0, 1e-170, 0, 0]),
         (0.0, [0, 0, 0, 0, 0, 0]),
         (0.0, [0, 0, 0, 0, 0, 5e-324]),
+        (-1.0, [0, 0, 0, 0, 0, 0]),
         (np.nan, [1e300, 0, 0, 0, 0, 0]),
         (np.nan, [np.nan, 0, 0, 0, 0, 0]),
     ])
-    def test_thresholds_outside_the_guard_range(self, thr, last):
-        self.run_both(last, thr=thr)
+    def test_thresholds_at_and_outside_the_guard_range(self, monkeypatch, thr, last):
+        tr = self.run_both(monkeypatch, last, thr=thr)
+        # the last state decides, except that any state exceeds a negative threshold
+        assert tr.metadata["steps"][-1] >= 2 or thr < 0
 
 
 class TestPicard:
