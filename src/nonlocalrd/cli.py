@@ -241,7 +241,6 @@ class Experiment:
         self.op = build_operator(self.kernel, self.h)
         self.reaction = _build_reaction(raw.get("reaction"), self.space, self.kernel)
         self.config = _build_integrator(raw.get("integrator"))
-        self.seed = int(raw.get("seed", 0))
 
     def initial_state(self) -> np.ndarray:
         if "u0" not in self.raw:
@@ -594,7 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
     vf = sub.add_parser("verify", help="property suites")
     vf.add_argument("--suite", required=True, choices=sorted(vfmod.SUITES))
     vf.add_argument("--trials", type=int, default=50)
-    vf.add_argument("--seed", type=int, default=0)
+    # SUPPRESS keeps the global --seed unless this one is given
+    vf.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
     ca = sub.add_parser("case", help="bundled case studies")
     ca.add_argument("name", choices=sorted(_CASE_DEFAULTS))

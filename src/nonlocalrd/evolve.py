@@ -508,9 +508,6 @@ def kaplan_witness(kernel: Kernel, h, rho: float, trajectory: Trajectory,
 
     if not kernel.symmetric:
         raise ValueError("the witness needs a symmetric kernel")
-    h = np.asarray(h, dtype=float)
-    if h.shape == ():
-        h = np.full(kernel.space.n, float(h))
     rep = principal_value(build_operator(kernel, np.zeros(kernel.space.n)), "auto")
     if not rep.is_principal:
         raise ValueError("kernel has no positive principal eigenfunction")

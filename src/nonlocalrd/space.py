@@ -4,6 +4,8 @@ A space is a finite set of nodes carrying positive quadrature weights
 (the measure of each node's cell) and a full pairwise distance matrix.
 Intervals use midpoint or trapezoid quadrature, graphs use shortest-path
 distances, and unions of coordinate spaces keep honest euclidean gaps.
+Shortest paths and the chains of an R-connectivity check come from
+scipy.sparse.csgraph.
 """
 
 from __future__ import annotations
@@ -137,6 +139,8 @@ def build_graph(vertices: int, edges: list, vertex_measures) -> MeasureSpace:
     length, self-loops are rejected.  Vertices in different components
     get the finite disconnected sentinel as distance.
     """
+    from scipy.sparse.csgraph import shortest_path
+
     if vertices < 1:
         raise ValueError("need at least one vertex")
     w = np.asarray(vertex_measures, dtype=float)
@@ -156,9 +160,9 @@ def build_graph(vertices: int, edges: list, vertex_measures) -> MeasureSpace:
             raise ValueError("edge endpoint out of range")
         d[i, j] = min(d[i, j], length)
         d[j, i] = min(d[j, i], length)
-    # Floyd-Warshall; n stays at desk scale
-    for k in range(vertices):
-        d = np.minimum(d, d[:, k, None] + d[None, k, :])
+    # "FW" adds path lengths in a fixed order (by intermediate vertex);
+    # Dijkstra's order follows its search and can move a distance by rounding
+    d = shortest_path(d, method="FW", directed=False)
     finite = d[np.isfinite(d)]
     diam = float(np.max(finite)) if finite.size else 0.0
     sentinel = DISCONNECTED_FACTOR * max(diam, 1.0)
@@ -191,48 +195,22 @@ def is_r_connected(space: MeasureSpace, r: float) -> ConnectivityCertificate:
     distant nodes is returned as a witness.  mu0 is the minimum over
     nodes of the measure of the ball B(x, r).
     """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import breadth_first_order
+
     if r <= 0:
         raise ValueError("r must be positive")
-    n = space.n
     adj = space.dist < r
     ball_measure = adj @ space.weights  # diagonal is True, so x's own cell counts
     mu0 = float(np.min(ball_measure))
-    # BFS from node 0
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = [0]
-    parent = np.full(n, -1)
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in np.nonzero(adj[i] & ~seen)[0]:
-                seen[j] = True
-                parent[j] = i
-                nxt.append(j)
-        frontier = nxt
-    if not np.all(seen):
+    graph = csr_array(adj)  # one conversion for both searches below
+    if breadth_first_order(graph, 0, return_predecessors=False).size < space.n:
         return ConnectivityCertificate(r=r, connected=False, witness_chain=None, mu0=mu0)
     # witness: BFS path between the metrically most distant pair
     i0, j0 = np.unravel_index(np.argmax(space.dist), space.dist.shape)
-    chain = _bfs_path(adj, int(i0), int(j0))
+    _, parent = breadth_first_order(graph, int(i0))
+    chain = [int(j0)]
+    while chain[-1] != i0:
+        chain.append(int(parent[chain[-1]]))
+    chain.reverse()
     return ConnectivityCertificate(r=r, connected=True, witness_chain=chain, mu0=mu0)
-
-
-def _bfs_path(adj: np.ndarray, start: int, goal: int) -> list:
-    n = adj.shape[0]
-    parent = np.full(n, -1)
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    frontier = [start]
-    while frontier and not seen[goal]:
-        nxt = []
-        for i in frontier:
-            for j in np.nonzero(adj[i] & ~seen)[0]:
-                seen[j] = True
-                parent[j] = i
-                nxt.append(j)
-        frontier = nxt
-    path = [goal]
-    while path[-1] != start:
-        path.append(int(parent[path[-1]]))
-    return path[::-1]

@@ -268,8 +268,6 @@ def spectral_energy(kernel: Kernel, h, phi: np.ndarray) -> float:
     w = space.weights
     phi = np.asarray(phi, dtype=float)
     h = np.asarray(h, dtype=float)
-    if h.shape == ():
-        h = np.full(space.n, float(h))
     diff = phi[None, :] - phi[:, None]
     quad = -0.5 * float(np.sum(w[:, None] * w[None, :] * kernel.jmat * diff * diff))
     h0 = kernel.jmat @ w
@@ -392,8 +390,6 @@ def shift_bound_rhs(kernel: Kernel, h, mask, a: float) -> float:
     spectral bounds are those of K_part + h I.
     """
     h = np.asarray(h, dtype=float)
-    if h.shape == ():
-        h = np.full(kernel.space.n, float(h))
     mask = np.asarray(mask, dtype=bool)
     if not np.any(mask) or np.all(mask):
         raise ValueError("mask must split the domain into two nonempty parts")

@@ -153,16 +153,16 @@ def _hops_to_cover(space, r: float, support) -> int:
     hop of the certificate graph, so the strong checks start here (one
     for kernels whose radius covers the space).
     """
-    adj = space.dist < r
-    seen = np.array(support, dtype=bool)
-    hops = 0
-    while not seen.all():
-        new = (adj & seen[None, :]).any(axis=1) & ~seen
-        if not new.any():
-            return len(seen) + 1  # not coverable; effectively never
-        seen |= new
-        hops += 1
-    return max(hops, 1)
+    from scipy.sparse.csgraph import dijkstra
+
+    # positivity passes from j to i when d(i, j) < r, so search the
+    # transposed relation; d may be asymmetric at rounding, so it is not
+    # symmetrised
+    hops = dijkstra((space.dist < r).T, unweighted=True,
+                    indices=np.flatnonzero(support), min_only=True).max()
+    if not np.isfinite(hops):
+        return space.n + 1  # not coverable; effectively never
+    return max(int(hops), 1)
 
 
 def _shared_monotone_config(op, f0, f1, u_init_scale, t_end):

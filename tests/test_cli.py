@@ -228,6 +228,19 @@ class TestVerifyCommand:
         payload = json.loads((tmp_path / "verify_comparison.json").read_text())
         assert payload["failures"] == 0
 
+    @pytest.mark.parametrize("argv, seed", [
+        (["--seed", "5", "verify"], 5),
+        (["verify", "--seed", "7"], 7),
+        (["--seed", "5", "verify", "--seed", "7"], 7),
+        (["verify"], 0),
+    ])
+    def test_seed_given_before_or_after_the_command(self, tmp_path, argv, seed):
+        rc = main(["--out", str(tmp_path)] + argv + ["--suite", "comparison",
+                                                      "--trials", "1"])
+        assert rc == 0
+        payload = json.loads((tmp_path / "verify_comparison.json").read_text())
+        assert payload["seed"] == seed
+
 
 class TestCaseCommand:
     def test_shift_table_values(self, tmp_path):

@@ -164,3 +164,175 @@ def test_asymmetry_within_tolerance_accepted():
     d[0, 3] += 5e-13
     s = MeasureSpace(points=None, weights=np.ones(4), dist=d, kind="graph")
     assert s.dist[0, 3] - s.dist[3, 0] == pytest.approx(5e-13, rel=1e-2)
+
+
+# --- graph queries against frozen copies of the hand-written routines ------
+# The references below are the Floyd-Warshall loop, the BFS and the BFS path
+# search that build_graph and is_r_connected used before they called
+# scipy.sparse.csgraph; results must match them exactly.
+
+
+def _reference_graph_dist(vertices, edges):
+    d = np.full((vertices, vertices), np.inf)
+    np.fill_diagonal(d, 0.0)
+    for (i, j, length) in edges:
+        d[i, j] = min(d[i, j], length)
+        d[j, i] = min(d[j, i], length)
+    for k in range(vertices):
+        d = np.minimum(d, d[:, k, None] + d[None, k, :])
+    finite = d[np.isfinite(d)]
+    diam = float(np.max(finite)) if finite.size else 0.0
+    d[~np.isfinite(d)] = 1e3 * max(diam, 1.0)
+    return d
+
+
+def _reference_bfs_path(adj, start, goal):
+    n = adj.shape[0]
+    parent = np.full(n, -1)
+    seen = np.zeros(n, dtype=bool)
+    seen[start] = True
+    frontier = [start]
+    while frontier and not seen[goal]:
+        nxt = []
+        for i in frontier:
+            for j in np.nonzero(adj[i] & ~seen)[0]:
+                seen[j] = True
+                parent[j] = i
+                nxt.append(j)
+        frontier = nxt
+    path = [goal]
+    while path[-1] != start:
+        path.append(int(parent[path[-1]]))
+    return path[::-1]
+
+
+def _reference_r_connected(space, r):
+    n = space.n
+    adj = space.dist < r
+    mu0 = float(np.min(adj @ space.weights))
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for j in np.nonzero(adj[i] & ~seen)[0]:
+                seen[j] = True
+                nxt.append(j)
+        frontier = nxt
+    if not np.all(seen):
+        return False, None, mu0
+    i0, j0 = np.unravel_index(np.argmax(space.dist), space.dist.shape)
+    return True, _reference_bfs_path(adj, int(i0), int(j0)), mu0
+
+
+def _random_edges(rng, vertices):
+    """Random edges with duplicates, reversed copies and, often, several
+    components; lengths are drawn so that many paths tie up to rounding."""
+    m = int(rng.integers(0, 3 * vertices + 1))
+    edges = []
+    for _ in range(m):
+        i, j = (int(v) for v in rng.choice(vertices, size=2, replace=False))
+        length = float(rng.choice([0.1, 0.2, 0.3, 1.0, rng.uniform(0.01, 2.0)]))
+        edges.append((i, j, length))
+        if rng.random() < 0.2:
+            edges.append((j, i, length * rng.uniform(0.5, 1.5)))
+    return edges
+
+
+def _random_space(rng):
+    kind = rng.integers(3)
+    if kind == 0:
+        rule = "midpoint" if rng.random() < 0.5 else "trapezoid"
+        a = rng.uniform(-2, 2)
+        return build_interval(a, a + rng.uniform(0.1, 3), int(rng.integers(1, 40)), rule)
+    if kind == 1:
+        parts, a = [], 0.0
+        for _ in range(int(rng.integers(2, 4))):
+            b = a + rng.uniform(0.1, 1.0)
+            parts.append(build_interval(a, b, int(rng.integers(1, 12))))
+            a = b + rng.uniform(0.0, 0.4)
+        return merge_spaces(*parts)
+    vertices = int(rng.integers(2, 30))
+    return build_graph(vertices, _random_edges(rng, vertices),
+                       rng.uniform(0.1, 2.0, vertices))
+
+
+def _radii(rng, space):
+    """A random radius plus radii equal to distances of the space, where the
+    strict d < r test decides an edge."""
+    d = space.dist
+    exact = rng.choice(d.ravel(), size=3)
+    return [float(rng.uniform(0.01, 1.0) * max(space.diameter(), 1.0))] + \
+        [float(v) for v in exact if v > 0]
+
+
+def test_graph_distances_bitwise_equal_to_floyd_warshall():
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        vertices = int(rng.integers(1, 40))
+        edges = _random_edges(rng, vertices) if vertices > 1 else []
+        g = build_graph(vertices, edges, np.ones(vertices))
+        ref = _reference_graph_dist(vertices, edges)
+        assert g.dist.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("vertices, edges", [
+    (1, []),
+    (2, []),
+    (4, [(0, 1, 0.5), (1, 0, 0.25), (0, 1, 0.75)]),
+    (5, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 0.1)]),
+    (4, [(3, 2, 0.1), (2, 1, 0.2), (1, 0, 0.3), (0, 3, 0.7)]),
+])
+def test_graph_edge_cases_match_floyd_warshall(vertices, edges):
+    g = build_graph(vertices, edges, np.ones(vertices))
+    assert g.dist.tobytes() == _reference_graph_dist(vertices, edges).tobytes()
+
+
+def test_graph_sentinel_scales_with_component_diameter():
+    g = build_graph(5, [(0, 1, 1.0), (1, 2, 2.5), (3, 4, 0.1)], np.ones(5))
+    assert g.dist[0, 2] == 3.5
+    assert g.dist[0, 3] == g.dist[4, 2] == 3.5e3
+
+
+def test_r_connected_matches_reference_bfs():
+    rng = np.random.default_rng(77)
+    seen_connected = seen_disconnected = 0
+    for _ in range(300):
+        space = _random_space(rng)
+        for r in _radii(rng, space):
+            cert = is_r_connected(space, r)
+            connected, chain, mu0 = _reference_r_connected(space, r)
+            assert cert.connected is connected
+            assert cert.witness_chain == chain
+            assert cert.mu0 == mu0
+            seen_connected += connected and len(chain) > 2
+            seen_disconnected += not connected
+    assert seen_connected > 50 and seen_disconnected > 50
+
+
+def test_r_connected_single_node():
+    for space in (build_interval(0, 1, 1), build_graph(1, [], [2.0])):
+        cert = is_r_connected(space, 0.5)
+        assert cert.connected
+        assert cert.witness_chain == [0]
+        assert cert.mu0 == space.weights[0]
+
+
+def _asymmetric_path(forward):
+    """Path 0-1-2-3 whose middle hop is 1 - 4e-13 one way and 1 the other:
+    within MeasureSpace's symmetry tolerance, on opposite sides of r = 1."""
+    x = np.array([0.0, 0.5, 1.5, 2.0])
+    d = np.abs(x[:, None] - x[None, :])
+    i, j = (1, 2) if forward else (2, 1)
+    d[i, j] -= 4e-13
+    return MeasureSpace(points=None, weights=np.ones(4), dist=d, kind="graph")
+
+
+@pytest.mark.parametrize("forward", [True, False])
+def test_r_connected_on_metric_asymmetric_at_r(forward):
+    space = _asymmetric_path(forward)
+    cert = is_r_connected(space, 1.0)
+    connected, chain, mu0 = _reference_r_connected(space, 1.0)
+    assert (cert.connected, cert.witness_chain, cert.mu0) == (connected, chain, mu0)
+    assert cert.connected is forward

@@ -5,7 +5,9 @@ import pytest
 
 import scipy.sparse.linalg
 
+from nonlocalrd.evolve import IntegratorConfig, evolve_nonlinear, kaplan_witness
 from nonlocalrd.kernel import assemble_kernel, build_operator, compute_h0
+from nonlocalrd.reaction import CallableReaction
 from nonlocalrd.space import build_graph, build_interval, merge_spaces
 from nonlocalrd.spectral import (
     DENSE_CUTOFF,
@@ -362,3 +364,22 @@ class TestShift:
             shifted = shifted_potential(np.zeros(512), mask, a)
             lam = principal_value(build_operator(k, -shifted), "dense").lam
             assert lam == pytest.approx(step_lambda(a), abs=1e-9)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.0, 0.37, -1.25, 3])
+def test_scalar_potential_equals_its_broadcast(h):
+    """A scalar h reaches build_operator, numpy arithmetic or max|h| only,
+    so it must give exactly what the same value repeated at each node does."""
+    s, k = unit_system(n=24, law="gaussian", sigma=0.2)
+    full = np.full(s.n, float(h))
+    phi = np.cos(3.0 * s.x)
+    assert spectral_energy(k, h, phi) == spectral_energy(k, full, phi)
+    mask = s.x > 0.4
+    assert shift_bound_rhs(k, h, mask, 1.5) == shift_bound_rhs(k, full, mask, 1.5)
+    cube = CallableReaction(lambda u: u ** 3, lambda u: 3 * u ** 2, n_nodes=s.n)
+    tr = evolve_nonlinear(build_operator(k, h), cube, np.full(s.n, 0.5),
+                          IntegratorConfig(scheme="rk4", dt=1e-2, t_end=0.1))
+    a, b = kaplan_witness(k, h, 3.0, tr), kaplan_witness(k, full, 3.0, tr)
+    np.testing.assert_array_equal(a.comparison, b.comparison)
+    assert (a.dominated, a.lam, a.blowup_time_estimate) == \
+        (b.dominated, b.lam, b.blowup_time_estimate)

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from nonlocalrd.space import MeasureSpace, build_graph, build_interval, merge_spaces
 from nonlocalrd.verify import (
+    _hops_to_cover,
     asymptotic_suite,
     comparison_suite,
     maximum_principle_suite,
@@ -75,3 +77,77 @@ def test_reports_are_deterministic_and_serializable():
 def test_run_suite_rejects_unknown_name():
     with pytest.raises(ValueError):
         run_suite("positivity", 5, 0)
+
+
+def _reference_hops_to_cover(space, r, support):
+    """The multi-source frontier loop _hops_to_cover ran before it called
+    scipy.sparse.csgraph; kept as the reference its results must equal."""
+    adj = space.dist < r
+    seen = np.array(support, dtype=bool)
+    hops = 0
+    while not seen.all():
+        new = (adj & seen[None, :]).any(axis=1) & ~seen
+        if not new.any():
+            return len(seen) + 1
+        seen |= new
+        hops += 1
+    return max(hops, 1)
+
+
+def _random_space(rng):
+    kind = rng.integers(3)
+    if kind == 0:
+        return build_interval(0.0, rng.uniform(0.5, 2.0), int(rng.integers(1, 40)))
+    if kind == 1:
+        return merge_spaces(build_interval(0.0, 0.5, int(rng.integers(1, 12))),
+                            build_interval(rng.uniform(0.5, 0.9), 1.2,
+                                           int(rng.integers(1, 12))))
+    vertices = int(rng.integers(2, 30))
+    edges = []
+    for _ in range(int(rng.integers(0, 3 * vertices + 1))):
+        i, j = (int(v) for v in rng.choice(vertices, size=2, replace=False))
+        edges.append((i, j, float(rng.choice([0.1, 0.2, rng.uniform(0.05, 1.0)]))))
+    return build_graph(vertices, edges, np.ones(vertices))
+
+
+def test_hops_to_cover_matches_reference():
+    rng = np.random.default_rng(31)
+    outcomes = set()
+    for _ in range(300):
+        space = _random_space(rng)
+        radii = [float(rng.uniform(0.02, 0.6))] + [float(v) for v in rng.choice(
+            space.dist.ravel(), size=2) if v > 0]
+        supports = [rng.random(space.n) < p for p in (0.05, 0.3, 1.0)]
+        supports += [np.zeros(space.n, dtype=bool), np.eye(1, space.n, 0, dtype=bool)[0]]
+        for r in radii:
+            for support in supports:
+                hops = _hops_to_cover(space, r, support)
+                assert hops == _reference_hops_to_cover(space, r, support)
+                assert type(hops) is int
+                outcomes.add("never" if hops == space.n + 1 else min(hops, 3))
+    assert outcomes == {"never", 1, 2, 3}
+
+
+def test_hops_to_cover_empty_and_unreachable_support():
+    space = merge_spaces(build_interval(0.0, 0.4, 4), build_interval(0.6, 1.0, 4))
+    assert _hops_to_cover(space, 0.15, np.zeros(8, dtype=bool)) == 9
+    assert _hops_to_cover(space, 0.15, np.arange(8) < 4) == 9
+    assert _hops_to_cover(space, 0.15, np.arange(8) == 0) == 9
+    assert _hops_to_cover(space, 0.15, np.arange(8) % 4 == 0) == 3
+    assert _hops_to_cover(space, 5.0, np.arange(8) == 0) == 1
+    assert _hops_to_cover(space, 5.0, np.ones(8, dtype=bool)) == 1
+    assert _hops_to_cover(build_interval(0, 1, 1), 0.5, [True]) == 1
+    assert _hops_to_cover(build_interval(0, 1, 1), 0.5, [False]) == 2
+
+
+def test_hops_to_cover_follows_the_metric_direction_at_r():
+    """d(1, 2) = 1 - 4e-13 < r = 1 <= d(2, 1): positivity passes from 2 to
+    1 but not from 1 to 2, and symmetrising would lose the difference."""
+    x = np.array([0.0, 0.5, 1.5, 2.0])
+    d = np.abs(x[:, None] - x[None, :])
+    d[1, 2] -= 4e-13
+    space = MeasureSpace(points=None, weights=np.ones(4), dist=d, kind="graph")
+    for support, hops in ((np.arange(4) == 3, 3), (np.arange(4) == 0, 5),
+                          (np.arange(4) == 2, 2)):
+        assert _hops_to_cover(space, 1.0, support) == hops
+        assert _reference_hops_to_cover(space, 1.0, support) == hops
