@@ -332,8 +332,7 @@ def _cmd_evolve(args, out_dir: Path) -> int:
     if args.dry_run:
         print("config ok")
         return 0
-    f = exp.reaction or rxmod.CallableReaction(lambda s: np.zeros_like(s),
-                                               lambda s: np.zeros_like(s),
+    f = exp.reaction or rxmod.CallableReaction(np.zeros_like, np.zeros_like,
                                                n_nodes=exp.space.n,
                                                kind="globally_lipschitz", lip=0.0)
     traj = evmod.evolve_nonlinear(exp.op, f, u0, exp.config)

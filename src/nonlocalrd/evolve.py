@@ -6,9 +6,10 @@ is a nonnegative combination of monotone maps, so comparison and
 maximum principles hold exactly in floating point.  rk4 is the accuracy
 workhorse, and vcf_exact_linear propagates the linear part exactly with
 the nonlinearity frozen per step.  Its propagator pair e^M and φ1(M),
-M = (L - βI)·dt, is formed once per run at size n by scaling and
-modified squaring (Skaflestad & Wright 2009): a Taylor sum for φ1 of
-M/2^s, then s doublings φ1(2Y) = ½φ1(Y)(e^Y + I), e^{2Y} = (e^Y)².
+M = (L - βI)·dt, is formed once per run at size n by _expm_phi1, the
+package's one matrix exponential, by scaling and modified squaring
+(Skaflestad & Wright 2009): a Taylor sum for φ1 of M/2^s, then s
+doublings φ1(2Y) = ½φ1(Y)(e^Y + I), e^{2Y} = (e^Y)².
 Blow-up is a first-class outcome.
 
 make_stepper does every piece of set-up a scheme needs once — the
@@ -92,15 +93,13 @@ def _nsteps(dt: float, t_end: float) -> int:
 
 
 def linear_semigroup_apply(op: NonlocalOperator, t: float, u0: np.ndarray) -> np.ndarray:
-    """e^{amat·t} u0 via scaling-and-squaring; t may be negative (group)."""
-    from scipy.linalg import expm
-
+    """e^{amat·t} u0 by _expm_phi1, the one matrix exponential; t may be negative."""
     if not np.isfinite(t):
         raise ValueError("time must be finite")
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (op.n,):
         raise ValueError("state length mismatch")
-    return expm(op.amat * t) @ u0
+    return _expm_phi1(op.amat * t)[0] @ u0
 
 
 def _auto_structure(op: NonlocalOperator, f: Reaction):
@@ -189,6 +188,23 @@ def _expm_phi1(mat: np.ndarray):
         phi = 0.5 * (phi @ (emat + eye))
         emat = emat @ emat
     return emat, phi, {"taylor_degree": d, "squarings": s}
+
+
+def _propagate(amat: np.ndarray, vecs: np.ndarray, times) -> np.ndarray:
+    """e^{amat·t_i} @ vecs for every t_i, shape (len(times),) + vecs.shape,
+    as successive products with e^{amat·(t_i - t_{i-1})}, t_{-1} = 0.  A gap
+    within 1e-12·max(1, |t_last|) of the last one exponentiated (at first 0,
+    with e^0 = I) reuses its exponential, so a uniform grid costs one."""
+    out = np.empty((len(times),) + vecs.shape)
+    tol = 1e-12 * max(1.0, abs(float(times[-1]))) if len(times) else 0.0
+    cur, prev, gap_used, emat = vecs, 0.0, 0.0, np.eye(amat.shape[0])
+    for i, t in enumerate(times):
+        if abs(t - prev - gap_used) > tol:
+            gap_used = t - prev
+            emat = _expm_phi1(amat * gap_used)[0]
+        cur = out[i] = emat @ cur
+        prev = t
+    return out
 
 
 @dataclass(frozen=True)
@@ -378,8 +394,6 @@ def picard_solve(op: NonlocalOperator, f: Reaction, u0: np.ndarray, tau: float,
     contraction factor q = tau·(Lip(f)+β)·sup‖e^{(L-βI)s}‖ is computed
     and reported; tau must keep it below 1.
     """
-    from scipy.linalg import expm
-
     if f.kind != "globally_lipschitz":
         raise ValueError("picard iteration needs a globally Lipschitz reaction")
     if tau <= 0:
@@ -389,16 +403,13 @@ def picard_solve(op: NonlocalOperator, f: Reaction, u0: np.ndarray, tau: float,
     lip = f.lip_on(1e6)
     beta = monotone_shift(f, 1e6)
     delta = tau / n_sub
-    e1 = expm((op.amat - beta * np.eye(n)) * delta)
-    powers = [np.eye(n)]
-    for _ in range(n_sub):
-        powers.append(e1 @ powers[-1])
+    times = delta * np.arange(n_sub + 1)
+    powers = _propagate(op.amat - beta * np.eye(n), np.eye(n), times)
     sup_norm = max(float(np.max(np.sum(np.abs(p), axis=1))) for p in powers)
     q = tau * (lip + beta) * sup_norm
     if q >= 1.0:
         raise ValueError(f"tau too large: contraction factor q = {q:.3g} >= 1")
 
-    times = delta * np.arange(n_sub + 1)
     cur = np.tile(u0, (n_sub + 1, 1))
     weights = [_cumulative_weights(j) for j in range(n_sub + 1)]
     distances: List[float] = []
@@ -433,22 +444,14 @@ def envelope_U(op_c: NonlocalOperator, d, u0, times) -> np.ndarray:
     op_c must be the operator with potential -C(x) so amat = K + CI, and
     its spectral bound must be negative for the Φ solve to make sense.
     """
-    from scipy.linalg import expm
-
     from nonlocalrd.equilibria import solve_phi
     from nonlocalrd.spectral import principal_value
 
     lam = principal_value(op_c).lam
     if lam >= 0:
         raise ValueError(f"envelope needs a negative spectral bound, got {lam:.3g}")
-    d = np.asarray(d, dtype=float)
-    u0 = np.asarray(u0, dtype=float)
     phi = solve_phi(op_c.kernel, -op_c.h, d)
-    gap0 = np.abs(u0) - phi
-    out = np.empty((len(times), op_c.n))
-    for i, t in enumerate(times):
-        out[i] = phi + expm(op_c.amat * float(t)) @ gap0
-    return out
+    return phi + _propagate(op_c.amat, np.abs(u0) - phi, times)
 
 
 def lyapunov_E(kernel: Kernel, f: Reaction, u: np.ndarray) -> float:

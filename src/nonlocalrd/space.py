@@ -37,7 +37,6 @@ class MeasureSpace:
         w = np.asarray(self.weights, dtype=float)
         d = np.asarray(self.dist, dtype=float)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "dist", d)
         if self.points is not None:
             object.__setattr__(self, "points", np.atleast_2d(np.asarray(self.points, dtype=float)))
         n = w.shape[0]
@@ -52,8 +51,11 @@ class MeasureSpace:
         if np.any(np.abs(np.diagonal(d)) > 0):
             raise ValueError("metric must vanish on the diagonal")
         # NaN fails the comparison, so a non-finite distance is rejected too
-        if not (np.max(np.abs(d - d.T)) <= 1e-12):
+        asym = np.max(np.abs(d - d.T))
+        if not (asym <= 1e-12):
             raise ValueError("metric must be symmetric with finite distances")
+        # searches read d < r as a relation, so store d exactly symmetric
+        object.__setattr__(self, "dist", np.minimum(d, d.T) if asym > 0 else d)
         _check_triangle_inequality(d)
 
     @property

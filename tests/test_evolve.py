@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
+from nonlocalrd import evolve
 from nonlocalrd.equilibria import solve_phi
 from nonlocalrd.evolve import (
     IntegratorConfig,
     Stepper,
     _expm_phi1,
     _nsteps,
+    _propagate,
     _prepare_monotone,
     bernoulli_blowup_time,
     envelope_U,
@@ -176,6 +179,86 @@ class TestExpmPhi1:
         assert np.array_equal(emat, np.eye(n)) and np.array_equal(phi1, np.eye(n))
         assert emat is not phi1
         assert plan == {"taylor_degree": 0, "squarings": 0}
+
+
+def random_metzler(seed, n):
+    """Nonnegative off-diagonal entries, diagonal of either sign."""
+    rng = np.random.default_rng(seed)
+    amat = rng.uniform(0.0, 1.0, size=(n, n)) * (rng.random((n, n)) < 0.7)
+    amat[np.diag_indices(n)] = rng.uniform(-3.0, 1.0, size=n)
+    return amat
+
+
+def assert_close_to_expm(got, ref, rtol=1e-12):
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    assert np.max(np.abs(got - ref)) <= rtol * scale
+
+
+class TestOneExponential:
+    """_expm_phi1 is the only matrix exponential in the package; scipy's
+    expm is the reference it must match."""
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 24), st.floats(-3.0, 3.0))
+    @example(seed=0, n=8, t=0.0)  # the zero-norm branch
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    def test_expm_matches_scipy_on_metzler_matrices(self, seed, n, t):
+        amat = random_metzler(seed, n)
+        emat = _expm_phi1(amat * t)[0]
+        assert_close_to_expm(emat, expm(amat * t))
+        if t == 0.0:
+            assert np.array_equal(emat, np.eye(n))
+
+    def check_grid(self, amat, vecs, times, rtol=1e-12):
+        out = _propagate(amat, vecs, times)
+        assert out.shape == (len(times),) + vecs.shape
+        for t, got in zip(times, out):
+            assert_close_to_expm(got, expm(amat * t) @ vecs, rtol)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 16), st.integers(1, 3),
+           st.floats(0.01, 0.5), st.integers(1, 12))
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    def test_propagate_on_a_uniform_grid(self, seed, n, k, gap, stored):
+        amat = random_metzler(seed, n)
+        vecs = np.random.default_rng(seed).standard_normal((n, k))
+        self.check_grid(amat, vecs, gap * np.arange(stored + 1))
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 16),
+           st.lists(st.floats(0.0, 3.0), min_size=1, max_size=8))
+    @example(seed=0, n=3, times=[1e-12])  # within the tolerance of e^0 = I
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    def test_propagate_on_a_nonuniform_grid(self, seed, n, times):
+        amat = random_metzler(seed, n)
+        vecs = np.random.default_rng(seed).standard_normal(n)
+        times = np.sort(times)
+        # a gap within the reuse tolerance 1e-12·max(1, t_last) of the last
+        # one exponentiated reuses it, which may cost that much times
+        # ‖amat‖ per stored time
+        slack = len(times) * np.linalg.norm(amat, 1) * max(1.0, times[-1])
+        self.check_grid(amat, vecs, times, rtol=1e-12 * (1.0 + slack))
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 16), st.integers(1, 10),
+           st.integers(1, 39))
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    def test_propagate_on_a_grid_cut_by_blowup(self, seed, n, stored, extra):
+        # stored every 40 steps of dt = 5e-3, then the blow-up step
+        amat = random_metzler(seed, n)
+        vecs = np.random.default_rng(seed).standard_normal((n, 2))
+        times = np.append(40 * 5e-3 * np.arange(stored + 1), (40 * stored + extra) * 5e-3)
+        self.check_grid(amat, vecs, times)
+
+    def test_one_exponential_per_distinct_gap(self, monkeypatch):
+        amat = random_metzler(3, 8)
+        calls = []
+        monkeypatch.setattr(evolve, "_expm_phi1",
+                            lambda mat: calls.append(mat) or _expm_phi1(mat))
+        _propagate(amat, np.ones(8), 5e-3 * 40 * np.arange(11))
+        assert len(calls) == 1
+        calls.clear()
+        _propagate(amat, np.ones(8), [0.0, 0.5, 1.0, 3.0])
+        assert len(calls) == 2
+        calls.clear()
+        _propagate(amat, np.ones(8), [0.2, 0.4, 0.6, 0.61])
+        assert len(calls) == 2
 
 
 class TestExponentialEuler:

@@ -331,8 +331,26 @@ def _asymmetric_path(forward):
 
 @pytest.mark.parametrize("forward", [True, False])
 def test_r_connected_on_metric_asymmetric_at_r(forward):
+    # MeasureSpace stores the smaller distance both ways, so the hop below
+    # r = 1 joins 1 and 2 whichever way it was given
     space = _asymmetric_path(forward)
+    assert np.array_equal(space.dist, space.dist.T) and space.dist[1, 2] < 1.0
     cert = is_r_connected(space, 1.0)
     connected, chain, mu0 = _reference_r_connected(space, 1.0)
     assert (cert.connected, cert.witness_chain, cert.mu0) == (connected, chain, mu0)
-    assert cert.connected is forward
+    assert cert.connected
+
+
+def test_r_connected_witness_on_metric_asymmetric_at_rounding():
+    """x = [0.5, 2, 1.5, 0] with d[0, 2] lowered by 4e-13: node 0 reaches
+    every node at r = 1, and the witness between the far pair 1 and 3 must
+    use the hop 2-0 that only d[0, 2] put below r."""
+    x = np.array([0.5, 2.0, 1.5, 0.0])
+    d = np.abs(x[:, None] - x[None, :])
+    d[0, 2] -= 4e-13
+    space = MeasureSpace(points=None, weights=np.ones(4), dist=d, kind="graph")
+    cert = is_r_connected(space, 1.0)
+    assert cert.connected
+    assert cert.witness_chain == [1, 2, 0, 3]
+    assert all(space.dist[a, b] < 1.0 for a, b in zip(cert.witness_chain,
+                                                      cert.witness_chain[1:]))

@@ -55,6 +55,9 @@ def test_asymptotic_suite_passes():
     rep = asymptotic_suite(6, SEED)
     assert rep.failures == 0, rep.details
     assert rep.worst_violation <= rep.tolerance
+    # the control runs the trials' invariance check on a datum above Φ
+    (control,) = [d for d in rep.details if d.get("expected")]
+    assert control["fired"] and control["violation"] > rep.tolerance
 
 
 def test_controls_have_teeth():
@@ -140,14 +143,15 @@ def test_hops_to_cover_empty_and_unreachable_support():
     assert _hops_to_cover(build_interval(0, 1, 1), 0.5, [False]) == 2
 
 
-def test_hops_to_cover_follows_the_metric_direction_at_r():
-    """d(1, 2) = 1 - 4e-13 < r = 1 <= d(2, 1): positivity passes from 2 to
-    1 but not from 1 to 2, and symmetrising would lose the difference."""
+def test_hops_to_cover_on_a_metric_asymmetric_at_r():
+    """d(1, 2) = 1 - 4e-13 < r = 1 <= d(2, 1) as given: MeasureSpace stores
+    the smaller distance both ways, so positivity crosses that hop both
+    ways and a bump at either end covers the path in three hops."""
     x = np.array([0.0, 0.5, 1.5, 2.0])
     d = np.abs(x[:, None] - x[None, :])
     d[1, 2] -= 4e-13
     space = MeasureSpace(points=None, weights=np.ones(4), dist=d, kind="graph")
-    for support, hops in ((np.arange(4) == 3, 3), (np.arange(4) == 0, 5),
+    for support, hops in ((np.arange(4) == 3, 3), (np.arange(4) == 0, 3),
                           (np.arange(4) == 2, 2)):
         assert _hops_to_cover(space, 1.0, support) == hops
         assert _reference_hops_to_cover(space, 1.0, support) == hops
