@@ -10,6 +10,7 @@ gives the piecewise-constant non-isolated family.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -18,6 +19,7 @@ import numpy as np
 from nonlocalrd.kernel import Kernel, NonlocalOperator, build_operator
 from nonlocalrd.evolve import (
     IntegratorConfig,
+    _nsteps,
     evolve_nonlinear,
     monotone_config,
     supersolution_ode,
@@ -31,7 +33,7 @@ from nonlocalrd.reaction import (
     truncate,
 )
 from nonlocalrd.space import MeasureSpace
-from nonlocalrd.spectral import principal_value
+from nonlocalrd.spectral import cw_bounds, principal_value
 
 MAX_BLOCKS = 10_000
 RESIDUAL_TOL = 1e-10
@@ -69,22 +71,34 @@ def residual_norm(op: NonlocalOperator, f: Reaction, u: np.ndarray) -> float:
 def solve_phi(kernel: Kernel, c, d) -> np.ndarray:
     """Nonnegative solution of KΦ + C(x)Φ + D(x) = 0.
 
-    Requires sup Re σ(K + CI) < 0; the dense solve gets one step of
-    iterative refinement, which is plenty at desk scale because the
-    spectral condition controls the conditioning.
+    Requires sup Re σ(K + CI) < 0, and is the one place that decides it.
+    K + CI is Metzler, so the bound is negative iff (K + CI)x = -1 has a
+    solution x > 0, and for any such x the Collatz-Wielandt bound
+    max_i ((K+CI)x)_i / x_i < 0 certifies it by a matvec that does not
+    trust the solve (Berman & Plemmons, ch. 6).  One LU factorization
+    serves that certificate, the solve for Φ and one step of iterative
+    refinement, which is plenty at desk scale because the spectral
+    condition controls the conditioning.
     """
+    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+
     n = kernel.space.n
     c = np.broadcast_to(np.asarray(c, dtype=float), (n,))
     d = np.broadcast_to(np.asarray(d, dtype=float), (n,))
     if np.any(d < 0):
         raise ValueError("the inhomogeneity D must be nonnegative")
     op_c = build_operator(kernel, -c)
-    lam = principal_value(op_c).lam
-    if lam >= 0:
-        raise ValueError(f"spectral precondition fails: sup Re sigma(K+CI) = {lam:.3g} >= 0")
     amat = op_c.amat
-    phi = np.linalg.solve(amat, -d)
-    phi += np.linalg.solve(amat, -d - amat @ phi)  # one refinement step
+    with warnings.catch_warnings():
+        # an exactly singular matrix fails the certificate below
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu = lu_factor(amat)
+    x = lu_solve(lu, -np.ones(n))
+    if not (np.all(x > 0) and cw_bounds(op_c, x).upper < 0):
+        raise ValueError("spectral precondition fails: no positive solution of (K+CI)x = -1 "
+                         "certifies a negative spectral bound of K+CI")
+    phi = lu_solve(lu, -d)
+    phi += lu_solve(lu, -d - amat @ phi)  # one refinement step
     scale = 1.0 + float(np.max(np.abs(d)))
     if float(np.max(np.abs(amat @ phi + d))) > RESIDUAL_TOL * scale:
         raise RuntimeError("envelope solve residual too large")
@@ -122,12 +136,8 @@ def _envelope(op: NonlocalOperator, f: Reaction):
 def _block_config(op: NonlocalOperator, f: Reaction, k_window: float,
                   block_t: float, beta: float) -> IntegratorConfig:
     cfg = monotone_config(op, f, np.zeros(op.n), block_t, trunc_k=k_window, beta=beta)
-    cfg.store_every = _nsteps_of(cfg)
+    cfg.store_every = _nsteps(cfg.dt, cfg.t_end)
     return cfg
-
-
-def _nsteps_of(cfg: IntegratorConfig) -> int:
-    return int(round(cfg.t_end / cfg.dt))
 
 
 def _monotone_orbit(op: NonlocalOperator, f: Reaction, u_start: np.ndarray,

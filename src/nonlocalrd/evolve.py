@@ -441,15 +441,12 @@ def picard_solve(op: NonlocalOperator, f: Reaction, u0: np.ndarray, tau: float,
 def envelope_U(op_c: NonlocalOperator, d, u0, times) -> np.ndarray:
     """Envelope U(t) = Φ + e^{(K+CI)t} (|u0| - Φ) at the requested times.
 
-    op_c must be the operator with potential -C(x) so amat = K + CI, and
-    its spectral bound must be negative for the Φ solve to make sense.
+    op_c must be the operator with potential -C(x) so amat = K + CI; its
+    spectral bound must be negative, which solve_phi certifies and
+    otherwise rejects with ValueError.
     """
     from nonlocalrd.equilibria import solve_phi
-    from nonlocalrd.spectral import principal_value
 
-    lam = principal_value(op_c).lam
-    if lam >= 0:
-        raise ValueError(f"envelope needs a negative spectral bound, got {lam:.3g}")
     phi = solve_phi(op_c.kernel, -op_c.h, d)
     return phi + _propagate(op_c.amat, np.abs(u0) - phi, times)
 

@@ -318,10 +318,10 @@ def structure_bounds(f: Reaction, strategy: str = "plain", a: float = 0.0,
 
     plain: logistic takes C = n, D = |g|; globally Lipschitz reactions
     take C = Lipschitz constant, D = |f(·,0)|.
-    young_shift(a): logistic with m >= m0 > 0; trades C = n - a against
-    D = |g| + C_eps a^{ρ'} via Young's inequality with eps = m0/2.
-    partitioned(a, mask): plain outside the mask, shifted inside; needs
-    m > 0 on the masked part.
+    partitioned(a, mask): logistic, plain outside the mask; inside it,
+    where m >= m0 > 0, trades C = n - a against D = |g| + C_eps a^{ρ'}
+    via Young's inequality with eps = m0/2.
+    young_shift(a): partitioned(a) over the whole domain.
     """
     n_nodes = f.n_nodes
     if strategy == "plain":
@@ -340,38 +340,25 @@ def structure_bounds(f: Reaction, strategy: str = "plain", a: float = 0.0,
             c = np.max(f.eval_ds_grid(smat), axis=1)
             d = np.abs(f.g0)
         sb = StructureBounds(c=c, d=d, strategy="plain")
-    elif strategy == "young_shift":
+    elif strategy in ("young_shift", "partitioned"):
         if not isinstance(f, LogisticReaction):
-            raise ValueError("young_shift needs a logistic reaction")
-        if a <= 0:
-            raise ValueError("young_shift needs a positive shift")
-        m0 = float(np.min(f.m))
-        if m0 <= 0:
-            raise ValueError("young_shift needs m bounded below by m0 > 0")
-        eps = m0 / 2.0
-        rho_p = f.rho / (f.rho - 1.0)
-        ce = young_constant(eps, f.rho)
-        sb = StructureBounds(c=f.ncoef - a, d=np.abs(f.g) + ce * a ** rho_p,
-                             strategy=f"young_shift(A={a})")
-    elif strategy == "partitioned":
-        if not isinstance(f, LogisticReaction):
-            raise ValueError("partitioned bounds need a logistic reaction")
+            raise ValueError(f"{strategy} bounds need a logistic reaction")
+        if strategy == "young_shift":
+            mask = np.ones(n_nodes, dtype=bool)
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (n_nodes,) or not np.any(mask):
             raise ValueError("partitioned bounds need a nonempty mask")
         if a <= 0:
-            raise ValueError("partitioned bounds need a positive shift")
+            raise ValueError(f"{strategy} bounds need a positive shift")
         m0 = float(np.min(f.m[mask]))
         if m0 <= 0:
-            raise ValueError("m must be positive on the masked part")
-        eps = m0 / 2.0
-        rho_p = f.rho / (f.rho - 1.0)
-        ce = young_constant(eps, f.rho)
+            raise ValueError(f"{strategy} bounds need m bounded below by m0 > 0 "
+                             "on the shifted part")
+        ce = young_constant(m0 / 2.0, f.rho)
         c = f.ncoef.copy()
-        d = np.abs(f.g)
         c[mask] -= a
-        d = d + np.where(mask, ce * a ** rho_p, 0.0)
-        sb = StructureBounds(c=c, d=d, strategy=f"partitioned(A={a})")
+        d = np.abs(f.g) + np.where(mask, ce * a ** (f.rho / (f.rho - 1.0)), 0.0)
+        sb = StructureBounds(c=c, d=d, strategy=f"{strategy}(A={a})")
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     _validate_structure(f, sb.c, sb.d)

@@ -219,6 +219,15 @@ class TestEquilibriaCommand:
             rows = list(csv.reader(fh))
         assert len(rows) == 65
 
+    def test_threshold_potential_is_a_precondition_error(self, tmp_path, capsys):
+        # h = h0 and f = 0 put the envelope bound at Λ = 0 exactly
+        cfg = write_config(tmp_path, kernel={"law": "tophat", "R": 0.25, "J0": 1.0},
+                           reaction={"kind": "logistic", "g": 0.0, "n": 0.0, "m": 0.0,
+                                     "rho": 3.0})
+        rc = main(["--out", str(tmp_path), "equilibria", "--config", str(cfg)])
+        assert rc == 2
+        assert "spectral precondition" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_pass_exit_zero(self, tmp_path):

@@ -1,7 +1,10 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm
 
 from nonlocalrd.equilibria import (
@@ -16,10 +19,11 @@ from nonlocalrd.equilibria import (
     solve_phi,
     uniqueness_experiment,
 )
-from nonlocalrd.evolve import IntegratorConfig, evolve_nonlinear
+from nonlocalrd.evolve import IntegratorConfig, envelope_U, evolve_nonlinear
 from nonlocalrd.kernel import assemble_kernel, build_operator, compute_h0
 from nonlocalrd.reaction import CallableReaction, LogisticReaction
-from nonlocalrd.space import build_interval
+from nonlocalrd.space import build_graph, build_interval, merge_spaces
+from nonlocalrd.verify import asymptotic_suite
 
 SQRT3 = math.sqrt(3.0)
 
@@ -32,6 +36,40 @@ def unit_op(n=48, h=None):
 
 def logistic(n, g=0.0, ncoef=2.0, m=1.0, rho=3.0):
     return LogisticReaction(g=g, n=ncoef, m=m, rho=rho, n_nodes=n)
+
+
+def sampled_kernel(rng, kind, n):
+    """Random interval, graph (often disconnected) or two-part union kernel."""
+    if kind == "graph":
+        edges = [[int(i), int(j), float(rng.uniform(0.5, 1.5))]
+                 for i, j in rng.integers(0, n, size=(n, 2)) if i != j]
+        s = build_graph(n, edges, rng.uniform(0.5, 1.5, size=n) / n)
+        return assemble_kernel(s, "tophat", R=float(rng.uniform(1.0, 3.0)),
+                               J0=float(rng.uniform(0.5, 2.0)))
+    if kind == "union":
+        s = merge_spaces(build_interval(0, 1, n // 2), build_interval(1.5, 2.5, n - n // 2))
+        return assemble_kernel(s, "tophat", R=float(rng.uniform(0.05, 0.8)),
+                               J0=float(rng.uniform(0.5, 2.0)))
+    return assemble_kernel(build_interval(0, 1, n), "gaussian",
+                           sigma=float(rng.uniform(0.05, 0.5)),
+                           scale=float(rng.uniform(0.5, 2.0)))
+
+
+def count_principal_value(monkeypatch):
+    """Count principal_value calls through every package namespace that holds it."""
+    import nonlocalrd.spectral as spectral
+
+    calls = []
+    real = spectral.principal_value
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("nonlocalrd") and getattr(mod, "principal_value", None) is real:
+            monkeypatch.setattr(mod, "principal_value", counted)
+    return calls
 
 
 class TestSolvePhi:
@@ -73,6 +111,53 @@ class TestSolvePhi:
         s, k, _ = unit_op(16)
         with pytest.raises(ValueError):
             solve_phi(k, -2.0, -np.ones(16))
+
+    @pytest.mark.parametrize("n", [16, 64, 200])
+    @pytest.mark.parametrize("law, params", [("constant", {"c": 1.0}),
+                                             ("tophat", {"R": 0.25, "J0": 1.0}),
+                                             ("gaussian", {"sigma": 0.1})])
+    def test_threshold_potential_fails_the_precondition(self, law, params, n):
+        # C = -h0 puts Λ(K+CI) at exactly 0: A is singular up to rounding
+        k = assemble_kernel(build_interval(0, 1, n), law, **params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="spectral precondition"):
+                solve_phi(k, -compute_h0(k), 1.0)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["interval", "graph", "union"]),
+           st.integers(2, 40), st.floats(-1.0, 1.0))
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    def test_certificate_agrees_with_the_dense_spectral_bound(self, seed, kind, n, shift):
+        rng = np.random.default_rng(seed)
+        k = sampled_kernel(rng, kind, n)
+        c = shift - compute_h0(k) + rng.uniform(-0.5, 0.5, size=n)
+        amat = build_operator(k, -c).amat
+        lam = float(np.max(np.linalg.eigvals(amat).real))
+        assume(abs(lam) > 1e-8 * max(1.0, float(np.linalg.norm(amat, 1))))
+        d = rng.uniform(0.0, 1.0, size=n)
+        if lam < 0:
+            assert np.all(np.isfinite(solve_phi(k, c, d)))
+        else:
+            with pytest.raises(ValueError, match="spectral precondition"):
+                solve_phi(k, c, d)
+
+
+class TestOnePreconditionCheck:
+    """solve_phi alone decides Λ(K+CI) < 0, without an eigensolve."""
+
+    def test_solve_phi_and_envelope_make_no_eigensolve(self, monkeypatch):
+        calls = count_principal_value(monkeypatch)
+        s, k, _ = unit_op(32)
+        solve_phi(k, -2.0, np.ones(32))
+        envelope_U(build_operator(k, np.full(32, 2.0)), np.ones(32), np.zeros(32), [0.0, 1.0])
+        with pytest.raises(ValueError, match="spectral precondition"):
+            solve_phi(k, 0.5, np.ones(32))
+        assert calls == []
+
+    def test_asymptotic_suite_solves_once_per_trial(self, monkeypatch):
+        calls = count_principal_value(monkeypatch)
+        assert asymptotic_suite(3, 0).failures == 0
+        assert len(calls) == 3
 
 
 class TestMonotoneOrbit:
