@@ -118,29 +118,29 @@ def _load_csv_column(path: str, column: str, n: int, field: str) -> np.ndarray:
         raise ConfigError(field, f"{path} has no column {column!r}") from exc
 
 
+# what a malformed section raises: wrong type, missing key or bad value
+_SPEC_ERRORS = (TypeError, AttributeError, KeyError, ValueError)
+
+
 def _build_space(spec: dict):
-    kind = spec.get("type")
-    if kind == "interval":
-        try:
+    try:
+        kind = spec.get("type")
+        if kind == "interval":
             return build_interval(spec["a"], spec["b"], spec["n"],
                                   spec.get("rule", "midpoint"))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError("space", str(exc)) from exc
-    if kind == "graph":
-        try:
+        if kind == "graph":
             return build_graph(spec["vertices"], [tuple(e) for e in spec["edges"]],
                                spec["measures"])
-        except (KeyError, ValueError) as exc:
-            raise ConfigError("space", str(exc)) from exc
-    if kind == "union":
-        try:
+        if kind == "union":
             return merge_spaces(*[_build_space(p) for p in spec["parts"]])
-        except (KeyError, ValueError) as exc:
-            raise ConfigError("space", str(exc)) from exc
+    except _SPEC_ERRORS as exc:
+        raise ConfigError("space", str(exc)) from exc
     raise ConfigError("space.type", f"unknown space type {kind!r}")
 
 
 def _build_kernel(spec: dict, space):
+    if not isinstance(spec, dict):
+        raise ConfigError("kernel", f"expected an object, got {spec!r}")
     law = spec.get("law")
     params = {k: v for k, v in spec.items() if k != "law"}
     if law == "table":
@@ -153,7 +153,7 @@ def _build_kernel(spec: dict, space):
             raise ConfigError("kernel.path", str(exc)) from exc
     try:
         return assemble_kernel(space, law, **params)
-    except (TypeError, KeyError, ValueError) as exc:
+    except _SPEC_ERRORS as exc:
         raise ConfigError("kernel", str(exc)) from exc
 
 
@@ -168,46 +168,52 @@ def _node_vector(spec, space, kernel, field: str) -> np.ndarray:
         return arr
     if isinstance(spec, dict):
         kind = spec.get("kind")
-        if kind == "constant":
-            return np.full(n, float(spec["value"]))
-        if kind == "h0":
-            return compute_h0(kernel)
-        if kind == "expr":
-            if space.points is None:
-                raise ConfigError(field, "expressions need an embedded space")
-            return _eval_expr(spec["expr"], space.x, field)
-        if kind == "csv":
-            return _load_csv_column(spec["path"], spec.get("column", "value"), n, field)
+        try:
+            if kind == "constant":
+                return np.full(n, float(spec["value"]))
+            if kind == "h0":
+                return compute_h0(kernel)
+            if kind == "expr":
+                if space.points is None:
+                    raise ConfigError(field, "expressions need an embedded space")
+                return _eval_expr(spec["expr"], space.x, field)
+            if kind == "csv":
+                return _load_csv_column(spec["path"], spec.get("column", "value"), n, field)
+        except (TypeError, KeyError) as exc:
+            raise ConfigError(field, str(exc)) from exc
         raise ConfigError(field, f"unknown vector kind {kind!r}")
     raise ConfigError(field, "expected number, list or spec object")
+
+
+def _power_reaction(p: float, scale: float, n: int) -> rxmod.CallableReaction:
+    """f(s) = scale·sign(s)|s|^p at every one of n nodes."""
+    def fun(s):
+        return scale * np.sign(s) * np.abs(s) ** p
+
+    def dfun(s):
+        return scale * p * np.abs(s) ** (p - 1.0)
+
+    return rxmod.CallableReaction(fun, dfun, n_nodes=n, kind="custom")
 
 
 def _build_reaction(spec: dict, space, kernel):
     if spec is None:
         return None
-    kind = spec.get("kind")
-    if kind == "logistic":
-        try:
+    try:
+        kind = spec.get("kind")
+        if kind == "logistic":
             return rxmod.LogisticReaction(
                 g=_node_vector(spec.get("g", 0.0), space, kernel, "reaction.g"),
                 n=_node_vector(spec.get("n", 0.0), space, kernel, "reaction.n"),
                 m=_node_vector(spec.get("m", 1.0), space, kernel, "reaction.m"),
                 rho=float(spec.get("rho", 2.0)), n_nodes=space.n)
-        except ValueError as exc:
-            raise ConfigError("reaction", str(exc)) from exc
-    if kind == "power":
-        p = float(spec.get("exponent", 3.0))
-        scale = float(spec.get("scale", 1.0))
-
-        def fun(s):
-            return scale * np.sign(s) * np.abs(s) ** p
-
-        def dfun(s):
-            return scale * p * np.abs(s) ** (p - 1.0)
-
-        return rxmod.CallableReaction(fun, dfun, n_nodes=space.n, kind="custom")
-    if kind == "none":
-        return None
+        if kind == "power":
+            return _power_reaction(float(spec.get("exponent", 3.0)),
+                                   float(spec.get("scale", 1.0)), space.n)
+        if kind == "none":
+            return None
+    except _SPEC_ERRORS as exc:
+        raise ConfigError("reaction", str(exc)) from exc
     raise ConfigError("reaction.kind", f"unknown reaction kind {kind!r}")
 
 
@@ -222,7 +228,7 @@ def _build_integrator(spec: dict):
             blowup_threshold=float(spec.get("blowup_threshold", 1e9)),
             store_every=int(spec.get("store_every", 1)),
             trunc_k=spec.get("trunc_k"))
-    except ValueError as exc:
+    except _SPEC_ERRORS as exc:
         raise ConfigError("integrator", str(exc)) from exc
 
 
@@ -273,26 +279,26 @@ def _write_json(payload: dict, out_dir: Path, name: str) -> Path:
     return out
 
 
-def _write_profile(vec: np.ndarray, space, out_dir: Path, name: str) -> Path:
-    out = out_dir / name
-    xs = space.x if space.points is not None else np.arange(space.n, dtype=float)
+def _write_csv(out: Path, header: list, rows) -> Path:
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["node", "x", "value"])
-        for i, (x, v) in enumerate(zip(xs, vec)):
-            w.writerow([i, repr(float(x)), repr(float(v))])
+        w.writerow(header)
+        w.writerows(rows)
     return out
+
+
+def _write_profile(vec: np.ndarray, space, out_dir: Path, name: str) -> Path:
+    xs = space.x if space.points is not None else np.arange(space.n, dtype=float)
+    return _write_csv(out_dir / name, ["node", "x", "value"],
+                      ([i, repr(float(x)), repr(float(v))]
+                       for i, (x, v) in enumerate(zip(xs, vec))))
 
 
 def _write_trajectory(traj, out_dir: Path, name: str) -> Path:
-    out = out_dir / name
     n = traj.states.shape[1]
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"node_{i}" for i in range(n)])
-        for t, row in zip(traj.times, traj.states):
-            w.writerow([repr(float(t))] + [repr(float(v)) for v in row])
-    return out
+    return _write_csv(out_dir / name, ["t"] + [f"node_{i}" for i in range(n)],
+                      ([repr(float(t))] + [repr(float(v)) for v in row]
+                       for t, row in zip(traj.times, traj.states)))
 
 
 # ---------------------------------------------------------------------------
@@ -514,14 +520,7 @@ def _case_blowup(name: str, cfg: dict, out_dir: Path) -> dict:
     n = int(cfg["n"])
     space, kern, op = _case_system(n)
     rho = float(cfg["rho"])
-
-    def fun(s):
-        return np.sign(s) * np.abs(s) ** rho
-
-    def dfun(s):
-        return rho * np.abs(s) ** (rho - 1.0)
-
-    f = rxmod.CallableReaction(fun, dfun, n_nodes=n, kind="custom")
+    f = _power_reaction(rho, 1.0, n)
     config = evmod.IntegratorConfig(scheme="rk4", dt=float(cfg["dt"]),
                                     t_end=float(cfg["t_end"]))
     tr = evmod.evolve_nonlinear(op, f, np.full(n, float(cfg["u0"])), config)
@@ -551,13 +550,9 @@ def _case_shift(name: str, cfg: dict, out_dir: Path) -> dict:
         closed = (-(a - 1.0) + math.sqrt(a * a + 1.0)) / 2.0
         rows.append({"A": float(a), "lambda_H": lam, "bound_rhs": rhs,
                      "closed_form": closed})
-    out = out_dir / f"{name}_table.csv"
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["A", "lambda_H", "bound_rhs", "closed_form"])
-        for r in rows:
-            w.writerow([repr(r["A"]), repr(r["lambda_H"]), repr(r["bound_rhs"]),
-                        repr(r["closed_form"])])
+    header = ["A", "lambda_H", "bound_rhs", "closed_form"]
+    _write_csv(out_dir / f"{name}_table.csv", header,
+               ([repr(r[k]) for k in header] for r in rows))
     # the bound's sign claim is reported next to the computed value, not asserted
     return {"case": name, "table": rows}
 

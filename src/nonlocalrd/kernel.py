@@ -43,7 +43,8 @@ class Kernel:
             i, k = np.argwhere(~np.isfinite(j))[0]
             raise ValueError(f"kernel entry ({i},{k}) is {j[i, k]}, not finite")
         if np.any(j < 0):
-            raise ValueError("kernel entries must be nonnegative")
+            i, k = np.argwhere(j < 0)[0]
+            raise ValueError(f"kernel entry ({i},{k}) is negative")
         sym = bool(np.max(np.abs(j - j.T)) <= SYMMETRY_TOL * max(1.0, np.max(np.abs(j)))) if n > 0 else True
         object.__setattr__(self, "symmetric", sym)
         if self.positivity_cert is not None:
@@ -105,13 +106,7 @@ def assemble_kernel(space: MeasureSpace, law: str, **params) -> Kernel:
         jmat = scale * np.exp(-0.5 * (d / sigma) ** 2)
         return Kernel(space=space, jmat=jmat)
     if law == "table":
-        jmat = np.asarray(params["jmat"], dtype=float)
-        if jmat.shape != (space.n, space.n):
-            raise ValueError("table law matrix shape mismatch")
-        if np.any(jmat < 0):
-            i, j = np.unravel_index(int(np.argmin(jmat)), jmat.shape)
-            raise ValueError(f"table law entry ({i},{j}) is negative")
-        return Kernel(space=space, jmat=jmat)
+        return Kernel(space=space, jmat=params["jmat"])
     raise ValueError(f"unknown kernel law {law!r}")
 
 

@@ -3,14 +3,16 @@ asymptotic claims.
 
 Every suite is deterministic given its seed, samples only systems that
 satisfy the hypotheses of the property under test, and additionally runs
-hypothesis-violating control trials that must trip the check (otherwise
-the suite itself fails for having no teeth).
+a hypothesis-violating control trial that must trip the check (otherwise
+the suite itself fails for having no teeth).  A suite supplies only its
+sampler, its violation and its control; `_run_trials` seeds, counts and
+reports for all four, and needs at least one trial.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List
 
 import numpy as np
@@ -53,18 +55,8 @@ class PropertyReport:
         return self.failures == 0
 
     def to_json(self) -> str:
-        payload = {
-            "schema_version": "1",
-            "property": self.property,
-            "trials": self.trials,
-            "failures": self.failures,
-            "worst_violation": self.worst_violation,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "details": self.details,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps({**asdict(self), "passed": self.passed, "schema_version": "1"},
+                          indent=2, sort_keys=True)
 
 
 @dataclass
@@ -177,6 +169,48 @@ def _shared_monotone_config(op, f0, f1, u_init_scale, t_end):
     return monotone_config(op, f0, probe, t_end, trunc_k=k, beta=beta)
 
 
+def _run_trials(prop: str, trials: int, seed: int, tol: float, trial, control,
+                summary=None) -> PropertyReport:
+    """Run `trials` seeded trials and one control into a report.
+
+    `trial(rng, t)` returns `(violation, extra)`; it fails when the
+    violation exceeds `tol` or extra holds `strong_ok=False`.  `summary`
+    goes after the trials; `control(rng)` returns `(label, fired, extra)`,
+    and a control that did not fire is one more failure.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    failures = 0
+    worst = 0.0
+    details: List[dict] = []
+    for t in range(trials):
+        viol, extra = trial(np.random.default_rng([seed, t]), t)
+        if not (viol <= tol and extra.get("strong_ok", True)):
+            failures += 1
+            details.append({"trial": t, "violation": viol, **extra, "expected": False})
+        worst = max(worst, viol)
+    if summary is not None:
+        details.append(summary)
+    label, fired, extra = control(np.random.default_rng([seed, 10_000]))
+    details.append({"trial": f"control:{label}", "expected": True, "fired": fired,
+                    "control_failed": not fired, **extra})
+    failures += 0 if fired else 1
+    return PropertyReport(property=prop, trials=trials, failures=failures,
+                          worst_violation=worst, seed=seed, tolerance=tol,
+                          details=details)
+
+
+def _strong_ok(sys_: SampledSystem, states, strict_source: bool, support) -> bool:
+    """Strict positivity wherever the strong principle applies: on a
+    certified system with a strict source or strict data on `support`,
+    from step one for a source, else after one step per hop."""
+    if not (sys_.strong_certified and (strict_source or np.any(support))):
+        return True
+    start = 1 if strict_source else _hops_to_cover(
+        sys_.op.space, sys_.op.kernel.positivity_cert[0], support)
+    return start >= len(states) or float(np.min(states[start:])) > 0.0
+
+
 def comparison_suite(trials: int, seed: int) -> PropertyReport:
     """Ordered data and ordered reactions keep ordered euler_op orbits.
 
@@ -184,13 +218,8 @@ def comparison_suite(trials: int, seed: int) -> PropertyReport:
     positivity-certified r-connected systems with a strict initial gap
     the minimum gap must be strictly positive from the first step on.
     """
-    failures = 0
-    worst = 0.0
-    details: List[dict] = []
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        strong = trial % 2 == 0
-        sys_ = sample_system(rng, strong=strong)
+    def trial(rng, t):
+        sys_ = sample_system(rng, strong=t % 2 == 0)
         op, f1 = sys_.op, sys_.reaction
         n = op.n
         bump_f = float(rng.uniform(0.0, 0.5))
@@ -201,59 +230,30 @@ def comparison_suite(trials: int, seed: int) -> PropertyReport:
             gap0[rng.integers(0, n)] = rng.uniform(0.1, 0.5)  # sparse strict bump
         else:
             gap0 = rng.uniform(0.0, 0.5, size=n)
-        u0 = u1 + gap0
         cfg = _shared_monotone_config(op, f0, f1, 1.5, 1.0)
-        tr0 = evolve_nonlinear(op, f0, u0, cfg)
-        tr1 = evolve_nonlinear(op, f1, u1, cfg)
-        gap = tr0.states - tr1.states
-        viol = max(0.0, -float(np.min(gap)))
-        ok = viol <= EXACT_TOL
-        strong_ok = True
-        if sys_.strong_certified and np.max(gap0) + bump_f > 0:
-            if bump_f > 0:  # the reaction gap feeds every node from step one
-                start = 1
-            else:
-                start = _hops_to_cover(op.space, op.kernel.positivity_cert[0],
-                                       gap0 > 0)
-            if start < len(gap):
-                strong_ok = float(np.min(gap[start:])) > 0.0
-        if not (ok and strong_ok):
-            failures += 1
-            details.append({"trial": trial, "violation": viol,
-                            "strong_ok": strong_ok, "expected": False})
-        worst = max(worst, viol)
-    _control_comparison(seed, details)
-    failures += sum(1 for d in details if d.get("control_failed"))
-    return PropertyReport(property="comparison", trials=trials, failures=failures,
-                          worst_violation=worst, seed=seed, tolerance=EXACT_TOL,
-                          details=details)
+        gap = (evolve_nonlinear(op, f0, u1 + gap0, cfg).states
+               - evolve_nonlinear(op, f1, u1, cfg).states)
+        strong_ok = _strong_ok(sys_, gap, bump_f > 0, gap0 > 0)
+        return max(0.0, -float(np.min(gap))), {"strong_ok": strong_ok}
 
+    def control(rng):
+        # hypothesis-violating control: f0 strictly below f1 must break ordering
+        sys_ = sample_system(rng)
+        op, f1 = sys_.op, sys_.reaction
+        u = np.zeros(op.n)
+        cfg = _shared_monotone_config(op, f1, f1, 1.0, 0.5)
+        lo = evolve_nonlinear(op, add_bump(f1, np.zeros(op.n)), u, cfg)  # f0 = f1
+        hi = evolve_nonlinear(op, add_bump(f1, np.ones(op.n)), u, cfg)
+        return "unordered-reactions", bool(np.min(lo.states - hi.states) < -EXACT_TOL), {}
 
-def _control_comparison(seed, details):
-    # hypothesis-violating control: f0 strictly below f1 must break ordering
-    rng = np.random.default_rng([seed, 10_000])
-    sys_ = sample_system(rng)
-    op, f1 = sys_.op, sys_.reaction
-    f0 = add_bump(f1, np.zeros(op.n))
-    u = np.zeros(op.n)
-    cfg = _shared_monotone_config(op, f1, f1, 1.0, 0.5)
-    lo = evolve_nonlinear(op, f0, u, cfg)                       # f0 = f1, equal data
-    hi = evolve_nonlinear(op, add_bump(f1, np.ones(op.n)), u, cfg)
-    fired = bool(np.min(lo.states - hi.states) < -EXACT_TOL)    # lo lacks the bump
-    details.append({"trial": "control:unordered-reactions", "expected": True,
-                    "fired": fired, "control_failed": not fired})
+    return _run_trials("comparison", trials, seed, EXACT_TOL, trial, control)
 
 
 def maximum_principle_suite(trials: int, seed: int) -> PropertyReport:
     """Nonnegative data with f(·,0) >= 0 keep nonnegative euler_op orbits;
     certified connected systems make nontrivial data strictly positive."""
-    failures = 0
-    worst = 0.0
-    details: List[dict] = []
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        strong = trial % 2 == 0
-        sys_ = sample_system(rng, nonneg_g0=True, strong=strong)
+    def trial(rng, t):
+        sys_ = sample_system(rng, nonneg_g0=True, strong=t % 2 == 0)
         op, f = sys_.op, sys_.reaction
         n = op.n
         mode = rng.integers(0, 3)
@@ -265,48 +265,28 @@ def maximum_principle_suite(trials: int, seed: int) -> PropertyReport:
         else:
             u0 = np.zeros(n)
         cfg = monotone_config(op, f, np.maximum(u0, 1.0), 1.0)
-        tr = evolve_nonlinear(op, f, u0, cfg)
-        viol = max(0.0, -float(np.min(tr.states)))
-        ok = viol <= EXACT_TOL
-        strong_ok = True
-        if sys_.strong_certified and np.max(u0) > 0:
-            if float(np.min(f.g0)) > 0:  # a strict source lights every node at once
-                start = 1
-            else:
-                start = _hops_to_cover(op.space, op.kernel.positivity_cert[0], u0 > 0)
-            if start < len(tr.states):
-                strong_ok = float(np.min(tr.states[start:])) > 0.0
-        if not (ok and strong_ok):
-            failures += 1
-            details.append({"trial": trial, "violation": viol,
-                            "strong_ok": strong_ok, "expected": False})
-        worst = max(worst, viol)
-    # control: f(·,0) = -1 must produce genuine negativity from u0 = 0
-    rng = np.random.default_rng([seed, 10_000])
-    sys_ = sample_system(rng, nonneg_g0=True)
-    op, f = sys_.op, sys_.reaction
-    neg = CallableReaction(lambda s: f.eval_grid(s) - 1.0 - f.g0[:, None],
-                           n_nodes=op.n, kind=f.kind,
-                           lip=f.lip_on(10.0) + 1.0)
-    cfg = monotone_config(op, neg, np.ones(op.n), 0.5)
-    tr = evolve_nonlinear(op, neg, np.zeros(op.n), cfg)
-    fired = bool(np.min(tr.states) < -EXACT_TOL)
-    details.append({"trial": "control:negative-source", "expected": True,
-                    "fired": fired, "control_failed": not fired})
-    failures += sum(1 for d in details if d.get("control_failed"))
-    return PropertyReport(property="maximum_principle", trials=trials, failures=failures,
-                          worst_violation=worst, seed=seed, tolerance=EXACT_TOL,
-                          details=details)
+        states = evolve_nonlinear(op, f, u0, cfg).states
+        strong_ok = _strong_ok(sys_, states, float(np.min(f.g0)) > 0, u0 > 0)
+        return max(0.0, -float(np.min(states))), {"strong_ok": strong_ok}
+
+    def control(rng):
+        # f(·,0) = -1 must produce genuine negativity from u0 = 0
+        sys_ = sample_system(rng, nonneg_g0=True)
+        op, f = sys_.op, sys_.reaction
+        neg = CallableReaction(lambda s: f.eval_grid(s) - 1.0 - f.g0[:, None],
+                               n_nodes=op.n, kind=f.kind,
+                               lip=f.lip_on(10.0) + 1.0)
+        cfg = monotone_config(op, neg, np.ones(op.n), 0.5)
+        tr = evolve_nonlinear(op, neg, np.zeros(op.n), cfg)
+        return "negative-source", bool(np.min(tr.states) < -EXACT_TOL), {}
+
+    return _run_trials("maximum_principle", trials, seed, EXACT_TOL, trial, control)
 
 
 def supersolution_suite(trials: int, seed: int) -> PropertyReport:
     """The scalar bound ż = C₁z + D with C₁ = max C + ‖h0-h‖ dominates the
     sup of the orbit whenever ‖u0‖_∞ <= z(0); exact for the monotone scheme."""
-    failures = 0
-    worst = 0.0
-    details: List[dict] = []
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
+    def trial(rng, t):
         sys_ = sample_system(rng)
         op, f = sys_.op, sys_.reaction
         sb = structure_bounds(f, "plain")
@@ -322,26 +302,20 @@ def supersolution_suite(trials: int, seed: int) -> PropertyReport:
         tr = evolve_nonlinear(op, f, u0, cfg)
         zvals = z(tr.times)
         viol = float(np.max(np.max(tr.states, axis=1) - zvals))
-        rel = viol / (1.0 + float(np.max(zvals)))
-        if rel > EXACT_TOL:
-            failures += 1
-            details.append({"trial": trial, "violation": rel, "expected": False})
-        worst = max(worst, max(rel, 0.0))
-    # control: a bound whose start is below ‖u0‖ must be overtaken
-    rng = np.random.default_rng([seed, 10_000])
-    sys_ = sample_system(rng)
-    op, f = sys_.op, sys_.reaction
-    z = supersolution_ode(1.0, 0.0, 0.5, 0.25)
-    u0 = np.full(op.n, 2.0)
-    cfg = monotone_config(op, f, u0, 0.25)
-    tr = evolve_nonlinear(op, f, u0, cfg)
-    fired = bool(np.max(np.max(tr.states, axis=1) - z(tr.times)) > EXACT_TOL)
-    details.append({"trial": "control:undersized-bound", "expected": True,
-                    "fired": fired, "control_failed": not fired})
-    failures += sum(1 for d in details if d.get("control_failed"))
-    return PropertyReport(property="supersolution", trials=trials, failures=failures,
-                          worst_violation=worst, seed=seed, tolerance=EXACT_TOL,
-                          details=details)
+        return viol / (1.0 + float(np.max(zvals))), {}
+
+    def control(rng):
+        # a bound whose start is below ‖u0‖ must be overtaken
+        sys_ = sample_system(rng)
+        op, f = sys_.op, sys_.reaction
+        z = supersolution_ode(1.0, 0.0, 0.5, 0.25)
+        u0 = np.full(op.n, 2.0)
+        cfg = monotone_config(op, f, u0, 0.25)
+        tr = evolve_nonlinear(op, f, u0, cfg)
+        fired = bool(np.max(np.max(tr.states, axis=1) - z(tr.times)) > EXACT_TOL)
+        return "undersized-bound", fired, {}
+
+    return _run_trials("supersolution", trials, seed, EXACT_TOL, trial, control)
 
 
 def asymptotic_suite(trials: int, seed: int) -> PropertyReport:
@@ -356,13 +330,10 @@ def asymptotic_suite(trials: int, seed: int) -> PropertyReport:
     def outside(states, phi):  # the invariance check max(|u(t)| - Φ)
         return float(np.max(np.abs(states) - phi[None, :]))
 
-    failures = 0
-    worst = 0.0
-    details: List[dict] = []
-    fitted = []
-    phi = None
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
+    fitted: List[float] = []
+    last = {}
+
+    def trial(rng, t):
         space = _sample_space(rng)
         kern = _sample_kernel(rng, space, strong=False)
         op = build_operator(kern, np.zeros(space.n))
@@ -379,8 +350,7 @@ def asymptotic_suite(trials: int, seed: int) -> PropertyReport:
         # integrator error without weakening the analytic claim)
         u0_in = 0.99 * rng.uniform(-1.0, 1.0, size=space.n) * phi
         cfg = IntegratorConfig(scheme="rk4", dt=5e-3, t_end=2.0, store_every=40)
-        tr_in = evolve_nonlinear(op, f, u0_in, cfg)
-        inv_viol = outside(tr_in.states, phi)
+        inv_viol = outside(evolve_nonlinear(op, f, u0_in, cfg).states, phi)
         # (b) generic datum: envelope domination and rigorous decay rate
         u0 = (1.0 + rng.uniform(0.0, 2.0)) * phi + rng.uniform(0.0, 0.5, size=space.n)
         tr = evolve_nonlinear(op, f, u0, cfg)
@@ -391,23 +361,16 @@ def asymptotic_suite(trials: int, seed: int) -> PropertyReport:
         delta = np.max(np.maximum(np.abs(tr.states) - phi, 0.0), axis=1)
         decay_viol = float(np.max(delta - np.max(props[:, :, 1], axis=1)))
         fitted.append(float(np.max(delta * np.exp(0.5 * abs(lam) * tr.times))))
-        viol = max(inv_viol, env_viol, decay_viol)
-        if viol > SOFT_TOL:
-            failures += 1
-            details.append({"trial": trial, "violation": viol, "expected": False})
-        worst = max(worst, viol)
-    details.append({"trial": "summary", "fitted_M": fitted, "informational": True})
-    # control: the last generic datum starts above Φ, so invariance must fail
-    if phi is not None:
-        ctrl_viol = outside(tr.states, phi)
-        fired = ctrl_viol > SOFT_TOL
-        details.append({"trial": "control:outside-envelope", "expected": True,
-                        "fired": fired, "control_failed": not fired,
-                        "violation": ctrl_viol})
-        failures += 0 if fired else 1
-    return PropertyReport(property="asymptotic", trials=trials, failures=failures,
-                          worst_violation=worst, seed=seed, tolerance=SOFT_TOL,
-                          details=details)
+        last.update(states=tr.states, phi=phi)
+        return max(inv_viol, env_viol, decay_viol), {}
+
+    def control(rng):
+        # the last generic datum starts above Φ, so invariance must fail
+        ctrl_viol = outside(last["states"], last["phi"])
+        return "outside-envelope", ctrl_viol > SOFT_TOL, {"violation": ctrl_viol}
+
+    summary = {"trial": "summary", "fitted_M": fitted, "informational": True}
+    return _run_trials("asymptotic", trials, seed, SOFT_TOL, trial, control, summary)
 
 
 SUITES = {

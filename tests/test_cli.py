@@ -237,6 +237,16 @@ class TestVerifyCommand:
         payload = json.loads((tmp_path / "verify_comparison.json").read_text())
         assert payload["failures"] == 0
 
+    @pytest.mark.parametrize("suite", ["comparison", "maximum", "supersolution",
+                                       "asymptotic"])
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_suite_needs_a_trial(self, tmp_path, capsys, suite, trials):
+        rc = main(["--out", str(tmp_path), "verify", "--suite", suite,
+                   "--trials", trials])
+        assert rc == 2
+        assert "trials" in capsys.readouterr().err
+        assert not (tmp_path / f"verify_{suite}.json").exists()
+
     @pytest.mark.parametrize("argv, seed", [
         (["--seed", "5", "verify"], 5),
         (["verify", "--seed", "7"], 7),
@@ -335,6 +345,27 @@ def test_round_trip_is_bit_identical(tmp_path):
         (tmp_path / "b" / "evolve.json").read_bytes()
     assert (tmp_path / "a" / "trajectory.csv").read_bytes() == \
         (tmp_path / "b" / "trajectory.csv").read_bytes()
+
+
+_INTERVAL = {"type": "interval", "a": 0.0, "b": 1.0}
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"space": 5}, "space"),
+    ({"kernel": 5}, "kernel"),
+    ({"integrator": 5}, "integrator"),
+    ({"reaction": [1]}, "reaction"),
+    ({"space": {**_INTERVAL, "n": "16"}}, "space"),
+    ({"space": {**_INTERVAL, "n": 16.5}}, "space"),
+    ({"potential": {"kind": "constant"}}, "potential"),
+    ({"integrator": {"t_end": float("inf")}}, "integrator"),
+    ({"integrator": {"dt": float("nan")}}, "integrator"),
+])
+def test_malformed_section_exits_2_naming_the_field(tmp_path, capsys, overrides, field):
+    cfg = write_config(tmp_path, **overrides)
+    rc = main(["--out", str(tmp_path), "evolve", "--config", str(cfg)])
+    assert rc == 2
+    assert f"config field '{field}'" in capsys.readouterr().err
 
 
 def test_invalid_json_exits_2(tmp_path, capsys):

@@ -50,6 +50,18 @@ def test_non_finite_kernel_entries_rejected():
         Kernel(space=s, jmat=jmat)
 
 
+def test_table_kernel_reports_non_finite_before_negative():
+    s = build_interval(0, 1, 3)
+    jmat = np.ones((3, 3))
+    jmat[0, 1] = np.nan
+    jmat[2, 2] = -1.0
+    with pytest.raises(ValueError, match=r"kernel entry \(0,1\) is nan, not finite"):
+        assemble_kernel(s, "table", jmat=jmat)
+    jmat[0, 1] = 1.0
+    with pytest.raises(ValueError, match=r"kernel entry \(2,2\) is negative"):
+        assemble_kernel(s, "table", jmat=jmat)
+
+
 def test_symmetry_is_derived_not_passed():
     s = build_interval(0, 1, 4)
     with pytest.raises(TypeError):

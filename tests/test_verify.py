@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from nonlocalrd import verify
 from nonlocalrd.space import MeasureSpace, build_graph, build_interval, merge_spaces
 from nonlocalrd.verify import (
     _hops_to_cover,
+    _run_trials,
     asymptotic_suite,
     comparison_suite,
     maximum_principle_suite,
@@ -75,6 +77,64 @@ def test_reports_are_deterministic_and_serializable():
     payload = json.loads(a)
     assert payload["schema_version"] == "1"
     assert payload["trials"] == 5
+
+
+@pytest.mark.parametrize("name, keys", [
+    ("comparison", {"trial", "violation", "strong_ok", "expected"}),
+    ("maximum", {"trial", "violation", "strong_ok", "expected"}),
+    ("supersolution", {"trial", "violation", "expected"}),
+    ("asymptotic", {"trial", "violation", "expected"}),
+])
+def test_every_trial_over_a_negative_tolerance_is_a_counted_failure(monkeypatch,
+                                                                     name, keys):
+    # no violation is <= -inf, and every control fires against it
+    monkeypatch.setattr(verify, "EXACT_TOL", -np.inf)
+    monkeypatch.setattr(verify, "SOFT_TOL", -np.inf)
+    rep = run_suite(name, 3, SEED)
+    failed = [d for d in rep.details if d.get("expected") is False]
+    assert [d["trial"] for d in failed] == [0, 1, 2]
+    assert all(set(d) == keys for d in failed)
+    assert rep.failures == 3 and rep.tolerance == -np.inf
+    assert rep.details[-1]["fired"]
+
+
+def _loop(trial_results, fired=True, tol=0.1):
+    def trial(rng, t):
+        return trial_results[t]
+
+    def control(rng):
+        return "probe", fired, {"violation": 7.0}
+
+    return _run_trials("probe", len(trial_results), 0, tol, trial, control)
+
+
+def test_shared_loop_fails_a_strong_check_within_tolerance():
+    rep = _loop([(0.0, {"strong_ok": True}), (0.05, {"strong_ok": False})])
+    assert rep.failures == 1
+    assert rep.details[0] == {"trial": 1, "violation": 0.05, "strong_ok": False,
+                              "expected": False}
+    assert rep.worst_violation == 0.05
+
+
+def test_shared_loop_ignores_negative_violations_for_worst():
+    rep = _loop([(-3.0, {}), (-0.5, {})])
+    assert rep.failures == 0 and rep.worst_violation == 0.0
+    assert _loop([(-3.0, {}), (0.02, {}), (-0.5, {})]).worst_violation == 0.02
+
+
+def test_shared_loop_counts_a_silent_control_once():
+    rep = _loop([(0.0, {}), (0.5, {})], fired=False)
+    assert rep.failures == 2 and not rep.passed
+    assert rep.details[-1] == {"trial": "control:probe", "expected": True,
+                               "fired": False, "control_failed": True,
+                               "violation": 7.0}
+    rep = _loop([(0.0, {})], fired=True)
+    assert rep.failures == 0 and rep.details[-1]["control_failed"] is False
+
+
+def test_shared_loop_needs_a_trial():
+    with pytest.raises(ValueError, match="trials"):
+        _loop([])
 
 
 def test_run_suite_rejects_unknown_name():
