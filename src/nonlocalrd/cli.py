@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import csv
 import json
 import math
@@ -122,8 +123,20 @@ def _load_csv_column(path: str, column: str, n: int, field: str) -> np.ndarray:
 _SPEC_ERRORS = (TypeError, AttributeError, KeyError, ValueError)
 
 
-def _build_space(spec: dict):
+@contextlib.contextmanager
+def _field_errors(field: str):
+    """Name field in a malformed section's error; a nested section's
+    ConfigError already names its own field and passes unchanged."""
     try:
+        yield
+    except ConfigError:
+        raise
+    except _SPEC_ERRORS as exc:
+        raise ConfigError(field, str(exc)) from exc
+
+
+def _build_space(spec: dict):
+    with _field_errors("space"):
         kind = spec.get("type")
         if kind == "interval":
             return build_interval(spec["a"], spec["b"], spec["n"],
@@ -133,8 +146,6 @@ def _build_space(spec: dict):
                                spec["measures"])
         if kind == "union":
             return merge_spaces(*[_build_space(p) for p in spec["parts"]])
-    except _SPEC_ERRORS as exc:
-        raise ConfigError("space", str(exc)) from exc
     raise ConfigError("space.type", f"unknown space type {kind!r}")
 
 
@@ -151,10 +162,8 @@ def _build_kernel(spec: dict, space):
             params["jmat"] = np.loadtxt(path, delimiter=",")
         except OSError as exc:
             raise ConfigError("kernel.path", str(exc)) from exc
-    try:
+    with _field_errors("kernel"):
         return assemble_kernel(space, law, **params)
-    except _SPEC_ERRORS as exc:
-        raise ConfigError("kernel", str(exc)) from exc
 
 
 def _node_vector(spec, space, kernel, field: str) -> np.ndarray:
@@ -162,13 +171,14 @@ def _node_vector(spec, space, kernel, field: str) -> np.ndarray:
     if isinstance(spec, (int, float)):
         return np.full(n, float(spec))
     if isinstance(spec, list):
-        arr = np.asarray(spec, dtype=float)
+        with _field_errors(field):
+            arr = np.asarray(spec, dtype=float)
         if arr.shape != (n,):
             raise ConfigError(field, f"length {arr.shape} != node count {n}")
         return arr
     if isinstance(spec, dict):
         kind = spec.get("kind")
-        try:
+        with _field_errors(field):
             if kind == "constant":
                 return np.full(n, float(spec["value"]))
             if kind == "h0":
@@ -179,8 +189,6 @@ def _node_vector(spec, space, kernel, field: str) -> np.ndarray:
                 return _eval_expr(spec["expr"], space.x, field)
             if kind == "csv":
                 return _load_csv_column(spec["path"], spec.get("column", "value"), n, field)
-        except (TypeError, KeyError) as exc:
-            raise ConfigError(field, str(exc)) from exc
         raise ConfigError(field, f"unknown vector kind {kind!r}")
     raise ConfigError(field, "expected number, list or spec object")
 
@@ -199,7 +207,7 @@ def _power_reaction(p: float, scale: float, n: int) -> rxmod.CallableReaction:
 def _build_reaction(spec: dict, space, kernel):
     if spec is None:
         return None
-    try:
+    with _field_errors("reaction"):
         kind = spec.get("kind")
         if kind == "logistic":
             return rxmod.LogisticReaction(
@@ -212,14 +220,12 @@ def _build_reaction(spec: dict, space, kernel):
                                    float(spec.get("scale", 1.0)), space.n)
         if kind == "none":
             return None
-    except _SPEC_ERRORS as exc:
-        raise ConfigError("reaction", str(exc)) from exc
     raise ConfigError("reaction.kind", f"unknown reaction kind {kind!r}")
 
 
 def _build_integrator(spec: dict):
     spec = spec or {}
-    try:
+    with _field_errors("integrator"):
         return evmod.IntegratorConfig(
             scheme=spec.get("scheme", "rk4"),
             dt=float(spec.get("dt", 1e-3)),
@@ -228,8 +234,6 @@ def _build_integrator(spec: dict):
             blowup_threshold=float(spec.get("blowup_threshold", 1e9)),
             store_every=int(spec.get("store_every", 1)),
             trunc_k=spec.get("trunc_k"))
-    except _SPEC_ERRORS as exc:
-        raise ConfigError("integrator", str(exc)) from exc
 
 
 class Experiment:
@@ -260,11 +264,14 @@ class Experiment:
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config", f"expected an object at the top level, got {type(raw).__name__}")
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +296,17 @@ def _write_csv(out: Path, header: list, rows) -> Path:
 
 def _write_profile(vec: np.ndarray, space, out_dir: Path, name: str) -> Path:
     xs = space.x if space.points is not None else np.arange(space.n, dtype=float)
+    # tolist() gives Python floats, whose repr is what repr(float(v)) gave
     return _write_csv(out_dir / name, ["node", "x", "value"],
-                      ([i, repr(float(x)), repr(float(v))]
-                       for i, (x, v) in enumerate(zip(xs, vec))))
+                      ([i, repr(x), repr(v)]
+                       for i, (x, v) in enumerate(zip(xs.tolist(), vec.tolist()))))
 
 
 def _write_trajectory(traj, out_dir: Path, name: str) -> Path:
     n = traj.states.shape[1]
     return _write_csv(out_dir / name, ["t"] + [f"node_{i}" for i in range(n)],
-                      ([repr(float(t))] + [repr(float(v)) for v in row]
-                       for t, row in zip(traj.times, traj.states)))
+                      ([repr(t), *map(repr, row)]
+                       for t, row in zip(traj.times.tolist(), traj.states.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from nonlocalrd.space import MeasureSpace
+from nonlocalrd.space import MeasureSpace, _max_asymmetry
 
 SYMMETRY_TOL = 1e-12
 
@@ -39,20 +39,21 @@ class Kernel:
         n = self.space.n
         if j.shape != (n, n):
             raise ValueError("kernel matrix shape mismatch")
-        if not np.all(np.isfinite(j)):
+        # NaN or ±inf makes lo or hi non-finite; only then locate the entry
+        lo, hi = j.min(), j.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             i, k = np.argwhere(~np.isfinite(j))[0]
             raise ValueError(f"kernel entry ({i},{k}) is {j[i, k]}, not finite")
-        if np.any(j < 0):
+        if lo < 0:
             i, k = np.argwhere(j < 0)[0]
             raise ValueError(f"kernel entry ({i},{k}) is negative")
-        sym = bool(np.max(np.abs(j - j.T)) <= SYMMETRY_TOL * max(1.0, np.max(np.abs(j)))) if n > 0 else True
+        sym = bool(_max_asymmetry(j) <= SYMMETRY_TOL * max(1.0, hi))
         object.__setattr__(self, "symmetric", sym)
         if self.positivity_cert is not None:
             r, j0 = self.positivity_cert
             if j0 <= 0:
                 raise ValueError("positivity certificate needs J0 > 0")
-            close = self.space.dist < r
-            if np.any(j[close] <= j0):
+            if np.any((self.space.dist < r) & (j <= j0)):
                 raise ValueError("positivity certificate fails entrywise")
 
 
@@ -132,7 +133,8 @@ def build_operator(kernel: Kernel, h) -> NonlocalOperator:
         raise ValueError("potential length mismatch")
     if not np.all(np.isfinite(h)):
         raise ValueError("potential must be finite")
-    amat = kernel.jmat * kernel.space.weights[None, :] - np.diag(h)
+    amat = kernel.jmat * kernel.space.weights[None, :]
+    amat.flat[:: n + 1] -= h
     h0 = compute_h0(kernel)
     # consistency of the assembled matrix: L applied to constants
     ones = np.ones(n)

@@ -20,6 +20,15 @@ import numpy as np
 DISCONNECTED_FACTOR = 1e3
 
 
+def _max_asymmetry(a: np.ndarray) -> float:
+    """np.max(np.abs(a - a.T)) of a square matrix, NaN included, taken tile
+    by tile against the mirrored tile with no n×n temporary; the value is
+    the same, since |x - y| = |y - x| in IEEE arithmetic."""
+    n, tile = a.shape[0], 128  # 64 and 128 tie for fastest at n = 2048
+    return np.max([np.max(np.abs(a[i:i + tile, j:j + tile] - a[j:j + tile, i:i + tile].T))
+                   for i in range(0, n, tile) for j in range(i, n, tile)])
+
+
 @dataclass(frozen=True)
 class MeasureSpace:
     """Nodes, weights and metric of a discretized metric measure space.
@@ -51,7 +60,7 @@ class MeasureSpace:
         if np.any(np.abs(np.diagonal(d)) > 0):
             raise ValueError("metric must vanish on the diagonal")
         # NaN fails the comparison, so a non-finite distance is rejected too
-        asym = np.max(np.abs(d - d.T))
+        asym = _max_asymmetry(d)
         if not (asym <= 1e-12):
             raise ValueError("metric must be symmetric with finite distances")
         # searches read d < r as a relation, so store d exactly symmetric
@@ -130,7 +139,8 @@ def build_interval(a: float, b: float, n: int, rule: str = "midpoint") -> Measur
     else:
         raise ValueError(f"unknown quadrature rule {rule!r}")
     pts = xs[:, None]
-    dist = np.abs(xs[:, None] - xs[None, :])
+    dist = np.subtract.outer(xs, xs)
+    np.abs(dist, out=dist)
     return MeasureSpace(points=pts, weights=w, dist=dist, kind="interval")
 
 

@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nonlocalrd.cli import _EXPR_NAMES, _eval_expr, main
+from nonlocalrd.cli import _EXPR_NAMES, _eval_expr, _write_profile, _write_trajectory, main
+from nonlocalrd.evolve import Trajectory
+from nonlocalrd.space import build_graph, build_interval
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -360,12 +362,64 @@ _INTERVAL = {"type": "interval", "a": 0.0, "b": 1.0}
     ({"potential": {"kind": "constant"}}, "potential"),
     ({"integrator": {"t_end": float("inf")}}, "integrator"),
     ({"integrator": {"dt": float("nan")}}, "integrator"),
+    ({"potential": ["x"] * 64}, "potential"),
+    ({"potential": {"kind": "constant", "value": "abc"}}, "potential"),
+    ({"u0": [0.5] * 63 + ["x"]}, "u0"),
+    ({"reaction": {"kind": "logistic", "g": {"kind": "constant"}}}, "reaction.g"),
+    ({"space": {"type": "union", "parts": [{**_INTERVAL, "n": 4}, {"type": "blob"}]}},
+     "space.type"),
 ])
 def test_malformed_section_exits_2_naming_the_field(tmp_path, capsys, overrides, field):
     cfg = write_config(tmp_path, **overrides)
     rc = main(["--out", str(tmp_path), "evolve", "--config", str(cfg)])
     assert rc == 2
-    assert f"config field '{field}'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the innermost field is named, once
+    assert err.startswith(f"error: config field '{field}': ")
+    assert err.count("config field") == 1
+
+
+@pytest.mark.parametrize("top", ["5", "[]", '"x"'])
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, top):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(top)
+    rc = main(["--out", str(tmp_path), "spectrum", "--config", str(cfg)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: config field 'config': ")
+
+
+_AWKWARD = [-0.0, 1e-300, 1 / 3, 2.0, -7.0, 0.0, 1e300, 5e-324]
+
+
+def _reference_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+    return path.read_bytes()
+
+
+def test_trajectory_csv_bytes_match_per_value_repr(tmp_path):
+    states = np.array([_AWKWARD, _AWKWARD[::-1], [v * 3 for v in _AWKWARD]])
+    traj = Trajectory(times=np.array([0.0, 1 / 3, 2.0]), states=states, scheme="rk4", dt=0.1)
+    expected = _reference_csv(
+        tmp_path / "ref.csv", ["t"] + [f"node_{i}" for i in range(len(_AWKWARD))],
+        ([repr(float(t))] + [repr(float(v)) for v in row]
+         for t, row in zip(traj.times, traj.states)))
+    assert _write_trajectory(traj, tmp_path, "traj.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("embedded", [True, False])
+def test_profile_csv_bytes_match_per_value_repr(tmp_path, embedded):
+    n = len(_AWKWARD)
+    space = (build_interval(-1.0, 2.0, n) if embedded
+             else build_graph(n, [(i, i + 1, 1.0) for i in range(n - 1)], np.ones(n)))
+    vec = np.array(_AWKWARD)
+    xs = space.x if embedded else np.arange(n, dtype=float)
+    expected = _reference_csv(tmp_path / "ref.csv", ["node", "x", "value"],
+                              ([i, repr(float(x)), repr(float(v))]
+                               for i, (x, v) in enumerate(zip(xs, vec))))
+    assert _write_profile(vec, space, tmp_path, "prof.csv").read_bytes() == expected
 
 
 def test_invalid_json_exits_2(tmp_path, capsys):

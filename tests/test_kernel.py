@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,12 +64,62 @@ def test_table_kernel_reports_non_finite_before_negative():
         assemble_kernel(s, "table", jmat=jmat)
 
 
+def _reference_entry_error(j):
+    """Frozen copy of the entry checks Kernel made with full-matrix masks."""
+    if not np.all(np.isfinite(j)):
+        i, k = np.argwhere(~np.isfinite(j))[0]
+        return f"kernel entry ({i},{k}) is {j[i, k]}, not finite"
+    if np.any(j < 0):
+        i, k = np.argwhere(j < 0)[0]
+        return f"kernel entry ({i},{k}) is negative"
+    return None
+
+
+def _bad_tables(n):
+    rng = np.random.default_rng(n)
+    table = np.ones((3, 3))
+    table[0, 1], table[2, 2] = np.nan, -1.0
+    yield table
+    for _ in range(12):
+        jmat = rng.uniform(0.0, 1.0, size=(n, n))
+        # two to four bad entries at random places, so the first one counts
+        for _ in range(rng.integers(2, 5)):
+            jmat[tuple(rng.integers(0, n, size=2))] = rng.choice(
+                [np.nan, np.inf, -np.inf, -1e-300, -2.0])
+        yield jmat
+    last = np.ones((n, n))
+    last[-1, -1] = -np.inf
+    yield last
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("n", [3, 130])
+def test_kernel_names_the_entry_the_old_checks_named(n):
+    for jmat in _bad_tables(n):
+        m = jmat.shape[0]
+        expected = _reference_entry_error(jmat)
+        assert expected is not None
+        with pytest.raises(ValueError) as err:
+            Kernel(space=build_interval(0, 1, m), jmat=jmat)
+        assert str(err.value) == expected
+
+
 def test_symmetry_is_derived_not_passed():
     s = build_interval(0, 1, 4)
     with pytest.raises(TypeError):
         Kernel(space=s, jmat=np.ones((4, 4)), symmetric=False)
     assert Kernel(space=s, jmat=np.ones((4, 4))).symmetric
     assert not assemble_kernel(s, "table", jmat=np.triu(np.ones((4, 4)))).symmetric
+
+
+def test_symmetry_tolerance_scales_with_the_largest_entry():
+    s = build_interval(0, 1, 4)
+    jmat = np.full((4, 4), 1e3)
+    jmat[0, 0] = 0.0
+    jmat[1, 2] += 1e-10  # 1e-13 of the largest entry
+    assert Kernel(space=s, jmat=jmat).symmetric
+    jmat[1, 2] += 1e-8
+    assert not Kernel(space=s, jmat=jmat).symmetric
 
 
 def test_apply_K_constant_data():
@@ -123,6 +175,45 @@ def test_operator_two_node_example():
     s = build_interval(0, 1, 2)
     op = build_operator(assemble_kernel(s, "constant", c=1.0), np.ones(2))
     np.testing.assert_allclose(op.amat, [[-0.5, 0.5], [0.5, -0.5]], atol=1e-15)
+
+
+def test_operator_matrix_bitwise_equal_to_the_dense_expression():
+    rng = np.random.default_rng(4)
+    s = build_interval(0, 1, 129)
+    table = rng.uniform(0.0, 1.0, size=(129, 129))
+    table[rng.uniform(size=table.shape) < 0.2] = -0.0
+    kernels = (assemble_kernel(s, "tophat", R=0.3, J0=2.0),
+               assemble_kernel(s, "gaussian", sigma=0.2),
+               assemble_kernel(s, "table", jmat=table))
+    h = rng.standard_normal(129)
+    h[:10] = 0.0
+    h[10:20] = -0.0
+    for k in kernels:
+        expected = k.jmat * s.weights[None, :] - np.diag(h)
+        assert build_operator(k, h).amat.tobytes() == expected.tobytes()
+
+
+def _transient_bytes(build):
+    """Peak traced memory of build() above what its result keeps."""
+    tracemalloc.start()
+    try:
+        result = build()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak - current
+
+
+@pytest.mark.parametrize("stage", ["space", "kernel", "operator"])
+def test_setup_makes_no_matrix_sized_temporary(stage):
+    n = 512
+    space = build_interval(0, 1, n)
+    kernel = assemble_kernel(space, "tophat", R=0.1, J0=2.0)
+    build = {"space": lambda: build_interval(0, 1, n),
+             "kernel": lambda: assemble_kernel(space, "tophat", R=0.1, J0=2.0),
+             "operator": lambda: build_operator(kernel, np.linspace(0.0, 1.0, n))}[stage]
+    assert _transient_bytes(build) <= 0.5 * 8 * n * n
 
 
 def test_operator_zero_kernel_is_minus_diag_h():

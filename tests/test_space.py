@@ -3,6 +3,7 @@ import pytest
 
 from nonlocalrd.space import (
     MeasureSpace,
+    _max_asymmetry,
     build_graph,
     build_interval,
     is_r_connected,
@@ -164,6 +165,50 @@ def test_asymmetry_within_tolerance_accepted():
     d[0, 3] += 5e-13
     s = MeasureSpace(points=None, weights=np.ones(4), dist=d, kind="graph")
     assert s.dist[0, 3] - s.dist[3, 0] == pytest.approx(5e-13, rel=1e-2)
+
+
+def _dense_asymmetry(a):
+    """The dense expression _max_asymmetry replaces."""
+    return np.max(np.abs(a - a.T))
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
+def test_max_asymmetry_equals_the_dense_expression(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    sym = a + a.T
+    nearly = sym + 1e-13 * rng.standard_normal((n, n))
+    for m in (a, sym, nearly, np.abs(sym)):
+        assert _max_asymmetry(m) == _dense_asymmetry(m)
+
+
+# the first tile, the last (partial at n = 300, tile 128) and an off-diagonal one
+_BAD_SPOTS = [(0, 1), (299, 270), (5, 200)]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+@pytest.mark.parametrize("spot", _BAD_SPOTS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("both_ways", [False, True])
+def test_max_asymmetry_keeps_non_finite_entries(spot, bad, both_ways):
+    d = _path_metric(300)
+    i, j = spot
+    d[i, j] = bad
+    if both_ways:
+        d[j, i] = bad
+    dense = _dense_asymmetry(d)
+    assert not np.isfinite(dense)
+    np.testing.assert_array_equal(_max_asymmetry(d), dense)
+    with pytest.raises(ValueError, match="symmetric with finite distances"):
+        MeasureSpace(points=None, weights=np.ones(300), dist=d, kind="graph")
+
+
+def test_interval_distances_bitwise_equal_to_the_outer_difference():
+    for a, b, n, rule in ((0.0, 1.0, 1, "midpoint"), (-1.3, 2.7, 257, "midpoint"),
+                          (-2.0, 2.0, 300, "trapezoid")):
+        s = build_interval(a, b, n, rule)
+        xs = s.x
+        assert s.dist.tobytes() == np.abs(xs[:, None] - xs[None, :]).tobytes()
 
 
 # --- graph queries against frozen copies of the hand-written routines ------
