@@ -142,8 +142,7 @@ def _build_space(spec: dict):
             return build_interval(spec["a"], spec["b"], spec["n"],
                                   spec.get("rule", "midpoint"))
         if kind == "graph":
-            return build_graph(spec["vertices"], [tuple(e) for e in spec["edges"]],
-                               spec["measures"])
+            return build_graph(spec["vertices"], spec["edges"], spec["measures"])
         if kind == "union":
             return merge_spaces(*[_build_space(p) for p in spec["parts"]])
     raise ConfigError("space.type", f"unknown space type {kind!r}")
@@ -160,7 +159,7 @@ def _build_kernel(spec: dict, space):
             raise ConfigError("kernel.path", "table law needs a CSV path")
         try:
             params["jmat"] = np.loadtxt(path, delimiter=",")
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # unreadable, or a cell that is not a number
             raise ConfigError("kernel.path", str(exc)) from exc
     with _field_errors("kernel"):
         return assemble_kernel(space, law, **params)
@@ -551,12 +550,13 @@ def _case_shift(name: str, cfg: dict, out_dir: Path) -> dict:
     h = np.zeros(n)
     mask = space.x > 0.5
     rows = []
+    # no restricted solve depends on the level, and rhs0 - a is bitwise the bound at a
+    rhs0 = spmod.shift_bound_rhs(kern, h, mask, 0.0)
     for a in cfg["levels"]:
         shifted = spmod.shifted_potential(h, mask, float(a))
         lam = spmod.principal_value(build_operator(kern, -shifted)).lam
-        rhs = spmod.shift_bound_rhs(kern, h, mask, float(a))
         closed = (-(a - 1.0) + math.sqrt(a * a + 1.0)) / 2.0
-        rows.append({"A": float(a), "lambda_H": lam, "bound_rhs": rhs,
+        rows.append({"A": float(a), "lambda_H": lam, "bound_rhs": rhs0 - float(a),
                      "closed_form": closed})
     header = ["A", "lambda_H", "bound_rhs", "closed_form"]
     _write_csv(out_dir / f"{name}_table.csv", header,

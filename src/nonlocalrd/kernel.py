@@ -104,7 +104,9 @@ def assemble_kernel(space: MeasureSpace, law: str, **params) -> Kernel:
         scale = float(params.get("scale", 1.0))
         if sigma <= 0 or scale <= 0:
             raise ValueError("gaussian law needs sigma > 0 and scale > 0")
-        jmat = scale * np.exp(-0.5 * (d / sigma) ** 2)
+        jmat = d / sigma  # then scale * exp(-0.5 * (d / sigma) ** 2) in the same buffer
+        np.exp(np.multiply(np.square(jmat, out=jmat), -0.5, out=jmat), out=jmat)
+        jmat *= scale
         return Kernel(space=space, jmat=jmat)
     if law == "table":
         return Kernel(space=space, jmat=params["jmat"])

@@ -10,6 +10,7 @@ scipy.sparse.csgraph.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -147,38 +148,37 @@ def build_interval(a: float, b: float, n: int, rule: str = "midpoint") -> Measur
 def build_graph(vertices: int, edges: list, vertex_measures) -> MeasureSpace:
     """Weighted graph space with shortest-path metric.
 
-    edges are (i, j, length) triples; duplicate edges keep the minimum
-    length, self-loops are rejected.  Vertices in different components
-    get the finite disconnected sentinel as distance.
+    edges are (i, j, length) triples with integer endpoints and finite
+    positive lengths; duplicate edges keep the minimum length, self-loops
+    are rejected.  Dijkstra's distances are stored exactly symmetric, and
+    vertices in different components get the finite disconnected sentinel.
     """
-    from scipy.sparse.csgraph import shortest_path
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import dijkstra
 
-    if vertices < 1:
-        raise ValueError("need at least one vertex")
+    # zero vertices and bad measures are MeasureSpace's to reject
     w = np.asarray(vertex_measures, dtype=float)
     if w.shape != (vertices,):
         raise ValueError("vertex_measures length mismatch")
-    if np.any(w <= 0):
-        raise ValueError("vertex measures must be positive")
-    big = np.inf
-    d = np.full((vertices, vertices), big)
-    np.fill_diagonal(d, 0.0)
+    shortest = {}  # one entry per unordered pair: csr_array would sum duplicates
     for (i, j, length) in edges:
+        i, j, length = operator.index(i), operator.index(j), float(length)
         if i == j:
             raise ValueError("self-loop edges are rejected")
-        if length <= 0:
-            raise ValueError("edge lengths must be positive")
+        if not 0 < length < np.inf:  # NaN fails too
+            raise ValueError(f"edge length {length} is not finite and positive")
         if not (0 <= i < vertices and 0 <= j < vertices):
             raise ValueError("edge endpoint out of range")
-        d[i, j] = min(d[i, j], length)
-        d[j, i] = min(d[j, i], length)
-    # "FW" adds path lengths in a fixed order (by intermediate vertex);
-    # Dijkstra's order follows its search and can move a distance by rounding
-    d = shortest_path(d, method="FW", directed=False)
-    finite = d[np.isfinite(d)]
-    diam = float(np.max(finite)) if finite.size else 0.0
-    sentinel = DISCONNECTED_FACTOR * max(diam, 1.0)
-    d[~np.isfinite(d)] = sentinel
+        pair = (min(i, j), max(i, j))
+        shortest[pair] = min(shortest.get(pair, length), length)
+    rows, cols = np.array(list(shortest), dtype=np.intp).reshape(-1, 2).T
+    graph = csr_array((list(shortest.values()), (rows, cols)), shape=(vertices, vertices))
+    d = dijkstra(graph, directed=False)
+    # searches from i and from j round d[i, j] apart, beyond 1e-12 for long edges
+    np.minimum(d, d.T, out=d)
+    unreachable = np.isinf(d)
+    diam = float(np.max(d, where=~unreachable, initial=0.0))
+    d[unreachable] = DISCONNECTED_FACTOR * max(diam, 1.0)
     return MeasureSpace(points=None, weights=w, dist=d, kind="graph")
 
 
@@ -194,8 +194,12 @@ def merge_spaces(*spaces: MeasureSpace) -> MeasureSpace:
         raise ValueError("embedding dimensions differ")
     pts = np.vstack([s.points for s in spaces])
     w = np.concatenate([s.weights for s in spaces])
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    dist = np.subtract.outer(pts[:, 0], pts[:, 0])
+    np.square(dist, out=dist)
+    for col in pts.T[1:]:  # in the order np.sum adds a short axis, without an n×n×dim array
+        diff = np.subtract.outer(col, col)
+        dist += np.square(diff, out=diff)
+    np.sqrt(dist, out=dist)
     return MeasureSpace(points=pts, weights=w, dist=dist, kind="union")
 
 

@@ -82,17 +82,17 @@ def _power_iteration(bmat: np.ndarray) -> Tuple[float, np.ndarray, bool]:
     """
     n = bmat.shape[0]
     x = np.ones(n) / n
+    y = bmat @ x
     lam = 0.0
     for it in range(POWER_MAX_ITER):
-        y = bmat @ x
         norm = np.max(np.abs(y))
         if norm == 0.0:
             return 0.0, x, True  # bmat annihilates the positive cone: rho = 0
         x_new = y / norm
-        lam_new = float(x_new @ (bmat @ x_new)) / float(x_new @ x_new)
+        y = bmat @ x_new  # the Rayleigh quotient's, the residual's and the next step's product
+        lam_new = float(x_new @ y) / float(x_new @ x_new)
         if it > 0 and abs(lam_new - lam) <= POWER_RTOL * max(1.0, abs(lam_new)):
-            resid = np.max(np.abs(bmat @ x_new - lam_new * x_new))
-            if resid <= 1e-9 * max(1.0, abs(lam_new)):
+            if np.max(np.abs(y - lam_new * x_new)) <= 1e-9 * max(1.0, abs(lam_new)):
                 return lam_new, x_new, True
         x, lam = x_new, lam_new
     return lam, x, False
@@ -221,24 +221,18 @@ def essential_range(h, weights, tol: float = 1e-12) -> List[Tuple[float, float]]
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    h = np.asarray(h, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    vals = -h
+    vals = -np.asarray(h, dtype=float)
     order = np.argsort(vals)
-    clusters: List[Tuple[float, float]] = []
-    cur_vals = [vals[order[0]]]
-    cur_ws = [w[order[0]]]
-    for idx in order[1:]:
-        if vals[idx] - cur_vals[-1] <= tol:
-            cur_vals.append(vals[idx])
-            cur_ws.append(w[idx])
-        else:
-            cw = float(np.sum(cur_ws))
-            clusters.append((float(np.dot(cur_vals, cur_ws) / cw), cw))
-            cur_vals, cur_ws = [vals[idx]], [w[idx]]
-    cw = float(np.sum(cur_ws))
-    clusters.append((float(np.dot(cur_vals, cur_ws) / cw), cw))
-    return clusters
+    vals, w = vals[order], np.asarray(weights, dtype=float)[order]
+    # a new cluster starts wherever the gap to the previous value is not <= tol
+    bounds = np.concatenate(([0], np.flatnonzero(~(np.diff(vals) <= tol)) + 1, [vals.size]))
+    mass = np.add.reduceat(w, bounds[:-1])
+    mean = vals[bounds[:-1]] * mass / mass  # a singleton's (v·w)/w
+    for k in np.flatnonzero(np.diff(bounds) > 1):
+        part = slice(bounds[k], bounds[k + 1])
+        mass[k] = np.sum(w[part])
+        mean[k] = np.dot(vals[part], w[part]) / mass[k]
+    return list(zip(mean.tolist(), mass.tolist()))
 
 
 def rayleigh_lambda(kernel: Kernel, h) -> SpectralReport:

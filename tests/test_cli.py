@@ -61,6 +61,14 @@ class TestSpectrumCommand:
         assert rc == 2
         assert "(2,1)" in capsys.readouterr().err
 
+    def test_non_numeric_table_cell_exits_2_naming_the_path(self, tmp_path, capsys):
+        (tmp_path / "mat.csv").write_text("1,2\na,b\n")
+        cfg = write_config(tmp_path, space={"type": "interval", "a": 0, "b": 1, "n": 2},
+                           kernel={"law": "table", "path": str(tmp_path / "mat.csv")})
+        rc = main(["--out", str(tmp_path), "--dry-run", "evolve", "--config", str(cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: config field 'kernel.path': ")
+
     def test_non_finite_kernel_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, kernel={"law": "gaussian", "sigma": float("nan")})
         rc = main(["--out", str(tmp_path), "spectrum", "--config", str(cfg)])
@@ -304,6 +312,30 @@ class TestCaseCommand:
         assert payload["blowup_time"] < 0.1
         assert payload["dominated"]
 
+    def test_shift_table_equals_the_per_level_loop(self, tmp_path):
+        from nonlocalrd import spectral as spmod
+        from nonlocalrd.cli import _case_system
+        from nonlocalrd.kernel import build_operator
+        levels = [1, 3.5, 10.0, 100.0, 0.25]
+        rc = main(["--out", str(tmp_path), "case", "shift", "--set", "n=64",
+                   "--set", f"levels={json.dumps(levels)}"])
+        assert rc == 0
+        # the loop as it ran before the restricted solves were shared by the levels
+        space, kern, _ = _case_system(64)
+        h, mask, rows = np.zeros(64), space.x > 0.5, []
+        for a in levels:
+            shifted = spmod.shifted_potential(h, mask, float(a))
+            lam = spmod.principal_value(build_operator(kern, -shifted)).lam
+            rhs = spmod.shift_bound_rhs(kern, h, mask, float(a))
+            closed = (-(a - 1.0) + math.sqrt(a * a + 1.0)) / 2.0
+            rows.append([repr(float(a)), repr(lam), repr(rhs), repr(closed)])
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["A", "lambda_H", "bound_rhs", "closed_form"])
+            w.writerows(rows)
+        assert (tmp_path / "shift_table.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
     def test_malformed_override_exits_2(self, tmp_path):
         rc = main(["--out", str(tmp_path), "case", "shift", "--set", "oops"])
         assert rc == 2
@@ -350,6 +382,7 @@ def test_round_trip_is_bit_identical(tmp_path):
 
 
 _INTERVAL = {"type": "interval", "a": 0.0, "b": 1.0}
+_GRAPH = {"type": "graph", "vertices": 3, "measures": [1.0, 1.0, 1.0]}
 
 
 @pytest.mark.parametrize("overrides, field", [
@@ -368,6 +401,10 @@ _INTERVAL = {"type": "interval", "a": 0.0, "b": 1.0}
     ({"reaction": {"kind": "logistic", "g": {"kind": "constant"}}}, "reaction.g"),
     ({"space": {"type": "union", "parts": [{**_INTERVAL, "n": 4}, {"type": "blob"}]}},
      "space.type"),
+    ({"space": {**_GRAPH, "edges": [[0, 1, 1.0], [0, 1.5, 1.0]]}}, "space"),
+    ({"space": {**_GRAPH, "edges": [[0, 1, 1.0], [0, 1.0, 1.0]]}}, "space"),
+    ({"space": {**_GRAPH, "edges": [[0, 1, 1.0], [1, 2, float("nan")]]}}, "space"),
+    ({"space": {**_GRAPH, "edges": [[0, 1, 1.0], [1, 2, float("inf")]]}}, "space"),
 ])
 def test_malformed_section_exits_2_naming_the_field(tmp_path, capsys, overrides, field):
     cfg = write_config(tmp_path, **overrides)

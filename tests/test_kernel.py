@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nonlocalrd.kernel import Kernel, apply_K, assemble_kernel, build_operator, compute_h0
-from nonlocalrd.space import build_interval
+from nonlocalrd.space import build_interval, merge_spaces
 
 
 def brute_force_K(kernel, u):
@@ -205,15 +205,28 @@ def _transient_bytes(build):
     return peak - current
 
 
-@pytest.mark.parametrize("stage", ["space", "kernel", "operator"])
+@pytest.mark.parametrize("stage", ["space", "union", "kernel", "gaussian", "operator"])
 def test_setup_makes_no_matrix_sized_temporary(stage):
     n = 512
     space = build_interval(0, 1, n)
     kernel = assemble_kernel(space, "tophat", R=0.1, J0=2.0)
+    parts = build_interval(0, 1, n // 2), build_interval(1.5, 2.5, n // 2)
     build = {"space": lambda: build_interval(0, 1, n),
+             "union": lambda: merge_spaces(*parts),
              "kernel": lambda: assemble_kernel(space, "tophat", R=0.1, J0=2.0),
+             "gaussian": lambda: assemble_kernel(space, "gaussian", sigma=0.2, scale=1.5),
              "operator": lambda: build_operator(kernel, np.linspace(0.0, 1.0, n))}[stage]
     assert _transient_bytes(build) <= 0.5 * 8 * n * n
+
+
+def test_gaussian_law_bitwise_equal_to_the_dense_expression():
+    spaces = (build_interval(0, 1, 1), build_interval(-1.0, 2.0, 257, "trapezoid"),
+              merge_spaces(build_interval(0, 1, 40), build_interval(1.3, 2.0, 9)))
+    for space in spaces:
+        for sigma, scale in ((0.2, 1.0), (1e-3, 2.5), (7.0, 1e-300), (0.05, 1e300)):
+            jmat = assemble_kernel(space, "gaussian", sigma=sigma, scale=scale).jmat
+            expected = scale * np.exp(-0.5 * (space.dist / sigma) ** 2)
+            assert jmat.tobytes() == expected.tobytes()
 
 
 def test_operator_zero_kernel_is_minus_diag_h():

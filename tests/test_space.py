@@ -80,6 +80,18 @@ def test_graph_rejects_self_loops_and_bad_measures():
         build_graph(2, [(0, 1, -1.0)], [1.0, 1.0])
 
 
+@pytest.mark.parametrize("edge", [(0, 1.5, 1.0), (0.0, 1, 1.0), ("0", 1, 1.0), (0, None, 1.0),
+                                  (0, 1, np.nan), (0, 1, np.inf), (0, 1, 0.0), (0, 1, "x")])
+def test_graph_rejects_non_integer_endpoints_and_bad_lengths(edge):
+    with pytest.raises((TypeError, ValueError)):
+        build_graph(3, [(1, 2, 1.0), edge], np.ones(3))
+
+
+def test_graph_accepts_numpy_integer_endpoints():
+    g = build_graph(3, [(np.int64(0), np.int32(1), 1.0), (1, 2, np.float32(2.0))], np.ones(3))
+    assert g.dist[0, 2] == 3.0
+
+
 def test_union_keeps_honest_gap():
     u = merge_spaces(build_interval(0, 0.4, 4), build_interval(0.6, 1.0, 4))
     assert u.n == 8
@@ -203,6 +215,23 @@ def test_max_asymmetry_keeps_non_finite_entries(spot, bad, both_ways):
         MeasureSpace(points=None, weights=np.ones(300), dist=d, kind="graph")
 
 
+def _euclidean(pts):
+    """The distance expression merge_spaces evaluated before it summed the
+    squares one coordinate at a time."""
+    diff = pts[:, None, :] - pts[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_union_distances_bitwise_equal_to_the_broadcast_sum(dim):
+    rng = np.random.default_rng(dim)
+    for sizes in ((1, 1), (3, 5, 2), (40, 90)):
+        clouds = [rng.uniform(-3.0, 3.0, (m, dim)) * 10.0 ** rng.integers(-3, 4) for m in sizes]
+        u = merge_spaces(*[MeasureSpace(points=p, weights=np.ones(len(p)), dist=_euclidean(p),
+                                        kind="cloud") for p in clouds])
+        assert u.dist.tobytes() == _euclidean(u.points).tobytes()
+
+
 def test_interval_distances_bitwise_equal_to_the_outer_difference():
     for a, b, n, rule in ((0.0, 1.0, 1, "midpoint"), (-1.3, 2.7, 257, "midpoint"),
                           (-2.0, 2.0, 300, "trapezoid")):
@@ -214,7 +243,8 @@ def test_interval_distances_bitwise_equal_to_the_outer_difference():
 # --- graph queries against frozen copies of the hand-written routines ------
 # The references below are the Floyd-Warshall loop, the BFS and the BFS path
 # search that build_graph and is_r_connected used before they called
-# scipy.sparse.csgraph; results must match them exactly.
+# scipy.sparse.csgraph.  The searches must match them exactly; Dijkstra sums
+# a path in another order than Floyd-Warshall, so distances match to rounding.
 
 
 def _reference_graph_dist(vertices, edges):
@@ -312,14 +342,32 @@ def _radii(rng, space):
         [float(v) for v in exact if v > 0]
 
 
-def test_graph_distances_bitwise_equal_to_floyd_warshall():
+def test_graph_distances_match_floyd_warshall_to_rounding():
     rng = np.random.default_rng(2024)
     for _ in range(300):
         vertices = int(rng.integers(1, 40))
         edges = _random_edges(rng, vertices) if vertices > 1 else []
         g = build_graph(vertices, edges, np.ones(vertices))
         ref = _reference_graph_dist(vertices, edges)
-        assert g.dist.tobytes() == ref.tobytes()
+        assert np.array_equal(g.dist == 0, ref == 0)
+        # paths here are shorter than 80, so only the sentinel reaches 1e3
+        assert np.array_equal(g.dist >= 1e3, ref >= 1e3)
+        assert np.array_equal(g.dist, g.dist.T)
+        # a shortest path sums at most vertices - 1 positive lengths
+        assert np.all(np.abs(g.dist - ref) <= vertices * np.finfo(float).eps * ref)
+
+
+def test_graph_with_long_edges_stays_exactly_symmetric():
+    # a ring with chords whose lengths are near 1e4: the searches from i and
+    # from j round a distance differently by more than MeasureSpace's 1e-12
+    rng = np.random.default_rng(0)
+    edges = [(i, (i + 1) % 16, float(rng.uniform(5e3, 1.5e4))) for i in range(16)]
+    edges += [(int(i), int(j), float(rng.uniform(1e4, 5e4)))
+              for i, j in rng.integers(0, 16, size=(16, 2)) if i != j]
+    g = build_graph(16, edges, np.ones(16))
+    assert np.array_equal(g.dist, g.dist.T)
+    ref = _reference_graph_dist(16, edges)
+    assert np.all(np.abs(g.dist - ref) <= 16 * np.finfo(float).eps * ref)
 
 
 @pytest.mark.parametrize("vertices, edges", [

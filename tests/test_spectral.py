@@ -11,6 +11,9 @@ from nonlocalrd.reaction import CallableReaction
 from nonlocalrd.space import build_graph, build_interval, merge_spaces
 from nonlocalrd.spectral import (
     DENSE_CUTOFF,
+    POWER_MAX_ITER,
+    POWER_RTOL,
+    _power_iteration,
     cw_bounds,
     essential_range,
     principal_value,
@@ -250,6 +253,42 @@ class TestEssentialRange:
         assert len(out) == 10
 
 
+def _reference_essential_range(h, weights, tol=1e-12):
+    """The node-by-node loop essential_range ran before it was vectorized."""
+    vals = -np.asarray(h, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    order = np.argsort(vals)
+    clusters = []
+    cur_vals, cur_ws = [vals[order[0]]], [w[order[0]]]
+    for idx in order[1:]:
+        if vals[idx] - cur_vals[-1] <= tol:
+            cur_vals.append(vals[idx])
+            cur_ws.append(w[idx])
+        else:
+            cw = float(np.sum(cur_ws))
+            clusters.append((float(np.dot(cur_vals, cur_ws) / cw), cw))
+            cur_vals, cur_ws = [vals[idx]], [w[idx]]
+    cw = float(np.sum(cur_ws))
+    clusters.append((float(np.dot(cur_vals, cur_ws) / cw), cw))
+    return clusters
+
+
+@pytest.mark.parametrize("kind", ["distinct", "rounded", "constant", "sin"])
+def test_essential_range_equals_the_frozen_loop(kind):
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 17, 64, 513):
+        x = (np.arange(n) + 0.5) / n
+        h = {"distinct": rng.standard_normal(n),
+             "rounded": np.round(rng.uniform(-1.0, 1.0, n), 1),
+             "constant": np.full(n, rng.uniform(-2.0, 2.0)),
+             "sin": 1.0 + 0.5 * np.sin(2 * np.pi * x)}[kind]
+        for w in (np.full(n, 1.0 / n), rng.uniform(0.1, 2.0, n)):
+            for tol in (1e-12, 1e-3, 0.05):
+                got = essential_range(h, w, tol)
+                assert got == _reference_essential_range(h, w, tol)
+                assert all(type(v) is float and type(m) is float for v, m in got)
+
+
 class TestRayleigh:
     def test_rank_one(self):
         s, k = unit_system(n=64)
@@ -383,3 +422,45 @@ def test_scalar_potential_equals_its_broadcast(h):
     np.testing.assert_array_equal(a.comparison, b.comparison)
     assert (a.dominated, a.lam, a.blowup_time_estimate) == \
         (b.dominated, b.lam, b.blowup_time_estimate)
+
+
+def _reference_power_iteration(bmat):
+    """The power iteration with two matrix products per step, as it ran
+    before the Rayleigh quotient's product was reused."""
+    n = bmat.shape[0]
+    x = np.ones(n) / n
+    lam = 0.0
+    for it in range(POWER_MAX_ITER):
+        y = bmat @ x
+        norm = np.max(np.abs(y))
+        if norm == 0.0:
+            return 0.0, x, True
+        x_new = y / norm
+        lam_new = float(x_new @ (bmat @ x_new)) / float(x_new @ x_new)
+        if it > 0 and abs(lam_new - lam) <= POWER_RTOL * max(1.0, abs(lam_new)):
+            resid = np.max(np.abs(bmat @ x_new - lam_new * x_new))
+            if resid <= 1e-9 * max(1.0, abs(lam_new)):
+                return lam_new, x_new, True
+        x, lam = x_new, lam_new
+    return lam, x, False
+
+
+def test_power_iteration_equals_the_frozen_loop():
+    rng = np.random.default_rng(5)
+    mats = [rng.uniform(0.0, 1.0, (n, n)) for n in (1, 4, 33, 130)]
+    mats += [rng.uniform(0.0, 1.0, (40, 40)) * (rng.uniform(size=(40, 40)) < 0.1)
+             for _ in range(3)]
+    blocks = rng.uniform(0.0, 1.0, (2, 20, 20))
+    reducible = np.zeros((40, 40))
+    reducible[:20, :20], reducible[20:, 20:] = blocks[0], 0.9 * blocks[1]
+    mats += [reducible,
+             np.array([[0.0, 1.0], [0.0, 0.0]]),  # nilpotent: the zero-norm exit
+             np.array([[0.0, 2.0], [1.0, 0.0]])]  # ±√2 alternate: never converges
+    outcomes = set()
+    for bmat in mats:
+        rho, vec, converged = _power_iteration(bmat)
+        ref_rho, ref_vec, ref_converged = _reference_power_iteration(bmat)
+        assert (rho, converged) == (ref_rho, ref_converged)
+        assert vec.tobytes() == ref_vec.tobytes()
+        outcomes.add((converged, rho == 0.0))
+    assert outcomes == {(True, False), (True, True), (False, False)}
