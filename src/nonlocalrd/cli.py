@@ -475,10 +475,9 @@ def _case_logistic(name: str, cfg: dict, out_dir: Path) -> dict:
     t_end = float(cfg["t_end"])
     config = evmod.IntegratorConfig(scheme="rk4", dt=1e-2, t_end=t_end,
                                     store_every=int(round(t_end / 1e-2)))
-    distances = []
-    for c in cfg["trials"]:
-        tr = evmod.evolve_nonlinear(op, f, np.full(n, float(c)), config)
-        distances.append(float(np.max(np.abs(tr.final() - es.phi_M))))
+    data = np.outer(np.asarray(cfg["trials"], dtype=float), np.ones(n))  # one row per trial
+    tr = evmod.evolve_nonlinear(op, f, data, config)
+    distances = np.max(np.abs(tr.final() - es.phi_M), axis=1).tolist()
     return {
         "case": name,
         "lambda_of_n": lam_n,

@@ -444,21 +444,17 @@ def uniqueness_experiment(op: NonlocalOperator, f: Reaction, trial_data,
         raise ValueError("uniqueness experiment needs f(·,0) >= 0")
     if not f_over_s_decreasing(f, np.logspace(-3, 1, 128)):
         raise ValueError("hypothesis not met: f(x,s)/s is not strictly decreasing")
-    es = extremal_equilibria(op, f)
-    phi_M = es.phi_M
+    data = np.array([np.broadcast_to(np.asarray(u0, dtype=float), (op.n,))
+                     for u0 in trial_data])  # one row per datum, one run for all
+    if np.any(data < 0):
+        raise ValueError("trial data must be nonnegative")
+    phi_M = extremal_equilibria(op, f).phi_M
     zero_reaction = float(np.max(np.abs(f.g0))) == 0.0
-    distances: List[float] = []
-    trivial: List[bool] = []
     config = IntegratorConfig(scheme="rk4", dt=dt, t_end=t_end,
                               store_every=max(1, int(round(t_end / dt))))
-    for u0 in trial_data:
-        u0 = np.broadcast_to(np.asarray(u0, dtype=float), (op.n,))
-        if np.any(u0 < 0):
-            raise ValueError("trial data must be nonnegative")
-        is_trivial = zero_reaction and float(np.max(np.abs(u0))) == 0.0
-        end = evolve_nonlinear(op, f, u0, config).final()
-        distances.append(float(np.max(np.abs(end - phi_M))))
-        trivial.append(is_trivial)
+    ends = evolve_nonlinear(op, f, data, config).final()
+    distances = np.max(np.abs(ends - phi_M), axis=1).tolist()
+    trivial = [zero_reaction and float(np.max(np.abs(u0))) == 0.0 for u0 in data]
     live = [d for d, t in zip(distances, trivial) if not t]
     return UniquenessReport(phi_M=phi_M, distances=distances, trivial=trivial,
                             all_agree=bool(live) and all(d <= tol for d in live),

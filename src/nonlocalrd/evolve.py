@@ -19,6 +19,11 @@ Stepper holding the prepared one-step map.  evolve_nonlinear builds
 one and runs the single stepping loop: per step it applies the map,
 makes one cheap blow-up test and stores the state on steps chosen
 before the loop.
+
+A (k, n) batch u0, one datum per row, is one run with states (len(times), k, n),
+each step mapping all rows at once (v·Mᵀ).  The truncation level and β come from
+max|u0| over the batch, valid for every row, so rows equal separate runs when
+trunc_k and β are given or coincide; the run stops when any row blows up.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ class IntegratorConfig:
 @dataclass
 class Trajectory:
     times: np.ndarray
-    states: np.ndarray  # (len(times), n)
+    states: np.ndarray  # (len(times), n); (len(times), k, n) for a batch of k data
     scheme: str
     dt: float
     metadata: dict = field(default_factory=dict)
@@ -229,22 +234,25 @@ def make_stepper(op: NonlocalOperator, f: Reaction, u0: np.ndarray,
     use the raw reaction.
     """
     dt = config.dt
+    # v ↦ M·v on one state; on a (k, n) batch u0, v·Mᵀ maps every row at once
+    matvec = (lambda m: m.T.__rmatmul__) if np.ndim(u0) == 2 else (lambda m: m.__matmul__)
     beta = k = propagator = None
     if config.scheme == "euler_op":
         f_used, beta, k = _prepare_monotone(op, f, u0, config)
         config.check_monotone_dt(op.h, beta)
         kw = op.amat.copy()  # jmat @ diag(w), the positive part
         kw.flat[::op.n + 1] += op.h
+        kw_v = matvec(kw)
         decay = 1.0 - dt * (op.h + beta)
 
         def step(v):
-            return decay * v + dt * (kw @ v) + dt * (f_used.apply(v) + beta * v)
+            return decay * v + dt * kw_v(v) + dt * (f_used.apply(v) + beta * v)
     elif config.scheme == "rk4":
-        amat = op.amat
+        amat_v = matvec(op.amat)
         half, sixth = 0.5 * dt, dt / 6.0
 
         def rhs(v):
-            return amat @ v + f.apply(v)
+            return amat_v(v) + f.apply(v)
 
         def step(v):
             k1 = rhs(v)
@@ -256,9 +264,10 @@ def make_stepper(op: NonlocalOperator, f: Reaction, u0: np.ndarray,
         beta = float(config.beta) if config.beta is not None else 0.0
         emat, phi1, propagator = _expm_phi1((op.amat - beta * np.eye(op.n)) * dt)
         phi1 *= dt
+        emat_v, phi1_v = matvec(emat), matvec(phi1)
 
         def step(v):
-            return emat @ v + phi1 @ (f.apply(v) + beta * v)
+            return emat_v(v) + phi1_v(f.apply(v) + beta * v)
     return Stepper(step=step, beta=beta, trunc_k=k, propagator=propagator)
 
 
@@ -271,8 +280,8 @@ def evolve_nonlinear(op: NonlocalOperator, f: Reaction, u0: np.ndarray,
     threshold; the last finite state is stored.
     """
     u = np.array(u0, dtype=float)
-    if u.shape != (op.n,):
-        raise ValueError("initial state length mismatch")
+    if u.ndim not in (1, 2) or u.shape[-1] != op.n or u.size == 0:
+        raise ValueError(f"initial state shape {u.shape} is not (n,) or (k >= 1, n), n = {op.n}")
     if not np.all(np.isfinite(u)):
         raise ValueError("initial state must be finite")
     nsteps = _nsteps(config.dt, config.t_end)
@@ -289,7 +298,7 @@ def evolve_nonlinear(op: NonlocalOperator, f: Reaction, u0: np.ndarray,
     # failing it takes the exact test.  Outside [1e-150, 1e150] thr² is
     # no normal double and every state takes the exact test.  np.vdot
     # reads no floating-point status, so an overflowing sum neither warns
-    # nor raises under any np.errstate.
+    # nor raises under any np.errstate.  It flattens a batch.
     guard = 0.25 * thr * thr if 1e-150 <= thr <= 1e150 else None
     every = config.store_every
     next_store = min(every, nsteps)
@@ -508,6 +517,8 @@ def kaplan_witness(kernel: Kernel, h, rho: float, trajectory: Trajectory,
 
     if not kernel.symmetric:
         raise ValueError("the witness needs a symmetric kernel")
+    if trajectory.states.ndim != 2:
+        raise ValueError(f"the witness needs one datum, not states of shape {trajectory.states.shape}")
     rep = principal_value(build_operator(kernel, np.zeros(kernel.space.n)), "auto")
     if not rep.is_principal:
         raise ValueError("kernel has no positive principal eigenfunction")
@@ -555,6 +566,8 @@ def fit_growth_constant(op: NonlocalOperator, trajectory: Trajectory,
     """Smallest M with ‖u(t)‖_∞ <= M e^{(Λ+margin) t} ‖u0‖_∞ on the stored orbit."""
     from nonlocalrd.spectral import principal_value
 
+    if trajectory.states.ndim != 2:
+        raise ValueError(f"the fit needs one datum, not states of shape {trajectory.states.shape}")
     lam = principal_value(op).lam + margin
     norms = np.max(np.abs(trajectory.states), axis=1)
     base = norms[0]

@@ -47,12 +47,13 @@ class Reaction:
         return (self.eval_grid(smat + step) - self.eval_grid(smat - step)) / (2 * step)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """Nemitcky lift: F(u)[i] = f(x_i, u_i).
+        """Nemitcky lift: F(u)[i] = f(x_i, u_i), and row by row on a (k, n) batch.
 
-        Subclasses may override it with a 1-D path, which must do the
-        IEEE operations of eval_grid(u[:, None])[:, 0] in the same order.
+        Subclasses may override it with a path broadcasting along the last
+        axis, which must do the IEEE operations of eval_grid in the same order.
         """
-        return self.eval_grid(np.asarray(u, dtype=float)[:, None])[:, 0]
+        u = np.asarray(u, dtype=float)
+        return self.eval_grid(u[:, None])[:, 0] if u.ndim == 1 else self.eval_grid(u.T).T
 
     def apply_ds(self, u: np.ndarray) -> np.ndarray:
         return self.eval_ds_grid(np.asarray(u, dtype=float)[:, None])[:, 0]

@@ -60,9 +60,9 @@ class MeasureSpace:
             raise ValueError("distance matrix shape mismatch")
         if np.any(np.abs(np.diagonal(d)) > 0):
             raise ValueError("metric must vanish on the diagonal")
-        # NaN fails the comparison, so a non-finite distance is rejected too
+        # relative to max|d|; NaN fails both tests and an inf scale the second
         asym = _max_asymmetry(d)
-        if not (asym <= 1e-12):
+        if not (asym <= 1e-12 or asym <= 1e-12 * max(np.max(d), -np.min(d)) < np.inf):
             raise ValueError("metric must be symmetric with finite distances")
         # searches read d < r as a relation, so store d exactly symmetric
         object.__setattr__(self, "dist", np.minimum(d, d.T) if asym > 0 else d)
@@ -174,7 +174,7 @@ def build_graph(vertices: int, edges: list, vertex_measures) -> MeasureSpace:
     rows, cols = np.array(list(shortest), dtype=np.intp).reshape(-1, 2).T
     graph = csr_array((list(shortest.values()), (rows, cols)), shape=(vertices, vertices))
     d = dijkstra(graph, directed=False)
-    # searches from i and from j round d[i, j] apart, beyond 1e-12 for long edges
+    # searches from i and from j round d[i, j] apart, in proportion to its length
     np.minimum(d, d.T, out=d)
     unreachable = np.isinf(d)
     diam = float(np.max(d, where=~unreachable, initial=0.0))

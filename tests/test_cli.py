@@ -304,6 +304,22 @@ class TestCaseCommand:
         assert payload["lambda_of_n"] < 0
         assert payload["phi_M_value"] == pytest.approx(0.0, abs=1e-6)
 
+    def test_logistic_trials_are_one_run(self, tmp_path, monkeypatch):
+        import nonlocalrd.evolve as evmod
+
+        runs, real = [], evmod.evolve_nonlinear
+
+        def counted(op, f, u0, cfg):
+            runs.append(np.shape(u0))
+            return real(op, f, u0, cfg)
+
+        monkeypatch.setattr(evmod, "evolve_nonlinear", counted)
+        rc = main(["--out", str(tmp_path), "case", "logistic-sub",
+                   "--set", "n=32", "--set", "t_end=5.0"])
+        assert rc == 0 and runs == [(2, 32)]
+        payload = json.loads((tmp_path / "case_logistic-sub.json").read_text())
+        assert len(payload["trial_distances_to_phi_M"]) == 2
+
     def test_blowup_case(self, tmp_path):
         rc = main(["--out", str(tmp_path), "case", "blowup", "--set", "n=32"])
         assert rc == 0

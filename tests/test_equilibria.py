@@ -382,6 +382,35 @@ class TestUniqueness:
         assert rep.all_agree
         assert all(d <= 1e-4 for d in rep.distances)
 
+    def counted_runs(self, monkeypatch):
+        import nonlocalrd.equilibria as eqmod
+
+        runs, real = [], eqmod.evolve_nonlinear
+
+        def counted(op, f, u0, cfg):
+            runs.append((cfg.scheme, np.shape(u0)))
+            return real(op, f, u0, cfg)
+
+        monkeypatch.setattr(eqmod, "evolve_nonlinear", counted)
+        return runs
+
+    def test_one_run_for_all_data(self, monkeypatch):
+        n = 24
+        _, _, op = unit_op(n)
+        runs = self.counted_runs(monkeypatch)
+        rep = uniqueness_experiment(op, logistic(n), [0.1, np.full(n, 1.0), 5.0], t_end=10.0)
+        # the monotone orbits of extremal_equilibria take euler_op
+        assert [shape for scheme, shape in runs if scheme == "rk4"] == [(3, n)]
+        assert len(rep.distances) == len(rep.trivial) == 3
+
+    def test_negative_datum_rejected_before_any_run(self, monkeypatch):
+        n = 24
+        _, _, op = unit_op(n)
+        runs = self.counted_runs(monkeypatch)
+        with pytest.raises(ValueError, match="nonnegative"):
+            uniqueness_experiment(op, logistic(n), [0.5, -1.0], t_end=1.0)
+        assert runs == []
+
     def test_positive_source_at_two_resolutions(self):
         values = []
         for n in (128, 256):

@@ -36,6 +36,7 @@ from nonlocalrd.reaction import (
 )
 from nonlocalrd.space import build_interval
 from nonlocalrd.spectral import cw_bounds
+from nonlocalrd.verify import EXACT_TOL
 
 
 def unit_op(n=32, c=1.0, h=None):
@@ -551,6 +552,114 @@ class TestPreparedStepper:
         run = evolve_nonlinear(op, f, u0, cfg).metadata
         for key in ("beta", "trunc_k", "propagator"):
             assert getattr(stepper, key) == meta[key] == run[key], key
+
+
+def batch_reaction(kind, n, seed=0):
+    """Per-node coefficients, so that a coefficient broadcast along the wrong
+    axis of a square batch changes the result; "callable" reaches the
+    generic Reaction.apply through the wrappers."""
+    rng = np.random.default_rng(seed)
+    if kind == "logistic":
+        f = LogisticReaction(g=rng.uniform(0.0, 0.3, n), n=rng.uniform(0.5, 1.5, n),
+                             m=rng.uniform(0.5, 1.5, n), rho=3.0)
+    else:
+        coef = rng.uniform(0.5, 1.5, (n, 1))
+        f = CallableReaction(lambda s: coef * s - s ** 3, lambda s: coef - 3 * s ** 2,
+                             n_nodes=n)
+    return add_bump(absorb_potential(f, rng.uniform(0.0, 0.2, n)), rng.uniform(0.0, 0.1, n))
+
+
+def batch_data(k, n, seed=1):
+    return np.random.default_rng(seed).uniform(0.0, 1.5, size=(k, n))
+
+
+def assert_rows_are_separate_runs(op, f, data, cfg, tol, stored=None):
+    """Each row of the batch run against the 1-D run of its datum, on the
+    first `stored` stored states (all by default)."""
+    tr = evolve_nonlinear(op, f, data, cfg)
+    assert tr.states.shape == (len(tr.times),) + data.shape
+    for j, row in enumerate(data):
+        one = evolve_nonlinear(op, f, row, cfg)
+        last = len(tr.times) if stored is None else stored
+        assert one.times[:last].tolist() == tr.times[:last].tolist()
+        scale = max(1.0, float(np.max(np.abs(one.states))))
+        np.testing.assert_allclose(tr.states[:last, j], one.states[:last], rtol=0,
+                                   atol=tol * scale)
+    return tr
+
+
+class TestBatch:
+    """A (k, n) batch is one run whose rows are the runs of its data."""
+
+    N = 20
+
+    @pytest.mark.parametrize("scheme", ["rk4", "vcf_exact_linear"])
+    @pytest.mark.parametrize("kind", ["logistic", "callable"])
+    @pytest.mark.parametrize("k", [1, 3, N])  # k = n: the square batch
+    def test_rows_equal_separate_runs(self, scheme, kind, k):
+        op, _, _ = smooth_system(self.N)
+        cfg = IntegratorConfig(scheme=scheme, dt=0.01, t_end=0.5, store_every=7,
+                               beta=0.5 if scheme == "vcf_exact_linear" else None)
+        tr = assert_rows_are_separate_runs(op, batch_reaction(kind, self.N),
+                                           batch_data(k, self.N), cfg, 1e-13)
+        assert tr.metadata["steps"].tolist() == [0, 7, 14, 21, 28, 35, 42, 49, 50]
+
+    @pytest.mark.parametrize("kind", ["logistic", "callable"])
+    @pytest.mark.parametrize("k", [1, 3, N])
+    def test_euler_op_rows_keep_order_and_sign(self, kind, k):
+        op, _, _ = smooth_system(self.N)
+        f = batch_reaction(kind, self.N)
+        # ordered nonnegative rows; f(x, 0) >= 0 for both reactions
+        data = np.sort(batch_data(k, self.N), axis=0)
+        cfg = monotone_config(op, f, data, 0.5, store_every=3)  # β and trunc_k shared
+        tr = assert_rows_are_separate_runs(op, f, data, cfg, EXACT_TOL)
+        assert tr.metadata["trunc_k"] == cfg.trunc_k and tr.metadata["beta"] == cfg.beta
+        assert np.min(tr.states) >= 0.0
+        assert np.all(np.diff(tr.states, axis=1) >= -EXACT_TOL)
+
+    def test_truncation_level_comes_from_the_whole_batch(self):
+        op, _, _ = smooth_system(self.N)
+        f = batch_reaction("logistic", self.N)
+        data = batch_data(2, self.N) * np.array([[1.0], [4.0]])
+        cfg = IntegratorConfig(scheme="euler_op", dt=1e-3, t_end=0.5)
+        both = make_stepper(op, f, data, cfg)
+        assert both.trunc_k == make_stepper(op, f, data[1], cfg).trunc_k
+        assert both.trunc_k > make_stepper(op, f, data[0], cfg).trunc_k
+
+    @pytest.mark.parametrize("scheme", ["rk4", "vcf_exact_linear", "euler_op"])
+    def test_run_stops_when_one_row_blows_up(self, scheme):
+        _, _, op = unit_op(12)
+        f = CallableReaction(lambda s: s ** 3, lambda s: 3 * s ** 2, n_nodes=12)
+        data = np.stack([np.full(12, 0.1), np.full(12, 2.0), np.linspace(0.0, 0.2, 12)])
+        extra = {"trunc_k": 1e6, "beta": 1.0} if scheme == "euler_op" else {}
+        cfg = IntegratorConfig(scheme=scheme, dt=1e-3, t_end=1.0, blowup_threshold=50.0,
+                               store_every=4, **extra)
+        alone = evolve_nonlinear(op, f, data[1], cfg)
+        assert alone.blowup and not evolve_nonlinear(op, f, data[0], cfg).blowup
+        tol = EXACT_TOL if scheme == "euler_op" else 1e-13
+        tr = assert_rows_are_separate_runs(op, f, data, cfg, tol, stored=len(alone.times) - 1)
+        assert tr.blowup and tr.metadata["blowup_time"] == alone.metadata["blowup_time"]
+        assert tr.times.tolist() == alone.times.tolist()
+        assert tr.metadata["steps"].tolist() == alone.metadata["steps"].tolist()
+        # the blow-up state: rounding differences grow with the solution
+        assert np.max(tr.states[-1, 1]) > cfg.blowup_threshold
+        np.testing.assert_allclose(tr.states[-1, 1], alone.states[-1], rtol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(0, 12), (2, 11), (1, 2, 12), ()])
+    def test_rejects_misshapen_data(self, shape):
+        _, _, op = unit_op(12)
+        cfg = IntegratorConfig(scheme="rk4", dt=0.01, t_end=0.1)
+        with pytest.raises(ValueError, match="shape"):
+            evolve_nonlinear(op, zero_reaction(12), np.ones(shape), cfg)
+
+    def test_single_datum_consumers_reject_a_batch(self):
+        s, k, op = unit_op(16)
+        cfg = IntegratorConfig(scheme="rk4", dt=1e-2, t_end=0.1)
+        tr = evolve_nonlinear(op, zero_reaction(16), np.ones((2, 16)), cfg)
+        with pytest.raises(ValueError, match=r"\(11, 2, 16\)"):
+            kaplan_witness(k, np.zeros(16), 3.0, tr)
+        with pytest.raises(ValueError, match=r"\(11, 2, 16\)"):
+            fit_growth_constant(op, tr)
 
 
 def _scripted_stepper(script):

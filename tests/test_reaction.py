@@ -147,6 +147,41 @@ def test_apply_is_bitwise_the_grid_column(name, f):
             assert f.apply(list(u)).tobytes() == grid.tobytes()
 
 
+def _batch_cases():
+    """_apply_cases plus every wrapper around a CallableReaction, alone and
+    nested, for an x-independent and an x-dependent callable (the generic
+    Reaction.apply has to hand eval_grid each node's values along axis 0)."""
+    rng = np.random.default_rng(13)
+    coef = rng.uniform(-1, 1, (N_APPLY, 1))
+    bump, h = rng.uniform(0, 1, N_APPLY), rng.uniform(-1, 1, N_APPLY)
+    cases = _apply_cases()
+    for label, fun in (("cube", cube(N_APPLY)),
+                       ("x-dependent", CallableReaction(lambda s: coef * s - s ** 3,
+                                                        n_nodes=N_APPLY))):
+        cases += [
+            (f"{label}", fun),
+            (f"truncated-{label}", TruncatedReaction(fun, K_APPLY)),
+            (f"shifted-{label}", ShiftedReaction(fun, bump)),
+            (f"absorbed-{label}", PotentialAbsorbedReaction(fun, h)),
+            (f"nested-{label}", TruncatedReaction(
+                ShiftedReaction(PotentialAbsorbedReaction(fun, h), bump), K_APPLY)),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("name, f", _batch_cases(), ids=[c[0] for c in _batch_cases()])
+@pytest.mark.parametrize("k", [1, 3, N_APPLY])  # k = n: the square batch
+def test_batch_apply_is_bitwise_the_rows(name, f, k):
+    pool = np.stack(_apply_inputs())
+    mixed = np.random.default_rng(k).permutation(np.resize(pool, k * N_APPLY))
+    with np.errstate(all="ignore"):
+        for batch in (pool[np.arange(k) % len(pool)], mixed.reshape(k, N_APPLY)):
+            out = f.apply(batch)
+            assert out.shape == (k, N_APPLY)
+            for j in range(k):
+                assert out[j].tobytes() == f.apply(batch[j]).tobytes(), (name, batch[j])
+
+
 class TestStructureBounds:
     def test_plain_logistic(self):
         f = LogisticReaction(g=0.0, n=2.0, m=1.0, rho=3.0, n_nodes=4)

@@ -167,7 +167,7 @@ def test_non_finite_weight_rejected(bad):
 
 def test_asymmetry_beyond_tolerance_rejected():
     d = _path_metric(4)
-    d[0, 3] += 2e-12
+    d[0, 3] += 4e-12  # the tolerance is 1e-12·max|d| = 3e-12
     with pytest.raises(ValueError, match="symmetric"):
         MeasureSpace(points=None, weights=np.ones(4), dist=d, kind="graph")
 
@@ -177,6 +177,33 @@ def test_asymmetry_within_tolerance_accepted():
     d[0, 3] += 5e-13
     s = MeasureSpace(points=None, weights=np.ones(4), dist=d, kind="graph")
     assert s.dist[0, 3] - s.dist[3, 0] == pytest.approx(5e-13, rel=1e-2)
+
+
+def _ring_dijkstra(vertices, lengths):
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import dijkstra
+
+    ring = np.arange(vertices)
+    graph = csr_array((lengths, (ring, (ring + 1) % vertices)), shape=(vertices, vertices))
+    return dijkstra(graph, directed=False)
+
+
+def test_long_computed_metric_within_relative_tolerance_accepted():
+    # Dijkstra's distances on a ring with lengths near 1e4 are asymmetric by
+    # far more than 1e-12 but by far less than 1e-12·max|d|
+    d = _ring_dijkstra(64, np.random.default_rng(0).uniform(0.9e4, 1.1e4, size=64))
+    assert 1e-12 < _max_asymmetry(d) <= 1e-12 * np.max(d)
+    s = MeasureSpace(points=None, weights=np.ones(64), dist=d, kind="graph")
+    assert np.array_equal(s.dist, s.dist.T)
+    assert np.array_equal(s.dist, np.minimum(d, d.T))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_relative_tolerance_still_rejects_non_finite_distances(bad):
+    d = _ring_dijkstra(8, np.full(8, 1e4))
+    d[0, 3] = bad  # an inf scale must not excuse an inf asymmetry
+    with pytest.raises(ValueError, match="symmetric with finite distances"):
+        MeasureSpace(points=None, weights=np.ones(8), dist=d, kind="graph")
 
 
 def _dense_asymmetry(a):

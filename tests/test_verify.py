@@ -53,6 +53,19 @@ def test_narrow_tophat_strong_check_uses_hop_chaining():
     assert rep.failures == 0, rep.details
 
 
+def test_asymptotic_suite_makes_one_two_row_run_per_trial(monkeypatch):
+    runs, real = [], verify.evolve_nonlinear
+
+    def counted(op, f, u0, cfg):
+        runs.append(np.shape(u0))
+        return real(op, f, u0, cfg)
+
+    monkeypatch.setattr(verify, "evolve_nonlinear", counted)
+    rep = asymptotic_suite(3, 0)
+    assert rep.failures == 0, rep.details
+    assert len(runs) == 3 and all(shape[0] == 2 for shape in runs)
+
+
 def test_asymptotic_suite_passes():
     rep = asymptotic_suite(6, SEED)
     assert rep.failures == 0, rep.details
