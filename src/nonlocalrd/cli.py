@@ -464,6 +464,9 @@ def _cmd_case(args, out_dir: Path) -> int:
 
 
 def _case_logistic(name: str, cfg: dict, out_dir: Path) -> dict:
+    trials = cfg["trials"]
+    if not trials or not isinstance(trials, list) or not all(isinstance(c, (int, float)) for c in trials):
+        raise ConfigError("trials", f"expected a non-empty list of numbers, got {trials!r}")
     n = int(cfg["n"])
     space, kern, op = _case_system(n)
     f = rxmod.LogisticReaction(g=float(cfg["g"]), n=float(cfg["ncoef"]),
@@ -475,7 +478,7 @@ def _case_logistic(name: str, cfg: dict, out_dir: Path) -> dict:
     t_end = float(cfg["t_end"])
     config = evmod.IntegratorConfig(scheme="rk4", dt=1e-2, t_end=t_end,
                                     store_every=int(round(t_end / 1e-2)))
-    data = np.outer(np.asarray(cfg["trials"], dtype=float), np.ones(n))  # one row per trial
+    data = np.outer(np.asarray(trials, dtype=float), np.ones(n))  # one row per trial
     tr = evmod.evolve_nonlinear(op, f, data, config)
     distances = np.max(np.abs(tr.final() - es.phi_M), axis=1).tolist()
     return {

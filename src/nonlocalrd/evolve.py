@@ -21,7 +21,7 @@ makes one cheap blow-up test and stores the state on steps chosen
 before the loop.
 
 A (k, n) batch u0, one datum per row, is one run with states (len(times), k, n),
-each step mapping all rows at once (v·Mᵀ).  The truncation level and β come from
+each step mapping all rows at once as (M @ v.T).T.  The truncation level and β come from
 max|u0| over the batch, valid for every row, so rows equal separate runs when
 trunc_k and β are given or coincide; the run stops when any row blows up.
 """
@@ -234,25 +234,22 @@ def make_stepper(op: NonlocalOperator, f: Reaction, u0: np.ndarray,
     use the raw reaction.
     """
     dt = config.dt
-    # v ↦ M·v on one state; on a (k, n) batch u0, v·Mᵀ maps every row at once
-    matvec = (lambda m: m.T.__rmatmul__) if np.ndim(u0) == 2 else (lambda m: m.__matmul__)
     beta = k = propagator = None
     if config.scheme == "euler_op":
         f_used, beta, k = _prepare_monotone(op, f, u0, config)
         config.check_monotone_dt(op.h, beta)
         kw = op.amat.copy()  # jmat @ diag(w), the positive part
         kw.flat[::op.n + 1] += op.h
-        kw_v = matvec(kw)
         decay = 1.0 - dt * (op.h + beta)
 
         def step(v):
-            return decay * v + dt * kw_v(v) + dt * (f_used.apply(v) + beta * v)
+            return decay * v + dt * (kw @ v.T).T + dt * (f_used.apply(v) + beta * v)
     elif config.scheme == "rk4":
-        amat_v = matvec(op.amat)
+        amat = op.amat
         half, sixth = 0.5 * dt, dt / 6.0
 
         def rhs(v):
-            return amat_v(v) + f.apply(v)
+            return (amat @ v.T).T + f.apply(v)
 
         def step(v):
             k1 = rhs(v)
@@ -264,10 +261,9 @@ def make_stepper(op: NonlocalOperator, f: Reaction, u0: np.ndarray,
         beta = float(config.beta) if config.beta is not None else 0.0
         emat, phi1, propagator = _expm_phi1((op.amat - beta * np.eye(op.n)) * dt)
         phi1 *= dt
-        emat_v, phi1_v = matvec(emat), matvec(phi1)
 
         def step(v):
-            return emat_v(v) + phi1_v(f.apply(v) + beta * v)
+            return (emat @ v.T).T + (phi1 @ (f.apply(v) + beta * v).T).T
     return Stepper(step=step, beta=beta, trunc_k=k, propagator=propagator)
 
 

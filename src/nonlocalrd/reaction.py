@@ -53,10 +53,11 @@ class Reaction:
         axis, which must do the IEEE operations of eval_grid in the same order.
         """
         u = np.asarray(u, dtype=float)
-        return self.eval_grid(u[:, None])[:, 0] if u.ndim == 1 else self.eval_grid(u.T).T
+        return self.eval_grid(np.atleast_2d(u).T).T.reshape(u.shape)
 
     def apply_ds(self, u: np.ndarray) -> np.ndarray:
-        return self.eval_ds_grid(np.asarray(u, dtype=float)[:, None])[:, 0]
+        u = np.asarray(u, dtype=float)
+        return self.eval_ds_grid(np.atleast_2d(u).T).T.reshape(u.shape)
 
     def at(self, i: int, s: float) -> float:
         smat = np.zeros((self.n_nodes, 1))

@@ -320,6 +320,14 @@ class TestCaseCommand:
         payload = json.loads((tmp_path / "case_logistic-sub.json").read_text())
         assert len(payload["trial_distances_to_phi_M"]) == 2
 
+    @pytest.mark.parametrize("trials", ["[]", "[[0.1, 0.2]]", "0.5", "[0.5, \"x\"]"])
+    def test_logistic_trials_must_be_a_flat_list(self, tmp_path, capsys, trials):
+        rc = main(["--out", str(tmp_path), "case", "logistic-sub",
+                   "--set", "n=16", "--set", f"trials={trials}"])
+        assert rc == 2
+        assert "config field 'trials'" in capsys.readouterr().err
+        assert not (tmp_path / "case_logistic-sub.json").exists()
+
     def test_blowup_case(self, tmp_path):
         rc = main(["--out", str(tmp_path), "case", "blowup", "--set", "n=32"])
         assert rc == 0

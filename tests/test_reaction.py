@@ -182,6 +182,26 @@ def test_batch_apply_is_bitwise_the_rows(name, f, k):
                 assert out[j].tobytes() == f.apply(batch[j]).tobytes(), (name, batch[j])
 
 
+@pytest.mark.parametrize("name, f", _batch_cases(), ids=[c[0] for c in _batch_cases()])
+@pytest.mark.parametrize("k", [1, 3, N_APPLY])
+def test_batch_apply_ds_is_bitwise_the_rows(name, f, k):
+    batch = np.stack(_apply_inputs())[np.arange(k) % len(_apply_inputs())]
+    with np.errstate(all="ignore"):
+        out = f.apply_ds(batch)
+        assert out.shape == (k, N_APPLY)
+        for j in range(k):
+            assert out[j].tobytes() == f.apply_ds(batch[j]).tobytes(), (name, batch[j])
+
+
+@pytest.mark.parametrize("dfun", [lambda s: np.array([[1.0], [2.0], [3.0]]) + 0 * s, None],
+                         ids=["analytic", "finite-difference"])
+def test_batch_apply_ds_per_node(dfun):
+    c = np.array([[1.0], [2.0], [3.0]])
+    f = CallableReaction(lambda s: c * s, dfun, n_nodes=3)
+    np.testing.assert_allclose(f.apply_ds(np.ones((2, 3))), [[1, 2, 3], [1, 2, 3]], rtol=1e-9)
+    np.testing.assert_allclose(f.apply_ds(np.ones(3)), [1, 2, 3], rtol=1e-9)
+
+
 class TestStructureBounds:
     def test_plain_logistic(self):
         f = LogisticReaction(g=0.0, n=2.0, m=1.0, rho=3.0, n_nodes=4)
