@@ -417,6 +417,8 @@ def _set_override(cfg: dict, dotted: str, value: str) -> None:
     cur = cfg
     for k in keys[:-1]:
         cur = cur.setdefault(k, {})
+        if not isinstance(cur, dict):
+            raise ConfigError("--set", f"cannot set {dotted!r}: {k!r} holds {cur!r}, not an object")
     try:
         cur[keys[-1]] = json.loads(value)
     except json.JSONDecodeError:

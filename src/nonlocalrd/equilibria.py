@@ -141,7 +141,7 @@ def _block_config(op: NonlocalOperator, f: Reaction, k_window: float,
 
 
 def _monotone_orbit(op: NonlocalOperator, f: Reaction, u_start: np.ndarray,
-                    direction: int, tol: float, k_window: float,
+                    direction: int, tol: float, k_window: float, beta: float,
                     block_t: float = 1.0):
     """Iterate unit time blocks of the order-preserving scheme.
 
@@ -157,7 +157,6 @@ def _monotone_orbit(op: NonlocalOperator, f: Reaction, u_start: np.ndarray,
     scale = 1.0 + float(np.max(np.abs(u)))
     blocks = 0
     criterion = "sup"
-    beta = monotone_shift(truncate(f, k_window), k_window)  # fixed by f and the window
     config = _block_config(op, f, k_window, block_t, beta)
     while blocks < MAX_BLOCKS:
         u_new = evolve_nonlinear(op, f, u, config).final()
@@ -228,17 +227,17 @@ def extremal_equilibria(op: NonlocalOperator, f: Reaction,
     eps = epsilon if epsilon is not None else 1e-3 * (1.0 + float(np.max(np.abs(phi))))
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    k_window = _orbit_window(op, f, pad=eps)
+    k_window, beta = _orbit_window(op, f, pad=eps)
 
-    upper, it_up, crit_up = _monotone_orbit(op, f, phi + eps, -1, tol, k_window)
-    lower, it_dn, crit_dn = _monotone_orbit(op, f, -phi - eps, +1, tol, k_window)
+    upper, it_up, crit_up = _monotone_orbit(op, f, phi + eps, -1, tol, k_window, beta)
+    lower, it_dn, crit_dn = _monotone_orbit(op, f, -phi - eps, +1, tol, k_window, beta)
     phi_M = newton_refine(op, f, upper)
     phi_m = newton_refine(op, f, lower)
 
     phi_m_plus = None
     it_plus = 0
     if np.all(f.g0 >= -1e-14):
-        phi_m_plus, it_plus = _minimal_nonnegative(op, f, tol, k_window)
+        phi_m_plus, it_plus = _minimal_nonnegative(op, f, tol, k_window, beta)
 
     res = {"phi_M": residual_norm(op, f, phi_M), "phi_m": residual_norm(op, f, phi_m)}
     if phi_m_plus is not None:
@@ -263,10 +262,10 @@ def _check_equilibrium_set(es: EquilibriumSet) -> None:
         raise RuntimeError("equilibrium residual above tolerance")
 
 
-def _minimal_nonnegative(op, f, tol, k_window):
+def _minimal_nonnegative(op, f, tol, k_window, beta):
     if float(np.max(np.abs(f.g0))) == 0.0:
         return np.zeros(op.n), 0
-    u, blocks, _ = _monotone_orbit(op, f, np.zeros(op.n), +1, tol, k_window)
+    u, blocks, _ = _monotone_orbit(op, f, np.zeros(op.n), +1, tol, k_window, beta)
     return newton_refine(op, f, u), blocks
 
 
@@ -275,17 +274,18 @@ def minimal_nonnegative_equilibrium(op: NonlocalOperator, f: Reaction,
     """Monotone limit from u0 = 0; zero itself when f(·,0) vanishes."""
     if np.any(f.g0 < -1e-14):
         raise ValueError("needs f(·,0) >= 0 so that 0 is a subsolution")
-    vec, _ = _minimal_nonnegative(op, f, tol, _orbit_window(op, f))
+    vec, _ = _minimal_nonnegative(op, f, tol, *_orbit_window(op, f))
     return vec
 
 
-def _orbit_window(op: NonlocalOperator, f: Reaction, pad: float = 1.0) -> float:
-    """Truncation level covering every monotone orbit inside the envelope."""
+def _orbit_window(op: NonlocalOperator, f: Reaction, pad: float = 1.0) -> Tuple[float, float]:
+    """Truncation level covering every monotone orbit in the envelope, and its β."""
     c_eff, d_vec, phi = _envelope(op, f)
     c1 = float(np.max(c_eff)) + float(np.max(np.abs(op.h0 - op.h)))
     m_start = float(np.max(np.abs(phi))) + pad
     level = supersolution_ode(c1, float(np.max(d_vec)), m_start, 1.0).level
-    return max(m_start, level) * (1 + 1e-9) + 1e-9
+    k_window = max(m_start, level) * (1 + 1e-9) + 1e-9
+    return k_window, monotone_shift(truncate(f, k_window), k_window)
 
 
 def minimal_positive_equilibrium(op: NonlocalOperator, f: Reaction, m_lower,
@@ -302,19 +302,19 @@ def minimal_positive_equilibrium(op: NonlocalOperator, f: Reaction, m_lower,
         raise ValueError("s0 must be positive")
     m_lower = np.broadcast_to(np.asarray(m_lower, dtype=float), (op.n,))
     grid = np.linspace(0.0, s0, 65)
-    smat = np.broadcast_to(grid, (op.n, grid.size))
-    if np.max(m_lower[:, None] * smat - f.eval_grid(smat)) > 1e-12 * (1.0 + s0):
+    smat = np.broadcast_to(grid[:, None], (grid.size, op.n))
+    if np.max(m_lower * smat - f.apply(smat)) > 1e-12 * (1.0 + s0):
         raise ValueError("f(x,s) >= M(x)s fails on [0, s0]")
     rep = principal_value(build_operator(op.kernel, op.h - m_lower), method="auto")
     if rep.lam <= 0 or not rep.is_principal:
         return None
     phi_t = rep.eigenfunction  # sup-normalized, positive
     gamma = 0.5 * min(s0, s0 / float(np.max(phi_t)))
-    k_window = _orbit_window(op, f)
+    k_window, beta = _orbit_window(op, f)
 
     limits: List[np.ndarray] = []
     for level in (gamma, gamma / 2, gamma / 4, gamma / 8):
-        u, _, _ = _monotone_orbit(op, f, level * phi_t, +1, tol, k_window)
+        u, _, _ = _monotone_orbit(op, f, level * phi_t, +1, tol, k_window, beta)
         limits.append(newton_refine(op, f, u))
     worst = max(float(np.max(np.abs(limits[0] - other))) for other in limits[1:])
     if worst > 10 * tol:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -65,6 +66,13 @@ class IntegratorConfig:
             raise ValueError("dt and t_end must be positive and finite")
         if self.store_every < 1:
             raise ValueError("store_every must be >= 1")
+        beta, k, thr = self.beta, self.trunc_k, self.blowup_threshold
+        if beta is not None and not (isinstance(beta, Real) and math.isfinite(beta)):
+            raise ValueError(f"beta must be a finite number, got {beta!r}")
+        if k is not None and not (isinstance(k, Real) and 0 < k < math.inf):
+            raise ValueError(f"trunc_k must be a positive finite number, got {k!r}")
+        if not (isinstance(thr, Real) and thr > 0):
+            raise ValueError(f"blowup_threshold must be positive or inf, got {thr!r}")
 
     def check_monotone_dt(self, h: np.ndarray, beta: float) -> None:
         """The discrete-monotonicity condition dt·max(h+β) <= 1."""
@@ -419,7 +427,7 @@ def picard_solve(op: NonlocalOperator, f: Reaction, u0: np.ndarray, tau: float,
     weights = [_cumulative_weights(j) for j in range(n_sub + 1)]
     distances: List[float] = []
     for it in range(iters):
-        gvals = f.eval_grid(cur.T).T + beta * cur  # g(s_i) rows
+        gvals = f.apply(cur) + beta * cur  # g(s_i) rows
         nxt = np.empty_like(cur)
         for j in range(n_sub + 1):
             acc = powers[j] @ u0

@@ -1,9 +1,12 @@
 """Reaction terms f(x, s) with their structure metadata.
 
-Reactions evaluate pointwise per node, expose the s-derivative
-(analytic or centered finite differences), sampled Lipschitz constants,
-truncation by argument clamping, and the structure-bound extraction
-f(x,s)s <= C(x)s² + D(x)|s| that drives the envelope machinery.
+One layout rule: a reaction writes f once, as apply and apply_ds (∂f/∂s)
+on arrays whose last axis runs over the n nodes — a state, a (k, n) batch
+or a (G, n) grid of s-values.  Reaction derives the (n, k)-grid forms
+eval_grid and eval_ds_grid; only CallableReaction, whose fun and dfun
+take (n, k) grids, converts the other way.  Also here: sampled Lipschitz
+constants, truncation by clamping, and the structure bounds
+f(x,s)s <= C(x)s² + D(x)|s| behind the envelope machinery.
 """
 
 from __future__ import annotations
@@ -25,12 +28,17 @@ def _log_grid(lo: float, hi: float, per_decade: int = 12) -> np.ndarray:
     return np.concatenate([-pos[::-1], [0.0], pos])
 
 
-class Reaction:
-    """Base reaction: subclasses implement eval_grid / eval_ds_grid.
+def _node_grid(svals: np.ndarray, n_nodes: int) -> np.ndarray:
+    """The (G, n) grid holding svals[g] at every node of row g."""
+    return np.broadcast_to(svals[:, None], (svals.size, n_nodes))
 
-    eval_grid takes an (n, k) matrix of s-values and returns f(x_i, s[i, j]);
-    everything else (Nemitcky application, Lipschitz sampling, primitives)
-    is derived from it.
+
+class Reaction:
+    """Base reaction: subclasses implement apply and apply_ds.
+
+    apply(u)[..., i] = f(x_i, u[..., i]) on any array whose last axis runs
+    over the nodes; apply_ds is ∂f/∂s alike.  eval_grid and eval_ds_grid
+    give the same values on an (n, k) matrix of s-values.
     """
 
     kind = "custom"
@@ -38,31 +46,22 @@ class Reaction:
     def __init__(self, n_nodes: int):
         self.n_nodes = n_nodes
 
-    def eval_grid(self, smat: np.ndarray) -> np.ndarray:
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """Nemitcky lift: F(u)[i] = f(x_i, u_i), and row by row on a (k, n) batch."""
         raise NotImplementedError
 
-    def eval_ds_grid(self, smat: np.ndarray) -> np.ndarray:
-        # centered finite difference with s-scaled step
-        step = FD_STEP * (1.0 + np.abs(smat))
-        return (self.eval_grid(smat + step) - self.eval_grid(smat - step)) / (2 * step)
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        """Nemitcky lift: F(u)[i] = f(x_i, u_i), and row by row on a (k, n) batch.
-
-        Subclasses may override it with a path broadcasting along the last
-        axis, which must do the IEEE operations of eval_grid in the same order.
-        """
-        u = np.asarray(u, dtype=float)
-        return self.eval_grid(np.atleast_2d(u).T).T.reshape(u.shape)
-
     def apply_ds(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return self.eval_ds_grid(np.atleast_2d(u).T).T.reshape(u.shape)
+        raise NotImplementedError
+
+    def eval_grid(self, smat: np.ndarray) -> np.ndarray:
+        """f(x_i, s[i, j]) on an (n, k) matrix of s-values."""
+        return self.apply(np.asarray(smat, dtype=float).T).T
+
+    def eval_ds_grid(self, smat: np.ndarray) -> np.ndarray:
+        return self.apply_ds(np.asarray(smat, dtype=float).T).T
 
     def at(self, i: int, s: float) -> float:
-        smat = np.zeros((self.n_nodes, 1))
-        smat[i, 0] = s
-        return float(self.eval_grid(smat)[i, 0])
+        return float(self.apply(np.full(self.n_nodes, float(s)))[i])
 
     @property
     def g0(self) -> np.ndarray:
@@ -71,7 +70,7 @@ class Reaction:
     def lip_on(self, k: float) -> float:
         """Sampled Lipschitz constant on [-k, k] (sup of |∂f/∂s| on a grid)."""
         svals = np.linspace(-k, k, LIP_GRID)
-        return float(np.max(np.abs(self.eval_ds_grid(np.broadcast_to(svals, (self.n_nodes, LIP_GRID))))))
+        return float(np.max(np.abs(self.apply_ds(_node_grid(svals, self.n_nodes)))))
 
     def primitive(self, u: np.ndarray) -> np.ndarray:
         """F(x_i, u_i) = ∫_0^{u_i} f(x_i, r) dr by refining composite Simpson."""
@@ -92,7 +91,11 @@ class Reaction:
 
 
 class CallableReaction(Reaction):
-    """Reaction from plain vectorized callables, x-independent by default."""
+    """Reaction from plain vectorized callables, x-independent by default.
+
+    fun and dfun map an (n, k) matrix of s-values, node i's in row i, to f
+    and ∂f/∂s there; without dfun, ∂f/∂s is a centered finite difference.
+    """
 
     def __init__(self, fun: Callable, dfun: Optional[Callable] = None,
                  n_nodes: int = 1, kind: str = "custom", lip: Optional[float] = None):
@@ -106,9 +109,19 @@ class CallableReaction(Reaction):
         return self.fun(np.asarray(smat, dtype=float))
 
     def eval_ds_grid(self, smat):
-        if self.dfun is None:
-            return super().eval_ds_grid(smat)
-        return self.dfun(np.asarray(smat, dtype=float))
+        smat = np.asarray(smat, dtype=float)
+        if self.dfun is not None:
+            return self.dfun(smat)
+        step = FD_STEP * (1.0 + np.abs(smat))
+        return (self.fun(smat + step) - self.fun(smat - step)) / (2 * step)
+
+    def apply(self, u):
+        u = np.asarray(u, dtype=float)
+        return self.eval_grid(np.atleast_2d(u).T).T.reshape(u.shape)
+
+    def apply_ds(self, u):
+        u = np.asarray(u, dtype=float)
+        return self.eval_ds_grid(np.atleast_2d(u).T).T.reshape(u.shape)
 
     def lip_on(self, k: float) -> float:
         if self.lip is not None:
@@ -139,17 +152,13 @@ class LogisticReaction(Reaction):
             raise ValueError("exponent rho must exceed 1")
         self.rho = float(rho)
 
-    def eval_grid(self, smat):
-        s = np.asarray(smat, dtype=float)
-        return self.g[:, None] + self.ncoef[:, None] * s - self.m[:, None] * np.abs(s) ** (self.rho - 1) * s
-
     def apply(self, u):
         s = np.asarray(u, dtype=float)
         return self.g + self.ncoef * s - self.m * np.abs(s) ** (self.rho - 1) * s
 
-    def eval_ds_grid(self, smat):
-        s = np.asarray(smat, dtype=float)
-        return self.ncoef[:, None] - self.rho * self.m[:, None] * np.abs(s) ** (self.rho - 1)
+    def apply_ds(self, u):
+        s = np.asarray(u, dtype=float)
+        return self.ncoef - self.rho * self.m * np.abs(s) ** (self.rho - 1)
 
     def lip_on(self, k: float) -> float:
         # |∂f/∂s| = |n - ρ m |s|^{ρ-1}| is monotone in |s|: extremes at 0 and k
@@ -172,26 +181,23 @@ class TruncatedReaction(Reaction):
         self.base = base
         self.k = float(k)
 
-    def eval_grid(self, smat):
-        return self.base.eval_grid(np.clip(smat, -self.k, self.k))
+    def _clamp(self, s):
+        # np.clip's semantics (NaN passes through) at a fraction of its call cost
+        return np.minimum(np.maximum(s, -self.k), self.k)
 
     def apply(self, u):
-        # np.clip's semantics (NaN passes through) at a fraction of its call cost
-        s = np.asarray(u, dtype=float)
-        return self.base.apply(np.minimum(np.maximum(s, -self.k), self.k))
+        return self.base.apply(self._clamp(np.asarray(u, dtype=float)))
 
-    def eval_ds_grid(self, smat):
-        s = np.asarray(smat, dtype=float)
-        inside = np.abs(s) <= self.k
-        return np.where(inside, self.base.eval_ds_grid(np.clip(s, -self.k, self.k)), 0.0)
+    def apply_ds(self, u):
+        s = np.asarray(u, dtype=float)
+        return np.where(np.abs(s) <= self.k, self.base.apply_ds(self._clamp(s)), 0.0)
 
     def lip_on(self, k: float) -> float:
         return self.base.lip_on(min(k, self.k))
 
     def primitive(self, u):
         u = np.asarray(u, dtype=float)
-        clamped = np.clip(u, -self.k, self.k)
-        inner = self.base.primitive(clamped)
+        inner = self.base.primitive(self._clamp(u))
         # outside the window the integrand is frozen at the edge value
         edge = np.where(u >= 0, self.k, -self.k)
         excess = np.where(np.abs(u) > self.k, (u - edge) * self.base.apply(edge), 0.0)
@@ -207,14 +213,11 @@ class ShiftedReaction(Reaction):
         self.bump = np.broadcast_to(np.asarray(bump, dtype=float), (base.n_nodes,)).copy()
         self.kind = base.kind
 
-    def eval_grid(self, smat):
-        return self.base.eval_grid(smat) + self.bump[:, None]
-
     def apply(self, u):
         return self.base.apply(u) + self.bump
 
-    def eval_ds_grid(self, smat):
-        return self.base.eval_ds_grid(smat)
+    def apply_ds(self, u):
+        return self.base.apply_ds(u)
 
     def lip_on(self, k):
         return self.base.lip_on(k)
@@ -233,15 +236,12 @@ class PotentialAbsorbedReaction(Reaction):
         self.h = np.broadcast_to(np.asarray(h, dtype=float), (base.n_nodes,)).copy()
         self.kind = base.kind
 
-    def eval_grid(self, smat):
-        return self.base.eval_grid(smat) - self.h[:, None] * np.asarray(smat, dtype=float)
-
     def apply(self, u):
         s = np.asarray(u, dtype=float)
         return self.base.apply(s) - self.h * s
 
-    def eval_ds_grid(self, smat):
-        return self.base.eval_ds_grid(smat) - self.h[:, None]
+    def apply_ds(self, u):
+        return self.base.apply_ds(u) - self.h
 
     def lip_on(self, k):
         return self.base.lip_on(k) + float(np.max(np.abs(self.h)))
@@ -285,7 +285,7 @@ def monotone_shift(f: Reaction, k: float) -> float:
     lin = np.linspace(-k, k, LIP_GRID)
     logp = np.logspace(-8, np.log10(max(k, 1e-8)), LIP_GRID // 4)
     svals = np.unique(np.concatenate([lin, logp, -logp]))
-    dmin = float(np.min(f.eval_ds_grid(np.broadcast_to(svals, (f.n_nodes, svals.size)))))
+    dmin = float(np.min(f.apply_ds(_node_grid(svals, f.n_nodes))))
     return max(0.0, -dmin) + 1.0
 
 
@@ -302,16 +302,6 @@ def young_constant(eps: float, rho: float) -> float:
     """Smallest C with a·t <= eps·t^ρ + C·a^{ρ'} for all a, t >= 0."""
     rho_p = rho / (rho - 1.0)
     return (eps * rho) ** (-rho_p / rho) / rho_p
-
-
-def _validate_structure(f: Reaction, c: np.ndarray, d: np.ndarray) -> None:
-    grid = _log_grid(1e-6, SIGN_GRID_LIMIT)
-    smat = np.broadcast_to(grid, (f.n_nodes, grid.size))
-    lhs = f.eval_grid(smat) * smat
-    rhs = c[:, None] * smat * smat + d[:, None] * np.abs(smat)
-    slack = lhs - rhs
-    if np.max(slack) > 1e-9 * (1.0 + np.max(np.abs(rhs))):
-        raise ValueError("structure inequality fails on the sampled grid (wrong constants)")
 
 
 def structure_bounds(f: Reaction, strategy: str = "plain", a: float = 0.0,
@@ -331,15 +321,12 @@ def structure_bounds(f: Reaction, strategy: str = "plain", a: float = 0.0,
             c, d = f.ncoef.copy(), np.abs(f.g)
         elif isinstance(f, TruncatedReaction):
             # frozen tails force c >= 0; the window sup of |f| covers them
-            grid = np.linspace(-f.k, f.k, LIP_GRID)
-            smat = np.broadcast_to(grid, (n_nodes, grid.size))
-            c = np.maximum(np.max(f.eval_ds_grid(smat), axis=1), 0.0)
-            d = np.max(np.abs(f.eval_grid(smat)), axis=1)
+            smat = _node_grid(np.linspace(-f.k, f.k, LIP_GRID), n_nodes)
+            c = np.maximum(np.max(f.apply_ds(smat), axis=0), 0.0)
+            d = np.max(np.abs(f.apply(smat)), axis=0)
         else:
             # mean value theorem: f(s)s <= |f(·,0)||s| + (sup ∂f/∂s) s²
-            grid = _log_grid(1e-6, SIGN_GRID_LIMIT)
-            smat = np.broadcast_to(grid, (n_nodes, grid.size))
-            c = np.max(f.eval_ds_grid(smat), axis=1)
+            c = np.max(f.apply_ds(_node_grid(_log_grid(1e-6, SIGN_GRID_LIMIT), n_nodes)), axis=0)
             d = np.abs(f.g0)
         sb = StructureBounds(c=c, d=d, strategy="plain")
     elif strategy in ("young_shift", "partitioned"):
@@ -363,17 +350,19 @@ def structure_bounds(f: Reaction, strategy: str = "plain", a: float = 0.0,
         sb = StructureBounds(c=c, d=d, strategy=f"{strategy}(A={a})")
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    _validate_structure(f, sb.c, sb.d)
+    if not check_sign_condition(f, sb.c, sb.d, _log_grid(1e-6, SIGN_GRID_LIMIT)):
+        raise ValueError("structure inequality fails on the sampled grid (wrong constants)")
     return sb
 
 
-def check_sign_condition(f: Reaction, c: float, d: float, s_grid) -> bool:
-    """True iff f(x_i, s) s <= c s² + d |s| on the grid (relative tol 1e-9)."""
-    if d < 0:
+def check_sign_condition(f: Reaction, c, d, s_grid) -> bool:
+    """True iff f(x_i, s) s <= c(x_i) s² + d(x_i) |s| on the grid (relative
+    tol 1e-9); c and d are scalars or per-node vectors."""
+    c, d = np.asarray(c, dtype=float), np.asarray(d, dtype=float)
+    if np.any(d < 0):
         raise ValueError("d must be nonnegative")
-    grid = np.asarray(s_grid, dtype=float)
-    smat = np.broadcast_to(grid, (f.n_nodes, grid.size))
-    lhs = f.eval_grid(smat) * smat
+    smat = _node_grid(np.asarray(s_grid, dtype=float), f.n_nodes)
+    lhs = f.apply(smat) * smat
     rhs = c * smat * smat + d * np.abs(smat)
     return bool(np.max(lhs - rhs) <= 1e-9 * (1.0 + np.max(np.abs(rhs))))
 
@@ -383,9 +372,9 @@ def f_over_s_decreasing(f: Reaction, s_grid) -> bool:
     grid = np.asarray(s_grid, dtype=float)
     if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly positive and increasing")
-    smat = np.broadcast_to(grid, (f.n_nodes, grid.size))
-    ratios = f.eval_grid(smat) / smat
-    return bool(np.all(np.diff(ratios, axis=1) < -1e-12))
+    smat = _node_grid(grid, f.n_nodes)
+    ratios = f.apply(smat) / smat
+    return bool(np.all(np.diff(ratios, axis=0) < -1e-12))
 
 
 @dataclass
@@ -406,18 +395,17 @@ def growth_hypotheses_check(f: Reaction, rho: float, s_grid) -> GrowthReport:
     if rho <= 1:
         raise ValueError("rho must exceed 1")
     grid = np.asarray(s_grid, dtype=float)
-    smat = np.broadcast_to(grid, (f.n_nodes, grid.size))
-    dfv = f.eval_ds_grid(smat)
+    dfv = f.apply_ds(_node_grid(grid, f.n_nodes))
     if not np.all(np.isfinite(dfv)):
         return GrowthReport(beta=np.full(f.n_nodes, np.inf), growth_constant=np.inf,
                             violation=True, note="derivative overflows on the grid")
-    beta = np.max(dfv, axis=1)
+    beta = np.max(dfv, axis=0)
     envelope = 1.0 + np.abs(grid) ** (rho - 1.0)
-    ratios = np.abs(dfv) / envelope[None, :]
+    ratios = np.abs(dfv) / envelope[:, None]
     c_full = float(np.max(ratios))
     smax = float(np.max(np.abs(grid)))
     inner = np.abs(grid) <= smax / 2.0
-    c_inner = float(np.max(ratios[:, inner])) if np.any(inner) else c_full
+    c_inner = float(np.max(ratios[inner])) if np.any(inner) else c_full
     violation = c_full > 10.0 * max(c_inner, 1e-300)
     note = "fitted constant grows with the window" if violation else ""
     return GrowthReport(beta=beta, growth_constant=c_full, violation=violation, note=note)

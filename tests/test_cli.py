@@ -364,6 +364,13 @@ class TestCaseCommand:
         rc = main(["--out", str(tmp_path), "case", "shift", "--set", "oops"])
         assert rc == 2
 
+    @pytest.mark.parametrize("item", ["n.x=1", "levels.x=1", "n.x.y=1"])
+    def test_override_through_a_non_object_exits_2(self, tmp_path, capsys, item):
+        rc = main(["--out", str(tmp_path), "case", "shift", "--set", item])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: config field '--set': ")
+        assert not (tmp_path / "case_shift.json").exists()
+
     def test_unknown_case_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["--out", str(tmp_path), "case", "heatwave"])
@@ -438,6 +445,20 @@ def test_malformed_section_exits_2_naming_the_field(tmp_path, capsys, overrides,
     # the innermost field is named, once
     assert err.startswith(f"error: config field '{field}': ")
     assert err.count("config field") == 1
+
+
+@pytest.mark.parametrize("key, value", [
+    ("beta", float("nan")), ("beta", "abc"), ("trunc_k", float("nan")), ("trunc_k", -1),
+    ("blowup_threshold", float("nan")), ("blowup_threshold", -1),
+])
+def test_bad_integrator_key_exits_2_naming_it(tmp_path, capsys, key, value):
+    integrator = {"scheme": "euler_op", "dt": 0.01, "t_end": 0.1, key: value}
+    cfg = write_config(tmp_path, space={**_INTERVAL, "n": 32}, integrator=integrator)
+    rc = main(["--out", str(tmp_path), "evolve", "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'integrator': ") and key in err
+    assert not (tmp_path / "evolve.json").exists()
 
 
 @pytest.mark.parametrize("top", ["5", "[]", '"x"'])

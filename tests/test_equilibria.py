@@ -21,7 +21,7 @@ from nonlocalrd.equilibria import (
 )
 from nonlocalrd.evolve import IntegratorConfig, envelope_U, evolve_nonlinear
 from nonlocalrd.kernel import assemble_kernel, build_operator, compute_h0
-from nonlocalrd.reaction import CallableReaction, LogisticReaction
+from nonlocalrd.reaction import CallableReaction, LogisticReaction, monotone_shift, truncate
 from nonlocalrd.space import build_graph, build_interval, merge_spaces
 from nonlocalrd.verify import asymptotic_suite
 
@@ -177,8 +177,9 @@ class TestMonotoneOrbit:
     def test_one_config_serves_every_block(self, monkeypatch):
         eqmod, configs = self.record(monkeypatch)
         _, _, op = unit_op(24)
-        u, blocks, _ = eqmod._monotone_orbit(op, logistic(24), np.full(24, 3.0), -1,
-                                             1e-10, 4.0)
+        f = logistic(24)
+        u, blocks, _ = eqmod._monotone_orbit(op, f, np.full(24, 3.0), -1, 1e-10, 4.0,
+                                             monotone_shift(truncate(f, 4.0), 4.0))
         np.testing.assert_allclose(u, SQRT3, atol=1e-8)
         assert len(configs) == blocks > 1
         assert all(cfg is configs[0] for cfg in configs)
@@ -189,9 +190,30 @@ class TestMonotoneOrbit:
         u0 = np.full(24, 3.0)
         u0[5] = 0.5  # rises first, so no block length sees a non-increasing orbit
         with pytest.raises(RuntimeError, match="ordering"):
-            eqmod._monotone_orbit(op, logistic(24), u0, -1, 1e-10, 4.0)
+            f = logistic(24)
+            beta = monotone_shift(truncate(f, 4.0), 4.0)
+            eqmod._monotone_orbit(op, f, u0, -1, 1e-10, 4.0, beta)
         assert [cfg.t_end for cfg in configs] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
         assert len({id(cfg) for cfg in configs}) == 7
+
+
+    def test_one_shift_per_orbit_family(self, monkeypatch):
+        import nonlocalrd.equilibria as eqmod
+
+        windows = []
+        shift = eqmod.monotone_shift
+
+        def recording_shift(f, k):
+            windows.append(k)
+            return shift(f, k)
+
+        monkeypatch.setattr(eqmod, "monotone_shift", recording_shift)
+        _, _, op = unit_op(24)
+        es = extremal_equilibria(op, logistic(24, g=0.3))  # three orbits
+        assert es.phi_m_plus is not None and len(windows) == 1
+        out = minimal_positive_equilibrium(op, logistic(24), np.full(24, 1.9), s0=0.3)
+        np.testing.assert_allclose(out, SQRT3, atol=1e-6)  # four orbits
+        assert len(windows) == 2
 
 
 class TestExtremal:

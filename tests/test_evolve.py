@@ -71,6 +71,23 @@ class TestConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(store_every=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("beta", np.nan), ("beta", np.inf), ("beta", -np.inf), ("beta", "1.0"),
+        ("trunc_k", np.nan), ("trunc_k", np.inf), ("trunc_k", 0.0), ("trunc_k", -1.0),
+        ("blowup_threshold", np.nan), ("blowup_threshold", 0.0),
+        ("blowup_threshold", -1.0), ("blowup_threshold", -np.inf),
+    ])
+    def test_rejects_bad_optional_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            IntegratorConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("beta", -2.5), ("beta", 0), ("trunc_k", 1e-300), ("blowup_threshold", np.inf),
+        ("blowup_threshold", 5e-324), ("beta", np.float64(3.0)),
+    ])
+    def test_accepts_edge_values(self, field, value):
+        assert getattr(IntegratorConfig(**{field: value}), field) == value
+
     def test_dt_must_divide_t_end(self):
         _, _, op = unit_op(8)
         cfg = IntegratorConfig(scheme="rk4", dt=0.3, t_end=1.0)
@@ -678,8 +695,10 @@ class TestBlowupGuard:
 
         _, _, op = unit_op(n)
         f = zero_reaction(n)
-        cfg = IntegratorConfig(scheme="rk4", dt=0.25, t_end=1.0, store_every=2,
-                               blowup_threshold=thr)
+        cfg = IntegratorConfig(scheme="rk4", dt=0.25, t_end=1.0, store_every=2)
+        # set after construction, which rejects 0, -1 and NaN: the loop still
+        # has to decide on them as the old one did
+        cfg.blowup_threshold = thr
         scale = thr / 4 if 0 <= thr < 1 else 1.0  # keep the early states within thr
         script = [np.full(n, c * scale) for c in (0.1, 0.2, 0.3)] + [np.asarray(last, float)]
         monkeypatch.setattr(evmod, "make_stepper",

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from nonlocalrd.reaction import (
     CallableReaction,
+    Reaction,
     LogisticReaction,
     PotentialAbsorbedReaction,
     ShiftedReaction,
@@ -145,6 +146,9 @@ def test_apply_is_bitwise_the_grid_column(name, f):
             assert fast.shape == (N_APPLY,)
             assert fast.tobytes() == grid.tobytes(), (name, u)
             assert f.apply(list(u)).tobytes() == grid.tobytes()
+            ds = f.apply_ds(u)
+            assert ds.shape == (N_APPLY,)
+            assert ds.tobytes() == f.eval_ds_grid(u[:, None])[:, 0].tobytes(), (name, u)
 
 
 def _batch_cases():
@@ -202,6 +206,93 @@ def test_batch_apply_ds_per_node(dfun):
     np.testing.assert_allclose(f.apply_ds(np.ones(3)), [1, 2, 3], rtol=1e-9)
 
 
+def _grid_f(f, s):
+    """f on an (n, k) grid, written per class with [:, None] coefficients
+    and without apply: the reference the grid-sampled quantities are pinned to."""
+    if isinstance(f, LogisticReaction):
+        return f.g[:, None] + f.ncoef[:, None] * s - f.m[:, None] * np.abs(s) ** (f.rho - 1) * s
+    if isinstance(f, TruncatedReaction):
+        return _grid_f(f.base, np.clip(s, -f.k, f.k))
+    if isinstance(f, ShiftedReaction):
+        return _grid_f(f.base, s) + f.bump[:, None]
+    if isinstance(f, PotentialAbsorbedReaction):
+        return _grid_f(f.base, s) - f.h[:, None] * s
+    return f.fun(s)
+
+
+def _grid_ds(f, s):
+    """∂f/∂s on an (n, k) grid, the twin of _grid_f."""
+    if isinstance(f, LogisticReaction):
+        return f.ncoef[:, None] - f.rho * f.m[:, None] * np.abs(s) ** (f.rho - 1)
+    if isinstance(f, TruncatedReaction):
+        return np.where(np.abs(s) <= f.k, _grid_ds(f.base, np.clip(s, -f.k, f.k)), 0.0)
+    if isinstance(f, ShiftedReaction):
+        return _grid_ds(f.base, s)
+    if isinstance(f, PotentialAbsorbedReaction):
+        return _grid_ds(f.base, s) - f.h[:, None]
+    if f.dfun is not None:
+        return f.dfun(s)
+    step = 1e-6 * (1.0 + np.abs(s))
+    return (f.fun(s + step) - f.fun(s - step)) / (2 * step)
+
+
+def _rows(svals, n):
+    return np.broadcast_to(np.asarray(svals, dtype=float), (n, len(svals)))
+
+
+@pytest.mark.parametrize("name, f", _batch_cases(), ids=[c[0] for c in _batch_cases()])
+def test_grid_forms_are_the_reference_grid_formulas(name, f):
+    smat = np.stack(_apply_inputs(), axis=1)  # (n, 4), special values included
+    with np.errstate(all="ignore"):
+        for grid in (smat, _rows(_log_grid(1e-6, 1e6), N_APPLY)):
+            assert f.eval_grid(grid).tobytes() == _grid_f(f, grid).tobytes(), name
+            assert f.eval_ds_grid(grid).tobytes() == _grid_ds(f, grid).tobytes(), name
+
+
+@pytest.mark.parametrize("name, f", _batch_cases(), ids=[c[0] for c in _batch_cases()])
+def test_sampled_quantities_are_bitwise_their_grid_definitions(name, f):
+    """monotone_shift, the sampled lip_on and the plain structure bounds
+    equal their definitions on (n, k) grids of the reference formulas."""
+    n = f.n_nodes
+    for k in (0.7, 3.0):
+        lin = np.linspace(-k, k, 512)
+        logp = np.logspace(-8, np.log10(k), 128)
+        svals = np.unique(np.concatenate([lin, logp, -logp]))
+        dmin = float(np.min(_grid_ds(f, _rows(svals, n))))
+        assert monotone_shift(f, k) == max(0.0, -dmin) + 1.0, name
+        lip = float(np.max(np.abs(_grid_ds(f, _rows(np.linspace(-k, k, 512), n)))))
+        assert Reaction.lip_on(f, k) == lip, name
+
+    if isinstance(f, TruncatedReaction):
+        smat = _rows(np.linspace(-f.k, f.k, 512), n)
+        c = np.maximum(np.max(_grid_ds(f, smat), axis=1), 0.0)
+        d = np.max(np.abs(_grid_f(f, smat)), axis=1)
+    else:
+        c = np.max(_grid_ds(f, _rows(_log_grid(1e-6, 1e6), n)), axis=1)
+        d = np.abs(_grid_f(f, np.zeros((n, 1)))[:, 0])
+    smat = _rows(_log_grid(1e-6, 1e6), n)
+    rhs = c[:, None] * smat * smat + d[:, None] * np.abs(smat)
+    holds = np.max(_grid_f(f, smat) * smat - rhs) <= 1e-9 * (1.0 + np.max(np.abs(rhs)))
+    if not holds:
+        with pytest.raises(ValueError, match="structure inequality"):
+            structure_bounds(f, "plain")
+        return
+    sb = structure_bounds(f, "plain")
+    if not isinstance(f, LogisticReaction):
+        assert sb.c.tobytes() == c.tobytes() and sb.d.tobytes() == d.tobytes(), name
+
+
+def test_sign_condition_takes_per_node_constants():
+    f = LogisticReaction(g=[0.0, 0.5], n=[1.0, -1.0], m=0.0, rho=2.0)
+    grid = _log_grid(1e-3, 1e3)
+    assert check_sign_condition(f, [1.0, -1.0], [0.0, 0.5], grid)
+    assert not check_sign_condition(f, [1.0, -1.0], [0.0, 0.49], grid)
+    assert not check_sign_condition(f, -1.0, 0.5, grid)  # a scalar serves every node
+    assert check_sign_condition(f, 1.0, 0.5, grid)
+    with pytest.raises(ValueError, match="nonnegative"):
+        check_sign_condition(f, 1.0, [0.5, -0.1], grid)
+
+
 class TestStructureBounds:
     def test_plain_logistic(self):
         f = LogisticReaction(g=0.0, n=2.0, m=1.0, rho=3.0, n_nodes=4)
@@ -239,6 +330,12 @@ class TestStructureBounds:
         np.testing.assert_allclose(sb.c, [2.0, 2.0, -1.0, -1.0])
         assert sb.d[0] == pytest.approx(0.1)
         assert sb.d[2] > 0.1
+
+    def test_non_finite_derivative_is_rejected(self):
+        # exp: the finite difference at s = 1e6 is inf - inf, so c is NaN and must not pass
+        f = CallableReaction(lambda s: np.exp(s), n_nodes=2)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="structure inequality"):
+            structure_bounds(f, "plain")
 
     def test_young_shift_preconditions(self):
         f = LogisticReaction(g=0.0, n=2.0, m=0.0, rho=3.0, n_nodes=2)
