@@ -453,6 +453,10 @@ def _cmd_case(args, out_dir: Path) -> int:
         if "=" not in item:
             raise ConfigError("--set", f"expected key=value, got {item!r}")
         _set_override(cfg, *item.split("=", 1))
+    for key, default in _CASE_DEFAULTS[args.name].items():
+        kinds = {type(default), type(cfg[key])}  # a number replaces a number, a list a list
+        if len(kinds) > 1 and kinds != {int, float}:
+            raise ConfigError(key, f"expected the type of the default {default!r}, got {cfg[key]!r}")
     if args.dry_run:
         print("config ok")
         return 0
@@ -467,7 +471,7 @@ def _cmd_case(args, out_dir: Path) -> int:
 
 def _case_logistic(name: str, cfg: dict, out_dir: Path) -> dict:
     trials = cfg["trials"]
-    if not trials or not isinstance(trials, list) or not all(isinstance(c, (int, float)) for c in trials):
+    if not trials or not all(isinstance(c, (int, float)) for c in trials):
         raise ConfigError("trials", f"expected a non-empty list of numbers, got {trials!r}")
     n = int(cfg["n"])
     space, kern, op = _case_system(n)

@@ -19,18 +19,17 @@ import numpy as np
 from nonlocalrd.kernel import Kernel, NonlocalOperator, build_operator
 from nonlocalrd.evolve import (
     IntegratorConfig,
+    _comparison_bound,
     _nsteps,
+    _prepare_monotone,
     evolve_nonlinear,
     monotone_config,
-    supersolution_ode,
 )
 from nonlocalrd.reaction import (
     LogisticReaction,
     Reaction,
     f_over_s_decreasing,
-    monotone_shift,
     structure_bounds,
-    truncate,
 )
 from nonlocalrd.space import MeasureSpace
 from nonlocalrd.spectral import cw_bounds, principal_value
@@ -141,8 +140,7 @@ def _block_config(op: NonlocalOperator, f: Reaction, k_window: float,
 
 
 def _monotone_orbit(op: NonlocalOperator, f: Reaction, u_start: np.ndarray,
-                    direction: int, tol: float, k_window: float, beta: float,
-                    block_t: float = 1.0):
+                    direction: int, tol: float, k_window: float, beta: float):
     """Iterate unit time blocks of the order-preserving scheme.
 
     The orbit must move monotonically (direction -1: non-increasing,
@@ -157,14 +155,13 @@ def _monotone_orbit(op: NonlocalOperator, f: Reaction, u_start: np.ndarray,
     scale = 1.0 + float(np.max(np.abs(u)))
     blocks = 0
     criterion = "sup"
-    config = _block_config(op, f, k_window, block_t, beta)
+    config = _block_config(op, f, k_window, 1.0, beta)
     while blocks < MAX_BLOCKS:
         u_new = evolve_nonlinear(op, f, u, config).final()
         gap = direction * (u_new - u)
         if np.min(gap) < -1e-12 * scale:
-            if blocks == 0 and block_t < 64.0:
-                block_t *= 2.0
-                config = _block_config(op, f, k_window, block_t, beta)
+            if blocks == 0 and config.t_end < 64.0:
+                config = _block_config(op, f, k_window, 2.0 * config.t_end, beta)
                 continue
             raise RuntimeError(
                 f"monotone orbit violated ordering at block {blocks} "
@@ -281,11 +278,9 @@ def minimal_nonnegative_equilibrium(op: NonlocalOperator, f: Reaction,
 def _orbit_window(op: NonlocalOperator, f: Reaction, pad: float = 1.0) -> Tuple[float, float]:
     """Truncation level covering every monotone orbit in the envelope, and its β."""
     c_eff, d_vec, phi = _envelope(op, f)
-    c1 = float(np.max(c_eff)) + float(np.max(np.abs(op.h0 - op.h)))
-    m_start = float(np.max(np.abs(phi))) + pad
-    level = supersolution_ode(c1, float(np.max(d_vec)), m_start, 1.0).level
-    k_window = max(m_start, level) * (1 + 1e-9) + 1e-9
-    return k_window, monotone_shift(truncate(f, k_window), k_window)
+    bound = _comparison_bound(op, c_eff, d_vec, float(np.max(np.abs(phi))) + pad, 1.0)
+    _, beta, k_window = _prepare_monotone(op, f, bound.m0, 1.0, trunc_k=bound.trunc_level)
+    return k_window, beta
 
 
 def minimal_positive_equilibrium(op: NonlocalOperator, f: Reaction, m_lower,

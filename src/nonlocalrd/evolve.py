@@ -13,8 +13,9 @@ doublings φ1(2Y) = ½φ1(Y)(e^Y + I), e^{2Y} = (e^Y)².
 Blow-up is a first-class outcome.
 
 make_stepper does every piece of set-up a scheme needs once — the
-truncation level, the monotone shift and its step-size check, the
-positive part of the operator, the propagator pair — and returns a
+truncation level and the monotone shift, which _prepare_monotone derives
+for every caller from the scalar comparison bound, the step-size check,
+the positive part of the operator, the propagator pair — and returns a
 Stepper holding the prepared one-step map.  evolve_nonlinear builds
 one and runs the single stepping loop: per step it applies the map,
 makes one cheap blow-up test and stores the state on steps chosen
@@ -35,7 +36,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from nonlocalrd.kernel import Kernel, NonlocalOperator, apply_K
+from nonlocalrd.kernel import Kernel, NonlocalOperator, apply_K, build_operator
 from nonlocalrd.reaction import (
     LogisticReaction,
     Reaction,
@@ -43,6 +44,7 @@ from nonlocalrd.reaction import (
     structure_bounds,
     truncate,
 )
+from nonlocalrd.spectral import principal_value
 
 SCHEMES = ("euler_op", "rk4", "vcf_exact_linear")
 TRUNC_CAP = 1e9  # beyond this a derived truncation level is useless
@@ -123,36 +125,38 @@ def _auto_structure(op: NonlocalOperator, f: Reaction):
     the scalar bound stays bounded in time; everything else uses the
     plain bounds.
     """
-    corr = float(np.max(np.abs(op.h0 - op.h)))
     if isinstance(f, LogisticReaction) and float(np.min(f.m)) > 0:
-        a = max(0.0, float(np.max(f.ncoef))) + corr + 1.0
-        sb = structure_bounds(f, "young_shift", a=a)
-    else:
-        sb = structure_bounds(f, "plain")
-    return float(np.max(sb.c)) + corr, float(np.max(sb.d))
+        a = max(0.0, float(np.max(f.ncoef))) + float(np.max(np.abs(op.h0 - op.h))) + 1.0
+        return structure_bounds(f, "young_shift", a=a)
+    return structure_bounds(f, "plain")
 
 
-def _prepare_monotone(op: NonlocalOperator, f: Reaction, u0: np.ndarray,
-                      config: IntegratorConfig):
-    """Truncation level and monotone shift for the order-preserving scheme."""
-    if config.trunc_k is not None:
-        k = float(config.trunc_k)
+def _comparison_bound(op: NonlocalOperator, c, d, m0: float,
+                      t_end: float) -> SupersolutionBound:
+    """ż = C₁z + D₁, z(0) = m0, bounding orbits with ‖u0‖_∞ <= m0 when
+    f(x,s)s <= c(x)s² + d(x)|s|; C₁ = max c + ‖h0 - h‖_∞, D₁ = max d."""
+    rate = float(np.max(c)) + float(np.max(np.abs(op.h0 - op.h)))
+    return supersolution_ode(rate, float(np.max(d)), m0, t_end)
+
+
+def _prepare_monotone(op: NonlocalOperator, f: Reaction, m0: float, t_end: float,
+                      trunc_k: Optional[float] = None, beta: Optional[float] = None):
+    """Truncated reaction, β and truncation level of the order-preserving
+    scheme for data with ‖u0‖_∞ <= m0 on [0, t_end]; given values are kept."""
+    if trunc_k is not None:
+        k = float(trunc_k)
     elif f.kind == "globally_lipschitz":
         k = None
     else:
-        c1, d1 = _auto_structure(op, f)
-        bound = supersolution_ode(c1, d1, float(np.max(np.abs(u0))), config.t_end)
-        k = bound.level * (1.0 + 1e-9) + 1e-9
+        sb = _auto_structure(op, f)
+        k = _comparison_bound(op, sb.c, sb.d, m0, t_end).trunc_level
         if not math.isfinite(k) or k > TRUNC_CAP:
             raise ValueError(
                 "derived truncation level is unusable; supply trunc_k explicitly")
     f_used = truncate(f, k) if k is not None else f
-    if config.beta is not None:
-        beta = float(config.beta)
-    else:
-        window = k if k is not None else max(1e3, 10.0 * float(np.max(np.abs(u0))) + 1.0)
-        beta = monotone_shift(f_used, window)
-    return f_used, beta, k
+    if beta is None:
+        beta = monotone_shift(f_used, k if k is not None else max(1e3, 10.0 * m0 + 1.0))
+    return f_used, float(beta), k
 
 
 def monotone_config(op: NonlocalOperator, f: Reaction, u0: np.ndarray,
@@ -161,9 +165,8 @@ def monotone_config(op: NonlocalOperator, f: Reaction, u0: np.ndarray,
                     store_every: Optional[int] = None) -> IntegratorConfig:
     """euler_op configuration with the largest uniform dt dividing t_end
     that satisfies the discrete-monotonicity condition."""
-    probe = IntegratorConfig(scheme="euler_op", dt=t_end, t_end=t_end,
-                             beta=beta, trunc_k=trunc_k)
-    _, beta_used, k = _prepare_monotone(op, f, np.asarray(u0, dtype=float), probe)
+    _, beta_used, k = _prepare_monotone(op, f, float(np.max(np.abs(u0))), t_end,
+                                        trunc_k, beta)
     top = max(float(np.max(op.h)) + beta_used, 0.0)
     nsteps = int(math.ceil(t_end * top + 1e-12)) + 1
     return IntegratorConfig(scheme="euler_op", dt=t_end / nsteps, t_end=t_end,
@@ -244,7 +247,8 @@ def make_stepper(op: NonlocalOperator, f: Reaction, u0: np.ndarray,
     dt = config.dt
     beta = k = propagator = None
     if config.scheme == "euler_op":
-        f_used, beta, k = _prepare_monotone(op, f, u0, config)
+        f_used, beta, k = _prepare_monotone(op, f, float(np.max(np.abs(u0))), config.t_end,
+                                            config.trunc_k, config.beta)
         config.check_monotone_dt(op.h, beta)
         kw = op.amat.copy()  # jmat @ diag(w), the positive part
         kw.flat[::op.n + 1] += op.h
@@ -359,6 +363,11 @@ class SupersolutionBound:
     @property
     def level(self) -> float:
         return float(max(self(0.0), self(self.t_end)))
+
+    @property
+    def trunc_level(self) -> float:
+        """Padded level, never below m0 (z(0) can round under it); NaN stays NaN."""
+        return max(self.level, self.m0) * (1 + 1e-9) + 1e-9
 
 
 def supersolution_ode(c: float, d: float, m0: float, t_end: float) -> SupersolutionBound:
@@ -516,9 +525,6 @@ def kaplan_witness(kernel: Kernel, h, rho: float, trajectory: Trajectory,
     The scalar comparison is integrated with the trajectory's own scheme
     and step so the equality case reproduces exactly.
     """
-    from nonlocalrd.kernel import build_operator
-    from nonlocalrd.spectral import principal_value
-
     if not kernel.symmetric:
         raise ValueError("the witness needs a symmetric kernel")
     if trajectory.states.ndim != 2:
@@ -568,8 +574,6 @@ def kaplan_witness(kernel: Kernel, h, rho: float, trajectory: Trajectory,
 def fit_growth_constant(op: NonlocalOperator, trajectory: Trajectory,
                         margin: float = 0.01) -> float:
     """Smallest M with ‖u(t)‖_∞ <= M e^{(Λ+margin) t} ‖u0‖_∞ on the stored orbit."""
-    from nonlocalrd.spectral import principal_value
-
     if trajectory.states.ndim != 2:
         raise ValueError(f"the fit needs one datum, not states of shape {trajectory.states.shape}")
     lam = principal_value(op).lam + margin

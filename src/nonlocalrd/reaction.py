@@ -21,10 +21,10 @@ LIP_GRID = 512
 SIGN_GRID_LIMIT = 1e6
 
 
-def _log_grid(lo: float, hi: float, per_decade: int = 12) -> np.ndarray:
+def _log_grid(lo: float, hi: float) -> np.ndarray:
     """Symmetric logarithmic s-grid covering [-hi, hi] plus 0, dense near 0."""
     decades = np.log10(hi / lo)
-    pos = np.logspace(np.log10(lo), np.log10(hi), int(decades * per_decade) + 2)
+    pos = np.logspace(np.log10(lo), np.log10(hi), int(decades * 12) + 2)  # 12 per decade
     return np.concatenate([-pos[::-1], [0.0], pos])
 
 
@@ -280,12 +280,14 @@ def monotone_shift(f: Reaction, k: float) -> float:
 
     Any upper bound works; cheapness beats sharpness, so the infimum of
     the derivative is sampled on a 512-point grid (linear plus a
-    log-spaced refinement near 0) and padded by 1.
+    log-spaced refinement near 0) and padded by 1; a non-finite sample raises.
     """
     lin = np.linspace(-k, k, LIP_GRID)
     logp = np.logspace(-8, np.log10(max(k, 1e-8)), LIP_GRID // 4)
     svals = np.unique(np.concatenate([lin, logp, -logp]))
     dmin = float(np.min(f.apply_ds(_node_grid(svals, f.n_nodes))))
+    if not np.isfinite(dmin):
+        raise ValueError(f"monotone shift: derivative minimum {dmin} on [-{k:g}, {k:g}]")
     return max(0.0, -dmin) + 1.0
 
 

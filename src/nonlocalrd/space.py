@@ -87,7 +87,7 @@ class MeasureSpace:
         return float(np.max(self.dist)) if self.n > 1 else 0.0
 
 
-def _check_triangle_inequality(d: np.ndarray, samples: int = 256) -> None:
+def _check_triangle_inequality(d: np.ndarray) -> None:
     n = d.shape[0]
     if n < 3:
         return
@@ -98,7 +98,7 @@ def _check_triangle_inequality(d: np.ndarray, samples: int = 256) -> None:
             raise ValueError("triangle inequality violated")
         return
     rng = np.random.default_rng(0)
-    i, j, k = (rng.integers(0, n, size=samples) for _ in range(3))
+    i, j, k = (rng.integers(0, n, size=256) for _ in range(3))
     if np.any(d[i, j] > d[i, k] + d[k, j] + 1e-10 * max(1.0, np.max(d))):
         raise ValueError("triangle inequality violated on sampled triples")
 
@@ -207,9 +207,9 @@ def is_r_connected(space: MeasureSpace, r: float) -> ConnectivityCertificate:
     """Check chain-connectivity with steps shorter than r.
 
     The space is r-connected iff the graph with edges {d(i,j) < r} is
-    connected.  When it is, a breadth-first path between the two most
-    distant nodes is returned as a witness.  mu0 is the minimum over
-    nodes of the measure of the ball B(x, r).
+    connected.  One breadth-first search from one of the two most distant
+    nodes decides it and gives the witness, the path to the other.  mu0
+    is the minimum over nodes of the measure of the ball B(x, r).
     """
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import breadth_first_order
@@ -219,12 +219,10 @@ def is_r_connected(space: MeasureSpace, r: float) -> ConnectivityCertificate:
     adj = space.dist < r
     ball_measure = adj @ space.weights  # diagonal is True, so x's own cell counts
     mu0 = float(np.min(ball_measure))
-    graph = csr_array(adj)  # one conversion for both searches below
-    if breadth_first_order(graph, 0, return_predecessors=False).size < space.n:
-        return ConnectivityCertificate(r=r, connected=False, witness_chain=None, mu0=mu0)
-    # witness: BFS path between the metrically most distant pair
     i0, j0 = np.unravel_index(np.argmax(space.dist), space.dist.shape)
-    _, parent = breadth_first_order(graph, int(i0))
+    order, parent = breadth_first_order(csr_array(adj), int(i0))
+    if order.size < space.n:
+        return ConnectivityCertificate(r=r, connected=False, witness_chain=None, mu0=mu0)
     chain = [int(j0)]
     while chain[-1] != i0:
         chain.append(int(parent[chain[-1]]))

@@ -21,6 +21,8 @@ from nonlocalrd.kernel import NonlocalOperator, assemble_kernel, build_operator
 from nonlocalrd.equilibria import solve_phi
 from nonlocalrd.evolve import (
     IntegratorConfig,
+    _comparison_bound,
+    _prepare_monotone,
     _propagate,
     evolve_nonlinear,
     monotone_config,
@@ -161,12 +163,10 @@ def _shared_monotone_config(op, f0, f1, u_init_scale, t_end):
     The coupling argument needs both trajectories to share dt, β and the
     truncation level, so take the envelope of the two derived setups.
     """
-    probe = np.full(op.n, u_init_scale)
-    c0 = monotone_config(op, f0, probe, t_end)
-    c1 = monotone_config(op, f1, probe, t_end)
-    k = max(c0.trunc_k or 0.0, c1.trunc_k or 0.0) or None
-    beta = max(c0.beta, c1.beta)
-    return monotone_config(op, f0, probe, t_end, trunc_k=k, beta=beta)
+    _, beta0, k0 = _prepare_monotone(op, f0, u_init_scale, t_end)
+    _, beta1, k1 = _prepare_monotone(op, f1, u_init_scale, t_end)
+    return monotone_config(op, f0, np.full(op.n, u_init_scale), t_end,
+                           trunc_k=max(k0 or 0.0, k1 or 0.0) or None, beta=max(beta0, beta1))
 
 
 def _run_trials(prop: str, trials: int, seed: int, tol: float, trial, control,
@@ -290,15 +290,12 @@ def supersolution_suite(trials: int, seed: int) -> PropertyReport:
         sys_ = sample_system(rng)
         op, f = sys_.op, sys_.reaction
         sb = structure_bounds(f, "plain")
-        c1 = float(np.max(sb.c)) + float(np.max(np.abs(op.h0 - op.h)))
-        if c1 <= 0.1:  # keep the discrete Euler-vs-exact comparison one-sided
-            c1 = 0.1
-        d1 = float(np.max(sb.d))
         u0 = rng.uniform(-1.0, 1.0, size=op.n)
-        m0 = float(np.max(np.abs(u0)))
         t_end = 1.0
-        z = supersolution_ode(c1, d1, m0, t_end)
-        cfg = monotone_config(op, f, u0, t_end, trunc_k=z.level * (1 + 1e-9) + 1e-9)
+        z = _comparison_bound(op, sb.c, sb.d, float(np.max(np.abs(u0))), t_end)
+        if z.c <= 0.1:  # keep the discrete Euler-vs-exact comparison one-sided
+            z = supersolution_ode(0.1, z.d, z.m0, t_end)
+        cfg = monotone_config(op, f, u0, t_end, trunc_k=z.trunc_level)
         tr = evolve_nonlinear(op, f, u0, cfg)
         zvals = z(tr.times)
         viol = float(np.max(np.max(tr.states, axis=1) - zvals))

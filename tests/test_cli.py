@@ -371,6 +371,25 @@ class TestCaseCommand:
         assert capsys.readouterr().err.startswith("error: config field '--set': ")
         assert not (tmp_path / "case_shift.json").exists()
 
+    @pytest.mark.parametrize("case, item, key", [
+        ("shift", "levels=5", "levels"),
+        ("bistable", "measures=1", "measures"),
+        ("shift", "n=abc", "n"),
+        ("shift", "n=[64]", "n"),
+        ("blowup", "u0=true", "u0"),
+        ("logistic-sub", "trials=\"0.5\"", "trials"),
+    ])
+    def test_override_of_another_type_exits_2_naming_the_key(self, tmp_path, capsys,
+                                                              case, item, key):
+        rc = main(["--out", str(tmp_path), "case", case, "--set", item])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: config field '{key}': ")
+        assert not (tmp_path / f"case_{case}.json").exists()
+
+    def test_an_int_may_replace_a_float(self, tmp_path, capsys):
+        rc = main(["--out", str(tmp_path), "--dry-run", "case", "blowup", "--set", "u0=10"])
+        assert rc == 0 and capsys.readouterr().out == "config ok\n"
+
     def test_unknown_case_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["--out", str(tmp_path), "case", "heatwave"])

@@ -198,16 +198,16 @@ class TestMonotoneOrbit:
 
 
     def test_one_shift_per_orbit_family(self, monkeypatch):
-        import nonlocalrd.equilibria as eqmod
+        import nonlocalrd.evolve as evmod  # the one owner of the orbit window's β
 
         windows = []
-        shift = eqmod.monotone_shift
+        shift = evmod.monotone_shift
 
         def recording_shift(f, k):
             windows.append(k)
             return shift(f, k)
 
-        monkeypatch.setattr(eqmod, "monotone_shift", recording_shift)
+        monkeypatch.setattr(evmod, "monotone_shift", recording_shift)
         _, _, op = unit_op(24)
         es = extremal_equilibria(op, logistic(24, g=0.3))  # three orbits
         assert es.phi_m_plus is not None and len(windows) == 1

@@ -32,6 +32,7 @@ from nonlocalrd.reaction import (
     LogisticReaction,
     absorb_potential,
     add_bump,
+    structure_bounds,
     truncate,
 )
 from nonlocalrd.space import build_interval
@@ -444,7 +445,8 @@ def _reference_step(op, f, u0, config):
     dt = config.dt
     meta = {"beta": None, "trunc_k": None, "propagator": None}
     if config.scheme == "euler_op":
-        f_used, beta, k = _prepare_monotone(op, f, u0, config)
+        f_used, beta, k = _prepare_monotone(op, f, float(np.max(np.abs(u0))), config.t_end,
+                                            config.trunc_k, config.beta)
         config.check_monotone_dt(op.h, beta)
         meta["beta"], meta["trunc_k"] = beta, k
         kw = op.amat + np.diag(op.h)
@@ -835,6 +837,53 @@ class TestSupersolutionOde:
         z = supersolution_ode(-1.0, 1.0, 5.0, 4.0)
         assert z(1.0) == pytest.approx(4.0 * math.exp(-1.0) + 1.0, rel=1e-14)
         assert z.level == pytest.approx(5.0)  # sup over [0, 4] sits at t = 0
+
+    def test_trunc_level_is_the_three_old_formulas(self):
+        # evolve, equilibria and verify each wrote out the rate and the padding
+        rng = np.random.default_rng(14)
+        guarded = decreasing = 0
+        for trial in range(3000):
+            if trial % 100 == 0:
+                n = int(rng.integers(2, 9))
+                # h = h0 = 1 leaves the rate at max c, so some bounds decrease
+                h = np.ones(n) if trial % 200 else rng.uniform(-1.0, 1.0, size=n)
+                _, _, op = unit_op(n, h=h)
+            c, d = rng.uniform(-4.0, 2.0, size=n), rng.uniform(0.0, 2.0, size=n)
+            m0, t_end = float(rng.uniform(0.0, 5.0)), float(rng.choice([0.25, 1.0, 2.0]))
+            z = evolve._comparison_bound(op, c, d, m0, t_end)
+            old = supersolution_ode(float(np.max(c)) + float(np.max(np.abs(op.h0 - op.h))),
+                                    float(np.max(d)), m0, t_end)
+            assert z == old
+            old_evolve = old.level * (1.0 + 1e-9) + 1e-9
+            old_equilibria = max(m0, old.level) * (1 + 1e-9) + 1e-9
+            old_verify = old.level * (1 + 1e-9) + 1e-9
+            assert z.trunc_level == old_equilibria
+            if old.level >= m0:
+                assert z.trunc_level == old_evolve == old_verify
+            else:  # a decreasing bound whose z(0) rounded below m0
+                guarded += 1
+                assert 0 < z.trunc_level - old_evolve <= 4 * np.spacing(old_evolve)
+            decreasing += old.c < 0
+        assert guarded > 0 and decreasing > 200
+
+    def test_derived_level_is_the_old_auto_structure_formula(self):
+        rng = np.random.default_rng(15)
+        for trial in range(40):
+            n = 8
+            _, _, op = unit_op(n, h=rng.uniform(-1.0, 1.0, size=n))
+            m = float(rng.uniform(0.3, 1.0)) if trial % 2 else 0.0
+            f = LogisticReaction(g=rng.uniform(-0.5, 0.5, size=n), n=float(rng.uniform(-1.0, 2.0)),
+                                 m=m, rho=3.0, n_nodes=n)
+            m0 = float(rng.uniform(0.0, 3.0))
+            corr = float(np.max(np.abs(op.h0 - op.h)))
+            if m > 0:
+                a = max(0.0, float(np.max(f.ncoef))) + corr + 1.0
+                sb = structure_bounds(f, "young_shift", a=a)
+            else:
+                sb = structure_bounds(f, "plain")
+            level = supersolution_ode(float(np.max(sb.c)) + corr, float(np.max(sb.d)),
+                                      m0, 1.0).level
+            assert _prepare_monotone(op, f, m0, 1.0)[2] == max(level, m0) * (1.0 + 1e-9) + 1e-9
 
 
 class TestEnvelope:

@@ -424,6 +424,19 @@ def test_monotone_shift_makes_f_plus_beta_increasing():
     assert np.all(np.diff(vals, axis=1) > 0)
 
 
+@pytest.mark.parametrize("dfun, k, dmin", [
+    # exp: the finite difference at s = 1e3 is inf - inf, a NaN sample
+    (None, 1e3, "nan"),
+    # -60|s|^59 overflows to -inf at the ends of the window
+    (lambda s: -60.0 * np.abs(s) ** 59, 1e6, "-inf"),
+])
+def test_monotone_shift_rejects_a_non_finite_derivative(dfun, k, dmin):
+    f = CallableReaction(lambda s: np.exp(s), dfun, n_nodes=2)
+    with np.errstate(all="ignore"), pytest.raises(ValueError) as exc:
+        monotone_shift(f, k)
+    assert f"[-{k:g}, {k:g}]" in str(exc.value) and dmin in str(exc.value)
+
+
 def test_young_constant_is_the_grid_maximizer():
     for eps, rho, a in [(0.5, 3.0, 3.0), (0.2, 2.0, 1.7), (1.0, 2.5, 5.0)]:
         rho_p = rho / (rho - 1.0)

@@ -431,6 +431,24 @@ def test_r_connected_matches_reference_bfs():
     assert seen_connected > 50 and seen_disconnected > 50
 
 
+def test_r_connected_runs_one_search(monkeypatch):
+    import scipy.sparse.csgraph as csgraph
+
+    calls = []
+    bfs = csgraph.breadth_first_order
+
+    def counting_bfs(*args, **kwargs):
+        calls.append(args[1])
+        return bfs(*args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "breadth_first_order", counting_bfs)
+    u = merge_spaces(build_interval(0, 0.4, 4), build_interval(0.6, 1.0, 4))
+    for r, connected in ((0.15, False), (0.5, True)):
+        calls.clear()
+        assert is_r_connected(u, r).connected is connected
+        assert calls == [0]  # from i0 of the most distant pair (0, 7)
+
+
 def test_r_connected_single_node():
     for space in (build_interval(0, 1, 1), build_graph(1, [], [2.0])):
         cert = is_r_connected(space, 0.5)

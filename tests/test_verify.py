@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from nonlocalrd import verify
+from nonlocalrd.evolve import monotone_config
+from nonlocalrd.reaction import add_bump
 from nonlocalrd.space import MeasureSpace, build_graph, build_interval, merge_spaces
 from nonlocalrd.verify import (
     _hops_to_cover,
@@ -35,6 +37,26 @@ class TestSampler:
         for trial in range(8):
             sys_ = sample_system(np.random.default_rng([2, trial]), strong=True)
             assert sys_.strong_certified
+
+
+def test_shared_config_is_the_three_call_construction():
+    # before, each reaction's (k, β) came from a monotone_config of its own
+    kinds = set()
+    for trial in range(16):
+        rng = np.random.default_rng([7, trial])
+        sys_ = sample_system(rng)
+        op, f1 = sys_.op, sys_.reaction
+        f0 = add_bump(f1, np.full(op.n, float(rng.uniform(0.0, 0.5))))
+        for scale, t_end in ((1.5, 1.0), (1.0, 0.5)):
+            probe = np.full(op.n, scale)
+            c0 = monotone_config(op, f0, probe, t_end)
+            c1 = monotone_config(op, f1, probe, t_end)
+            old = monotone_config(op, f0, probe, t_end,
+                                  trunc_k=max(c0.trunc_k or 0.0, c1.trunc_k or 0.0) or None,
+                                  beta=max(c0.beta, c1.beta))
+            assert verify._shared_monotone_config(op, f0, f1, scale, t_end) == old
+            kinds.add(old.trunc_k is None)
+    assert kinds == {True, False}
 
 
 @pytest.mark.parametrize("suite", [comparison_suite, maximum_principle_suite,
