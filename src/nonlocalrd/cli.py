@@ -444,6 +444,14 @@ def _case_system(n: int):
     return space, kern, build_operator(kern, np.zeros(n))
 
 
+def _like(default, value) -> bool:
+    """value has default's JSON shape: a number for a number (an int may replace a
+    float, a bool neither), a non-empty list of values like default[0] for a list."""
+    if isinstance(default, list):
+        return isinstance(value, list) and bool(value) and all(_like(default[0], v) for v in value)
+    return type(value) is type(default) or {type(default), type(value)} == {int, float}
+
+
 def _cmd_case(args, out_dir: Path) -> int:
     if args.name not in _CASE_DEFAULTS:
         raise ConfigError("case", f"unknown case {args.name!r}; "
@@ -453,10 +461,11 @@ def _cmd_case(args, out_dir: Path) -> int:
         if "=" not in item:
             raise ConfigError("--set", f"expected key=value, got {item!r}")
         _set_override(cfg, *item.split("=", 1))
+    for key in sorted(cfg.keys() - _CASE_DEFAULTS[args.name].keys()):
+        raise ConfigError(key, f"case {args.name!r} has no such key")
     for key, default in _CASE_DEFAULTS[args.name].items():
-        kinds = {type(default), type(cfg[key])}  # a number replaces a number, a list a list
-        if len(kinds) > 1 and kinds != {int, float}:
-            raise ConfigError(key, f"expected the type of the default {default!r}, got {cfg[key]!r}")
+        if not _like(default, cfg[key]):
+            raise ConfigError(key, f"expected the shape of the default {default!r}, got {cfg[key]!r}")
     if args.dry_run:
         print("config ok")
         return 0
@@ -470,9 +479,6 @@ def _cmd_case(args, out_dir: Path) -> int:
 
 
 def _case_logistic(name: str, cfg: dict, out_dir: Path) -> dict:
-    trials = cfg["trials"]
-    if not trials or not all(isinstance(c, (int, float)) for c in trials):
-        raise ConfigError("trials", f"expected a non-empty list of numbers, got {trials!r}")
     n = int(cfg["n"])
     space, kern, op = _case_system(n)
     f = rxmod.LogisticReaction(g=float(cfg["g"]), n=float(cfg["ncoef"]),
@@ -484,7 +490,7 @@ def _case_logistic(name: str, cfg: dict, out_dir: Path) -> dict:
     t_end = float(cfg["t_end"])
     config = evmod.IntegratorConfig(scheme="rk4", dt=1e-2, t_end=t_end,
                                     store_every=int(round(t_end / 1e-2)))
-    data = np.outer(np.asarray(trials, dtype=float), np.ones(n))  # one row per trial
+    data = np.outer(np.asarray(cfg["trials"], dtype=float), np.ones(n))  # one row per trial
     tr = evmod.evolve_nonlinear(op, f, data, config)
     distances = np.max(np.abs(tr.final() - es.phi_M), axis=1).tolist()
     return {

@@ -189,7 +189,8 @@ def newton_refine(op: NonlocalOperator, f: Reaction, guess: np.ndarray,
     for _ in range(max_steps):
         if rn <= tol:
             return u
-        jac = op.amat + np.diag(f.apply_ds(u))
+        jac = op.amat.copy()
+        jac.flat[::op.n + 1] += f.apply_ds(u)
         try:
             delta = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError as exc:

@@ -15,11 +15,11 @@ Blow-up is a first-class outcome.
 make_stepper does every piece of set-up a scheme needs once — the
 truncation level and the monotone shift, which _prepare_monotone derives
 for every caller from the scalar comparison bound, the step-size check,
-the positive part of the operator, the propagator pair — and returns a
-Stepper holding the prepared one-step map.  evolve_nonlinear builds
-one and runs the single stepping loop: per step it applies the map,
-makes one cheap blow-up test and stores the state on steps chosen
-before the loop.
+the weights dt·w through which euler_op reads jmat in place (no n×n
+copy), the propagator pair — and returns a Stepper holding the prepared
+one-step map.  evolve_nonlinear builds one and runs the single stepping
+loop: per step it applies the map, makes one cheap blow-up test and
+stores the state on steps chosen before the loop.
 
 A (k, n) batch u0, one datum per row, is one run with states (len(times), k, n),
 each step mapping all rows at once as (M @ v.T).T.  The truncation level and β come from
@@ -250,12 +250,12 @@ def make_stepper(op: NonlocalOperator, f: Reaction, u0: np.ndarray,
         f_used, beta, k = _prepare_monotone(op, f, float(np.max(np.abs(u0))), config.t_end,
                                             config.trunc_k, config.beta)
         config.check_monotone_dt(op.h, beta)
-        kw = op.amat.copy()  # jmat @ diag(w), the positive part
-        kw.flat[::op.n + 1] += op.h
+        # dt·K v = jmat @ (dt·w·v); jmat, dt·w, decay >= 0 keep it exactly monotone
+        jmat, dtw = op.kernel.jmat, dt * op.space.weights
         decay = 1.0 - dt * (op.h + beta)
 
         def step(v):
-            return decay * v + dt * (kw @ v.T).T + dt * (f_used.apply(v) + beta * v)
+            return decay * v + (jmat @ (dtw * v).T).T + dt * (f_used.apply(v) + beta * v)
     elif config.scheme == "rk4":
         amat = op.amat
         half, sixth = 0.5 * dt, dt / 6.0

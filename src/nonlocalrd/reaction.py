@@ -19,6 +19,7 @@ import numpy as np
 FD_STEP = 1e-6
 LIP_GRID = 512
 SIGN_GRID_LIMIT = 1e6
+GRID_BLOCK = 2 ** 16  # entries per row block of a sampled (G, n) grid
 
 
 def _log_grid(lo: float, hi: float) -> np.ndarray:
@@ -31,6 +32,14 @@ def _log_grid(lo: float, hi: float) -> np.ndarray:
 def _node_grid(svals: np.ndarray, n_nodes: int) -> np.ndarray:
     """The (G, n) grid holding svals[g] at every node of row g."""
     return np.broadcast_to(svals[:, None], (svals.size, n_nodes))
+
+
+def _block_reduce(svals: np.ndarray, n_nodes: int, reduce: Callable) -> np.ndarray:
+    """reduce(block) of each row block (<= GRID_BLOCK entries, >= 1 row) of the
+    node grid, stacked; min and max of that are exactly the whole grid's."""
+    rows = max(1, GRID_BLOCK // max(n_nodes, 1))
+    return np.array([reduce(_node_grid(svals[i:i + rows], n_nodes))
+                     for i in range(0, svals.size, rows)])
 
 
 class Reaction:
@@ -69,8 +78,8 @@ class Reaction:
 
     def lip_on(self, k: float) -> float:
         """Sampled Lipschitz constant on [-k, k] (sup of |∂f/∂s| on a grid)."""
-        svals = np.linspace(-k, k, LIP_GRID)
-        return float(np.max(np.abs(self.apply_ds(_node_grid(svals, self.n_nodes)))))
+        return float(np.max(_block_reduce(np.linspace(-k, k, LIP_GRID), self.n_nodes,
+                                          lambda s: np.max(np.abs(self.apply_ds(s))))))
 
     def primitive(self, u: np.ndarray) -> np.ndarray:
         """F(x_i, u_i) = ∫_0^{u_i} f(x_i, r) dr by refining composite Simpson."""
@@ -285,7 +294,7 @@ def monotone_shift(f: Reaction, k: float) -> float:
     lin = np.linspace(-k, k, LIP_GRID)
     logp = np.logspace(-8, np.log10(max(k, 1e-8)), LIP_GRID // 4)
     svals = np.unique(np.concatenate([lin, logp, -logp]))
-    dmin = float(np.min(f.apply_ds(_node_grid(svals, f.n_nodes))))
+    dmin = float(np.min(_block_reduce(svals, f.n_nodes, lambda s: np.min(f.apply_ds(s)))))
     if not np.isfinite(dmin):
         raise ValueError(f"monotone shift: derivative minimum {dmin} on [-{k:g}, {k:g}]")
     return max(0.0, -dmin) + 1.0
@@ -323,12 +332,13 @@ def structure_bounds(f: Reaction, strategy: str = "plain", a: float = 0.0,
             c, d = f.ncoef.copy(), np.abs(f.g)
         elif isinstance(f, TruncatedReaction):
             # frozen tails force c >= 0; the window sup of |f| covers them
-            smat = _node_grid(np.linspace(-f.k, f.k, LIP_GRID), n_nodes)
-            c = np.maximum(np.max(f.apply_ds(smat), axis=0), 0.0)
-            d = np.max(np.abs(f.apply(smat)), axis=0)
+            c, d = np.max(_block_reduce(np.linspace(-f.k, f.k, LIP_GRID), n_nodes, lambda s: (
+                np.max(f.apply_ds(s), axis=0), np.max(np.abs(f.apply(s)), axis=0))), axis=0)
+            c = np.maximum(c, 0.0)
         else:
             # mean value theorem: f(s)s <= |f(·,0)||s| + (sup ∂f/∂s) s²
-            c = np.max(f.apply_ds(_node_grid(_log_grid(1e-6, SIGN_GRID_LIMIT), n_nodes)), axis=0)
+            c = np.max(_block_reduce(_log_grid(1e-6, SIGN_GRID_LIMIT), n_nodes,
+                                     lambda s: np.max(f.apply_ds(s), axis=0)), axis=0)
             d = np.abs(f.g0)
         sb = StructureBounds(c=c, d=d, strategy="plain")
     elif strategy in ("young_shift", "partitioned"):
@@ -363,10 +373,13 @@ def check_sign_condition(f: Reaction, c, d, s_grid) -> bool:
     c, d = np.asarray(c, dtype=float), np.asarray(d, dtype=float)
     if np.any(d < 0):
         raise ValueError("d must be nonnegative")
-    smat = _node_grid(np.asarray(s_grid, dtype=float), f.n_nodes)
-    lhs = f.apply(smat) * smat
-    rhs = c * smat * smat + d * np.abs(smat)
-    return bool(np.max(lhs - rhs) <= 1e-9 * (1.0 + np.max(np.abs(rhs))))
+
+    def extremes(s):  # max of lhs - rhs and of |rhs| on a block
+        rhs = c * s * s + d * np.abs(s)
+        return np.max(f.apply(s) * s - rhs), np.max(np.abs(rhs))
+
+    top, scale = np.max(_block_reduce(np.asarray(s_grid, dtype=float), f.n_nodes, extremes), axis=0)
+    return bool(top <= 1e-9 * (1.0 + scale))
 
 
 def f_over_s_decreasing(f: Reaction, s_grid) -> bool:

@@ -378,6 +378,12 @@ class TestCaseCommand:
         ("shift", "n=[64]", "n"),
         ("blowup", "u0=true", "u0"),
         ("logistic-sub", "trials=\"0.5\"", "trials"),
+        ("bistable", "measures=[1,2]", "measures"),
+        ("bistable", "measures=[[0.5,\"x\"]]", "measures"),
+        ("bistable", "measures=[[]]", "measures"),
+        ("shift", "levels=[\"a\"]", "levels"),
+        ("shift", "levels=[]", "levels"),
+        ("shift", "levels=[1.0,true]", "levels"),
     ])
     def test_override_of_another_type_exits_2_naming_the_key(self, tmp_path, capsys,
                                                               case, item, key):
@@ -385,6 +391,23 @@ class TestCaseCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: config field '{key}': ")
         assert not (tmp_path / f"case_{case}.json").exists()
+
+    @pytest.mark.parametrize("dry", [True, False])
+    @pytest.mark.parametrize("item, key", [("nn=64", "nn"), ("foo.bar=1", "foo")])
+    def test_unknown_override_key_exits_2_naming_it(self, tmp_path, capsys, dry, item, key):
+        rc = main(["--out", str(tmp_path)] + ["--dry-run"] * dry
+                  + ["case", "shift", "--set", "n=64", "--set", item])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: config field '{key}': ")
+        assert "config ok" not in captured.out
+        assert not (tmp_path / "case_shift.json").exists()
+
+    @pytest.mark.parametrize("item", ["measures=[[0.5,0.5],[0.2,0.3,0.5]]",
+                                      "measures=[[1,0]]"])
+    def test_well_shaped_measures_pass(self, tmp_path, capsys, item):
+        rc = main(["--out", str(tmp_path), "--dry-run", "case", "bistable", "--set", item])
+        assert rc == 0 and capsys.readouterr().out == "config ok\n"
 
     def test_an_int_may_replace_a_float(self, tmp_path, capsys):
         rc = main(["--out", str(tmp_path), "--dry-run", "case", "blowup", "--set", "u0=10"])

@@ -348,6 +348,26 @@ class TestNewton:
         np.testing.assert_allclose(out, SQRT3, atol=1e-12)
         assert residual_norm(op, logistic(n), out) <= 1e-12
 
+    def test_jacobian_is_bitwise_the_dense_expression(self, monkeypatch):
+        """The Jacobian is amat with ∂f/∂s added on the diagonal in place; its
+        bytes are those of amat + diag(∂f/∂s), which differ only at -0.0
+        entries of amat that no built-in law produces."""
+        n = 40
+        s = build_interval(0, 1, n)
+        op = build_operator(assemble_kernel(s, "tophat", R=0.3, J0=2.0),
+                            1.0 + 0.5 * np.sin(2 * np.pi * s.x))
+        f = LogisticReaction(g=0.2, n=1.0, m=1.0, rho=3.0, n_nodes=n)
+        states, jacobians = [], []
+        real_ds, real_solve = f.apply_ds, np.linalg.solve
+        monkeypatch.setattr(f, "apply_ds", lambda u: states.append(u.copy()) or real_ds(u))
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: jacobians.append(a.copy()) or real_solve(a, b))
+        guess = 1.0 + 0.1 * np.random.default_rng(8).standard_normal(n)
+        newton_refine(op, f, guess)
+        assert len(jacobians) == len(states) >= 2
+        for u, jac in zip(states, jacobians):
+            assert jac.tobytes() == (op.amat + np.diag(real_ds(u))).tobytes()
+
     def test_zero_is_a_genuine_equilibrium(self):
         n = 24
         _, _, op = unit_op(n)

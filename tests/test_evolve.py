@@ -441,7 +441,8 @@ def _reference_apply(f, v):
 
 
 def _reference_step(op, f, u0, config):
-    """The one-step maps as evolve_nonlinear formed them before steppers."""
+    """The one-step maps as evolve_nonlinear formed them before steppers;
+    euler_op's forms dt·K v as jmat @ (dt·w·v), reading the kernel in place."""
     dt = config.dt
     meta = {"beta": None, "trunc_k": None, "propagator": None}
     if config.scheme == "euler_op":
@@ -449,11 +450,12 @@ def _reference_step(op, f, u0, config):
                                             config.trunc_k, config.beta)
         config.check_monotone_dt(op.h, beta)
         meta["beta"], meta["trunc_k"] = beta, k
-        kw = op.amat + np.diag(op.h)
+        dtw = dt * op.space.weights
         decay = 1.0 - dt * (op.h + beta)
 
         def step(v):
-            return decay * v + dt * (kw @ v) + dt * (_reference_apply(f_used, v) + beta * v)
+            return (decay * v + op.kernel.jmat @ (dtw * v)
+                    + dt * (_reference_apply(f_used, v) + beta * v))
     elif config.scheme == "rk4":
         def rhs(v):
             return op.amat @ v + _reference_apply(f, v)
@@ -571,6 +573,84 @@ class TestPreparedStepper:
         run = evolve_nonlinear(op, f, u0, cfg).metadata
         for key in ("beta", "trunc_k", "propagator"):
             assert getattr(stepper, key) == meta[key] == run[key], key
+
+
+def law_system(law, n, seed=0, h_max=40.0):
+    """A trapezoid-weighted interval, a potential h in [0, h_max] (strong by
+    default, so amat's diagonal cancels heavily) and a tophat, gaussian or
+    nonsymmetric table kernel with zero entries."""
+    rng = np.random.default_rng(seed)
+    s = build_interval(0, 1, n - 1, "trapezoid")  # n nodes
+    params = {"tophat": dict(R=0.3, J0=2.0), "gaussian": dict(sigma=0.2, scale=1.5),
+              "table": dict(jmat=rng.uniform(0.0, 2.0, (n, n))
+                            * (rng.uniform(size=(n, n)) > 0.2))}[law]
+    return build_operator(assemble_kernel(s, law, **params), rng.uniform(0.0, h_max, n))
+
+
+def kw_form_step(op, f_used, beta, dt):
+    """The euler_op step as formed before it read jmat in place: dt·(kw @ v)
+    with kw = amat + diag(h), an n×n copy."""
+    kw = op.amat.copy()
+    kw.flat[::op.n + 1] += op.h
+    decay = 1.0 - dt * (op.h + beta)
+    return lambda v: decay * v + dt * (kw @ v.T).T + dt * (f_used.apply(v) + beta * v)
+
+
+LAWS = ["tophat", "gaussian", "table"]
+
+
+class TestInPlaceKernelStep:
+    """euler_op forms dt·K v as jmat @ (dt·w·v), with no n×n copy."""
+
+    N = 48
+
+    @pytest.mark.parametrize("law", LAWS)
+    @pytest.mark.parametrize("k", [None, 5])
+    def test_agrees_with_the_kw_form_within_rounding(self, law, k):
+        """Both forms share decay·v and dt·(f(v) + βv) bitwise and evaluate
+        the same sum of n + 2 products; kw's diagonal fl(fl(J_ii w_i) - h_i)
+        + h_i is off J_ii w_i by at most 3u(J_ii w_i + |h_i|).  By the
+        rounding bound for sums of products (Higham 2002, §3.1) each form is
+        within γ_{n+4}·T_i of the exact step, γ_m = mu/(1 - mu), u = 2⁻⁵³,
+        T_i = |decay_i v_i| + dt Σ_j J_ij w_j |v_j| + dt (J_ii w_i + |h_i|) |v_i|
+        + dt |f_i(v) + β v_i|, so they differ by at most 2γ_{n+4}·T_i."""
+        n = self.N
+        op = law_system(law, n, h_max=1.0)  # a large dt, so dt·K v carries weight
+        f = batch_reaction("logistic", n)
+        rng = np.random.default_rng(3)
+        v = rng.uniform(-1.5, 1.5, (n,) if k is None else (k, n))
+        cfg = IntegratorConfig(scheme="euler_op", dt=0.4, t_end=2.0, beta=1.0, trunc_k=2.0)
+        new = make_stepper(op, f, v, cfg).step(v)
+        f_used = truncate(f, cfg.trunc_k)
+        old = kw_form_step(op, f_used, cfg.beta, cfg.dt)(v)
+        assert np.any(new != old)  # the forms round differently here
+        jw = op.kernel.jmat * op.space.weights
+        av = np.abs(v)
+        terms = (np.abs(1.0 - cfg.dt * (op.h + cfg.beta)) * av
+                 + cfg.dt * (jw @ av.T).T + cfg.dt * (np.diag(jw) + np.abs(op.h)) * av
+                 + cfg.dt * np.abs(f_used.apply(v) + cfg.beta * v))
+        u = 2.0 ** -53
+        gamma = (n + 4) * u / (1 - (n + 4) * u)
+        assert np.all(np.abs(new - old) <= 2 * gamma * terms)
+
+    @pytest.mark.parametrize("law", LAWS)
+    @pytest.mark.parametrize("k", [None, 5])
+    def test_order_is_preserved_exactly(self, law, k):
+        """Zero reaction, so fl(f(v) + βv) is monotone: w equal to v in about
+        half of the entries and one ulp above it in the rest gives
+        step(v) <= step(w) in every entry, with no tolerance.  Gaps of one
+        ulp are where a step that cancels, such as amat @ v + h·v, inverts."""
+        n = self.N
+        f = zero_reaction(n)
+        shape = (n,) if k is None else (k, n)
+        for seed in range(20):
+            op = law_system(law, n, seed)
+            rng = np.random.default_rng(seed)
+            v = rng.standard_normal(shape)
+            w = np.where(rng.integers(0, 2, size=shape) == 1, np.nextafter(v, np.inf), v)
+            cfg = IntegratorConfig(scheme="euler_op", dt=0.02, t_end=1.0)
+            step = make_stepper(op, f, v, cfg).step
+            assert np.all(step(v) <= step(w)), seed
 
 
 def batch_reaction(kind, n, seed=0):

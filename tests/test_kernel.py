@@ -3,7 +3,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nonlocalrd.evolve import IntegratorConfig, make_stepper
 from nonlocalrd.kernel import Kernel, apply_K, assemble_kernel, build_operator, compute_h0
+from nonlocalrd.reaction import (
+    GRID_BLOCK,
+    CallableReaction,
+    LogisticReaction,
+    Reaction,
+    check_sign_condition,
+    monotone_shift,
+    structure_bounds,
+    truncate,
+)
 from nonlocalrd.space import build_interval, merge_spaces
 
 
@@ -193,8 +204,9 @@ def test_operator_matrix_bitwise_equal_to_the_dense_expression():
         assert build_operator(k, h).amat.tobytes() == expected.tobytes()
 
 
-def _transient_bytes(build):
-    """Peak traced memory of build() above what its result keeps."""
+def _transient_bytes(build, count_result=False):
+    """Peak traced memory of build() above what its result keeps; with
+    count_result, the whole peak, what the result keeps included."""
     tracemalloc.start()
     try:
         result = build()
@@ -202,7 +214,7 @@ def _transient_bytes(build):
     finally:
         tracemalloc.stop()
     del result
-    return peak - current
+    return peak if count_result else peak - current
 
 
 @pytest.mark.parametrize("stage", ["space", "union", "kernel", "gaussian", "operator"])
@@ -217,6 +229,38 @@ def test_setup_makes_no_matrix_sized_temporary(stage):
              "gaussian": lambda: assemble_kernel(space, "gaussian", sigma=0.2, scale=1.5),
              "operator": lambda: build_operator(kernel, np.linspace(0.0, 1.0, n))}[stage]
     assert _transient_bytes(build) <= 0.5 * 8 * n * n
+
+
+def test_euler_op_stepper_makes_no_matrix_sized_array():
+    """The order-preserving step reads jmat in place: preparing it keeps and
+    passes through no n×n array (one is 8 MiB here)."""
+    n = 1024
+    space = build_interval(0, 1, n)
+    op = build_operator(assemble_kernel(space, "tophat", R=0.1, J0=2.0), np.linspace(0, 1, n))
+    f = LogisticReaction(g=0.0, n=1.0, m=1.0, rho=3.0, n_nodes=n)
+    cfg = IntegratorConfig(scheme="euler_op", dt=1e-3, t_end=0.1, beta=30.0, trunc_k=3.0)
+    u0 = np.ones(n)
+    assert _transient_bytes(lambda: make_stepper(op, f, u0, cfg), count_result=True) \
+        <= 0.125 * 8 * n * n
+
+
+@pytest.mark.parametrize("quantity", ["monotone_shift", "lip_on", "young_shift",
+                                      "plain_truncated", "plain_callable", "long_sign_grid"])
+def test_sampled_grids_reduce_in_row_blocks(quantity):
+    """A sampled (G, n) grid is evaluated in row blocks of GRID_BLOCK entries,
+    so the peak is bounded by a few blocks whatever the row count G: 293
+    (the sign grid) to 4096 rows here, 2.3 to 32 MiB per whole-grid array."""
+    n = 1024
+    f = LogisticReaction(g=0.1, n=1.0, m=1.0, rho=3.0, n_nodes=n)
+    cubic = CallableReaction(lambda s: s - s ** 3, lambda s: 1.0 - 3.0 * s ** 2, n_nodes=n)
+    run = {"monotone_shift": lambda: monotone_shift(f, 3.0),
+           "lip_on": lambda: Reaction.lip_on(f, 3.0),
+           "young_shift": lambda: structure_bounds(f, "young_shift", a=2.0),
+           "plain_truncated": lambda: structure_bounds(truncate(f, 3.0), "plain"),
+           "plain_callable": lambda: structure_bounds(cubic, "plain"),
+           "long_sign_grid": lambda: check_sign_condition(f, 1.0, 0.1,
+                                                          np.linspace(-10, 10, 4096))}[quantity]
+    assert _transient_bytes(run) <= 8 * 8 * GRID_BLOCK
 
 
 def test_gaussian_law_bitwise_equal_to_the_dense_expression():
