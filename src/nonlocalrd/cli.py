@@ -382,6 +382,7 @@ def _cmd_equilibria(args, out_dir: Path) -> int:
     payload = {
         "epsilon": es.epsilon,
         "stopping_criterion": es.stopping_criterion,
+        "stopping_criteria": es.stopping_criteria,
         "residuals": es.residuals,
         "iterations": es.iterations,
         "phi_sup": float(np.max(es.phi)),

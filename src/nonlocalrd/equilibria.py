@@ -2,16 +2,16 @@
 
 The envelope equilibrium Φ solves KΦ + CΦ + D = 0 under a negative
 spectral bound; the extremal equilibria are monotone euler_op limits
-from ±(Φ+ε) polished by damped Newton; minimal nonnegative and minimal
-positive equilibria come from monotone orbits off 0 and off small
-multiples of a principal eigenfunction; and the constant-kernel cubic
-gives the piecewise-constant non-isolated family.
+from ±(Φ+ε), stopped at a certified damped-Newton limit; minimal
+nonnegative and minimal positive equilibria come from monotone orbits
+off 0 and off small multiples of a principal eigenfunction; and the
+constant-kernel cubic gives the piecewise-constant non-isolated family.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -36,6 +36,9 @@ from nonlocalrd.spectral import cw_bounds, principal_value
 
 MAX_BLOCKS = 10_000
 RESIDUAL_TOL = 1e-10
+NEWTON_TOL = 1e-12
+ORDER_TOL = 1e-12  # relative rounding slack of a monotone orbit's ordering
+CERT_TRY = 1e-2    # block difference at which an orbit tries its Newton certificate
 
 
 @dataclass
@@ -48,6 +51,7 @@ class EquilibriumSet:
     iterations: dict
     epsilon: float
     stopping_criterion: str = "sup"
+    stopping_criteria: dict = field(default_factory=dict)  # per orbit
 
 
 @dataclass
@@ -141,25 +145,32 @@ def _block_config(op: NonlocalOperator, f: Reaction, k_window: float,
 
 def _monotone_orbit(op: NonlocalOperator, f: Reaction, u_start: np.ndarray,
                     direction: int, tol: float, k_window: float, beta: float):
-    """Iterate unit time blocks of the order-preserving scheme.
+    """Iterate unit time blocks of the order-preserving scheme to its limit.
 
     The orbit must move monotonically (direction -1: non-increasing,
     +1: non-decreasing) across blocks; a failure on the very first block
     means the block is too short to enter the monotone regime, so it is
-    doubled a few times before giving up.  Convergence is sup-norm
-    Cauchy between block endpoints, with a weighted-L² fallback recorded
-    when the sup norm stalls while the mean-square difference contracts.
+    doubled a few times before giving up.  When the block difference
+    first falls to CERT_TRY, a reaction with an exact ds_sup gets one
+    try at Newton's limit from the block end, kept when _certifies proves
+    it the orbit's limit (criterion "certified").  Otherwise, or on
+    refusal, convergence is sup-norm Cauchy between block endpoints, with
+    a weighted-L² fallback recorded when the sup norm stalls while the
+    mean-square difference contracts, and the last block end is
+    Newton-polished.  Returns the limit, the block count and the
+    criterion.
     """
     u = np.array(u_start, dtype=float)
     w = op.space.weights
-    scale = 1.0 + float(np.max(np.abs(u)))
+    slack = ORDER_TOL * (1.0 + float(np.max(np.abs(u))))
     blocks = 0
     criterion = "sup"
+    try_cert = f.ds_sup(u, u) is not None
     config = _block_config(op, f, k_window, 1.0, beta)
     while blocks < MAX_BLOCKS:
         u_new = evolve_nonlinear(op, f, u, config).final()
         gap = direction * (u_new - u)
-        if np.min(gap) < -1e-12 * scale:
+        if np.min(gap) < -slack:
             if blocks == 0 and config.t_end < 64.0:
                 config = _block_config(op, f, k_window, 2.0 * config.t_end, beta)
                 continue
@@ -170,6 +181,14 @@ def _monotone_orbit(op: NonlocalOperator, f: Reaction, u_start: np.ndarray,
         sup_diff = float(np.max(np.abs(u_new - u)))
         l2_diff = float(np.sqrt(np.sum(w * (u_new - u) ** 2)))
         u = u_new
+        if try_cert and sup_diff <= CERT_TRY:
+            try_cert = False
+            try:
+                e, lu = _newton(op, f, u)
+            except RuntimeError:  # no Newton limit, nothing to certify
+                e = lu = None
+            if lu is not None and _certifies(op, f, e, lu, u, u_start, direction, slack):
+                return e, blocks, "certified"
         if sup_diff <= tol:
             break
         if blocks > 200 and l2_diff <= tol:
@@ -177,24 +196,78 @@ def _monotone_orbit(op: NonlocalOperator, f: Reaction, u_start: np.ndarray,
             break
     else:
         raise RuntimeError("monotone iteration exceeded the block cap")
-    return u, blocks, criterion
+    return newton_refine(op, f, u), blocks, criterion
 
 
-def newton_refine(op: NonlocalOperator, f: Reaction, guess: np.ndarray,
-                  tol: float = 1e-12, max_steps: int = 50) -> np.ndarray:
-    """Damped Newton on R(u) = amat·u + f(u), halving on residual increase."""
+def _certifies(op: NonlocalOperator, f: Reaction, e: np.ndarray, lu,
+               u: np.ndarray, u_start: np.ndarray, direction: int,
+               slack: float) -> bool:
+    """True when Newton's limit e from the block end u, with lu its last
+    step's factorization, is provably the orbit's limit L.
+
+    With J = amat + diag ∂f/∂s, Metzler, e is accepted when
+    1. e has Newton's residual NEWTON_TOL (the caller's _newton);
+    2. e lies on the start's side: direction·(e - u_start) >= -slack.  An
+       equilibrium lies in the envelope, inside the truncation window, so
+       it is a fixed point of the order-preserving scheme, and the orbit
+       from u_start stays on e's far side; L lies in the box between e and
+       u, which the orbit passed on its monotone way to L;
+    3. ψ solving J(u_k)ψ = -1 by the last Newton step's LU is positive;
+    4. (amat + diag q̄)ψ < 0, q̄ = f.ds_sup over the box widened by slack.
+       Then Λ(amat + diag q̄) < 0 (Collatz-Wielandt), and L - e solves
+       (amat + diag q)(L - e) = 0 with secant slopes q <= q̄, whose
+       matrix has Λ <= Λ(amat + diag q̄) < 0 and is nonsingular: L = e.
+    ψ is only a test vector, so the check trusts no solve, but 4 must
+    hold in exact arithmetic.  Each entry of (amat + diag q̄)ψ sums n + 1
+    products, so rounding moves it by at most γ_{n+2}·mag, with
+    mag = (|amat| + |diag q̄|)ψ and γ_k = kε/(1 - kε), ε = eps/2 (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, §3.1).  Computed
+    entries must stay below -2(n+2)·eps·mag <= -2γ_{n+2}·mag; the factor
+    2 covers the rounding of mag itself, and ds_sup rounds q̄ up.
+    Sattinger (1972); Amann (1976).
+    """
+    from scipy.linalg import lu_solve
+
+    if np.any(direction * (e - u_start) < -slack):
+        return False
+    psi = lu_solve(lu, -np.ones(op.n), trans=1, check_finite=False)
+    if not np.all(psi > 0):
+        return False
+    qbar = f.ds_sup(np.minimum(e, u) - slack, np.maximum(e, u) + slack)
+    amat = op.amat
+    a_psi = amat @ psi
+    bound = a_psi + qbar * psi
+    mag = a_psi - 2.0 * np.minimum(np.diagonal(amat), 0.0) * psi + np.abs(qbar) * psi
+    return bool(np.all(bound + 2 * (op.n + 2) * np.finfo(float).eps * mag < 0))
+
+
+def _newton(op: NonlocalOperator, f: Reaction, guess: np.ndarray,
+            tol: float = NEWTON_TOL, max_steps: int = 50):
+    """Damped Newton on R(u) = amat·u + f(u), halving on residual increase.
+
+    Returns the root and the LU factorization of the last step's Jacobian
+    J, None if the guess met tol.  The factorization is of Jᵀ, the
+    Fortran-ordered view of J, which spares LAPACK a copy; solve with
+    lu_solve(..., trans=1).  An exactly zero pivot raises.
+    """
+    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+
     u = np.array(guess, dtype=float)
     r = op.amat @ u + f.apply(u)
     rn = float(np.max(np.abs(r)))
+    lu = None
     for _ in range(max_steps):
         if rn <= tol:
-            return u
+            return u, lu
         jac = op.amat.copy()
         jac.flat[::op.n + 1] += f.apply_ds(u)
-        try:
-            delta = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError("singular jacobian in newton refinement") from exc
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", LinAlgWarning)  # an exactly zero pivot
+            try:
+                lu = lu_factor(jac.T, overwrite_a=True, check_finite=False)
+            except LinAlgWarning as exc:
+                raise RuntimeError("singular jacobian in newton refinement") from exc
+        delta = lu_solve(lu, -r, trans=1, check_finite=False)
         lam = 1.0
         while True:
             u_try = u + lam * delta
@@ -207,8 +280,14 @@ def newton_refine(op: NonlocalOperator, f: Reaction, guess: np.ndarray,
             raise RuntimeError("newton refinement diverged")
         u, r, rn = u_try, r_try, rn_try
     if rn <= tol:
-        return u
+        return u, lu
     raise RuntimeError(f"newton refinement stalled at residual {rn:.3e}")
+
+
+def newton_refine(op: NonlocalOperator, f: Reaction, guess: np.ndarray,
+                  tol: float = NEWTON_TOL, max_steps: int = 50) -> np.ndarray:
+    """Damped Newton on R(u) = amat·u + f(u), halving on residual increase."""
+    return _newton(op, f, guess, tol, max_steps)[0]
 
 
 def extremal_equilibria(op: NonlocalOperator, f: Reaction,
@@ -217,9 +296,11 @@ def extremal_equilibria(op: NonlocalOperator, f: Reaction,
     """Extremal equilibria as monotone limits from ±(Φ+ε).
 
     The downward orbit from Φ+ε and the upward orbit from -Φ-ε converge
-    in ordered blocks to the maximal and minimal equilibria, which are
-    then Newton-polished.  Any equilibrium of the system is sandwiched
-    between the two, and both are dominated by Φ in absolute value.
+    in ordered blocks to the maximal and minimal equilibria, each either
+    certified as a Newton limit or Newton-polished after a Cauchy stop
+    (stopping_criteria says which).  Any equilibrium of the system is
+    sandwiched between the two, and both are dominated by Φ in absolute
+    value.
     """
     c_eff, d_vec, phi = _envelope(op, f)
     eps = epsilon if epsilon is not None else 1e-3 * (1.0 + float(np.max(np.abs(phi))))
@@ -227,15 +308,12 @@ def extremal_equilibria(op: NonlocalOperator, f: Reaction,
         raise ValueError("epsilon must be positive")
     k_window, beta = _orbit_window(op, f, pad=eps)
 
-    upper, it_up, crit_up = _monotone_orbit(op, f, phi + eps, -1, tol, k_window, beta)
-    lower, it_dn, crit_dn = _monotone_orbit(op, f, -phi - eps, +1, tol, k_window, beta)
-    phi_M = newton_refine(op, f, upper)
-    phi_m = newton_refine(op, f, lower)
+    phi_M, it_up, crit_up = _monotone_orbit(op, f, phi + eps, -1, tol, k_window, beta)
+    phi_m, it_dn, crit_dn = _monotone_orbit(op, f, -phi - eps, +1, tol, k_window, beta)
 
-    phi_m_plus = None
-    it_plus = 0
+    phi_m_plus, it_plus, crit_plus = None, 0, None
     if np.all(f.g0 >= -1e-14):
-        phi_m_plus, it_plus = _minimal_nonnegative(op, f, tol, k_window, beta)
+        phi_m_plus, it_plus, crit_plus = _minimal_nonnegative(op, f, tol, k_window, beta)
 
     res = {"phi_M": residual_norm(op, f, phi_M), "phi_m": residual_norm(op, f, phi_m)}
     if phi_m_plus is not None:
@@ -245,7 +323,8 @@ def extremal_equilibria(op: NonlocalOperator, f: Reaction,
         residuals=res,
         iterations={"phi_M": it_up, "phi_m": it_dn, "phi_m_plus": it_plus},
         epsilon=eps,
-        stopping_criterion=crit_up if crit_up == crit_dn else f"{crit_up}/{crit_dn}")
+        stopping_criterion=crit_up if crit_up == crit_dn else f"{crit_up}/{crit_dn}",
+        stopping_criteria={"phi_M": crit_up, "phi_m": crit_dn, "phi_m_plus": crit_plus})
     _check_equilibrium_set(out)
     return out
 
@@ -253,7 +332,14 @@ def extremal_equilibria(op: NonlocalOperator, f: Reaction,
 def _check_equilibrium_set(es: EquilibriumSet) -> None:
     if np.any(es.phi_m > es.phi_M + 1e-8):
         raise RuntimeError("extremal equilibria lost their ordering")
-    for name, vec in (("phi_m", es.phi_m), ("phi_M", es.phi_M)):
+    named = [("phi_m", es.phi_m), ("phi_M", es.phi_M)]
+    if es.phi_m_plus is not None:
+        if np.any(es.phi_m_plus < es.phi_m - 1e-8) or np.any(es.phi_m_plus > es.phi_M + 1e-8):
+            raise RuntimeError("phi_m_plus leaves the extremal sandwich")
+        if np.any(es.phi_m_plus < -1e-8):
+            raise RuntimeError("phi_m_plus is negative")
+        named.append(("phi_m_plus", es.phi_m_plus))
+    for name, vec in named:
         if np.any(np.abs(vec) > es.phi + 1e-8):
             raise RuntimeError(f"{name} escapes the envelope")
     if any(r > 1e-8 for r in es.residuals.values()):
@@ -262,9 +348,8 @@ def _check_equilibrium_set(es: EquilibriumSet) -> None:
 
 def _minimal_nonnegative(op, f, tol, k_window, beta):
     if float(np.max(np.abs(f.g0))) == 0.0:
-        return np.zeros(op.n), 0
-    u, blocks, _ = _monotone_orbit(op, f, np.zeros(op.n), +1, tol, k_window, beta)
-    return newton_refine(op, f, u), blocks
+        return np.zeros(op.n), 0, "certified"  # 0 is an equilibrium: the orbit stays there
+    return _monotone_orbit(op, f, np.zeros(op.n), +1, tol, k_window, beta)
 
 
 def minimal_nonnegative_equilibrium(op: NonlocalOperator, f: Reaction,
@@ -272,8 +357,7 @@ def minimal_nonnegative_equilibrium(op: NonlocalOperator, f: Reaction,
     """Monotone limit from u0 = 0; zero itself when f(·,0) vanishes."""
     if np.any(f.g0 < -1e-14):
         raise ValueError("needs f(·,0) >= 0 so that 0 is a subsolution")
-    vec, _ = _minimal_nonnegative(op, f, tol, *_orbit_window(op, f))
-    return vec
+    return _minimal_nonnegative(op, f, tol, *_orbit_window(op, f))[0]
 
 
 def _orbit_window(op: NonlocalOperator, f: Reaction, pad: float = 1.0) -> Tuple[float, float]:
@@ -310,8 +394,7 @@ def minimal_positive_equilibrium(op: NonlocalOperator, f: Reaction, m_lower,
 
     limits: List[np.ndarray] = []
     for level in (gamma, gamma / 2, gamma / 4, gamma / 8):
-        u, _, _ = _monotone_orbit(op, f, level * phi_t, +1, tol, k_window, beta)
-        limits.append(newton_refine(op, f, u))
+        limits.append(_monotone_orbit(op, f, level * phi_t, +1, tol, k_window, beta)[0])
     worst = max(float(np.max(np.abs(limits[0] - other))) for other in limits[1:])
     if worst > 10 * tol:
         raise RuntimeError(

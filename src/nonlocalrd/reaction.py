@@ -62,6 +62,11 @@ class Reaction:
     def apply_ds(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def ds_sup(self, lo: np.ndarray, hi: np.ndarray) -> Optional[np.ndarray]:
+        """Per-node supremum of ∂f/∂s(x_i, s) over lo_i <= s <= hi_i, rounded
+        up; None (the default) when the reaction has no exact one."""
+        return None
+
     def eval_grid(self, smat: np.ndarray) -> np.ndarray:
         """f(x_i, s[i, j]) on an (n, k) matrix of s-values."""
         return self.apply(np.asarray(smat, dtype=float).T).T
@@ -168,6 +173,13 @@ class LogisticReaction(Reaction):
     def apply_ds(self, u):
         s = np.asarray(u, dtype=float)
         return self.ncoef - self.rho * self.m * np.abs(s) ** (self.rho - 1)
+
+    def ds_sup(self, lo, hi):
+        # n - ρm|s|^{ρ-1} peaks at the least |s| of [lo, hi]; its at most four
+        # roundings (pow within an ulp) stay below the 4 eps of its terms added
+        least = np.where((lo <= 0) & (hi >= 0), 0.0, np.minimum(np.abs(lo), np.abs(hi)))
+        drop = self.rho * self.m * least ** (self.rho - 1)
+        return self.ncoef - drop + 4 * np.finfo(float).eps * (np.abs(self.ncoef) + drop)
 
     def lip_on(self, k: float) -> float:
         # |∂f/∂s| = |n - ρ m |s|^{ρ-1}| is monotone in |s|: extremes at 0 and k

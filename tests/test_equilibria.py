@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm
 
+import nonlocalrd.equilibria as eqmod
 from nonlocalrd.equilibria import (
     block_assignment,
     extremal_equilibria,
@@ -23,7 +24,7 @@ from nonlocalrd.evolve import IntegratorConfig, envelope_U, evolve_nonlinear
 from nonlocalrd.kernel import assemble_kernel, build_operator, compute_h0
 from nonlocalrd.reaction import CallableReaction, LogisticReaction, monotone_shift, truncate
 from nonlocalrd.space import build_graph, build_interval, merge_spaces
-from nonlocalrd.verify import asymptotic_suite
+from nonlocalrd.verify import asymptotic_suite, sample_system
 
 SQRT3 = math.sqrt(3.0)
 
@@ -351,17 +352,20 @@ class TestNewton:
     def test_jacobian_is_bitwise_the_dense_expression(self, monkeypatch):
         """The Jacobian is amat with ∂f/∂s added on the diagonal in place; its
         bytes are those of amat + diag(∂f/∂s), which differ only at -0.0
-        entries of amat that no built-in law produces."""
+        entries of amat that no built-in law produces.  The LU factorization
+        takes Jᵀ, the Fortran-ordered view of J, so J is its transpose."""
+        import scipy.linalg
+
         n = 40
         s = build_interval(0, 1, n)
         op = build_operator(assemble_kernel(s, "tophat", R=0.3, J0=2.0),
                             1.0 + 0.5 * np.sin(2 * np.pi * s.x))
         f = LogisticReaction(g=0.2, n=1.0, m=1.0, rho=3.0, n_nodes=n)
         states, jacobians = [], []
-        real_ds, real_solve = f.apply_ds, np.linalg.solve
+        real_ds, real_factor = f.apply_ds, scipy.linalg.lu_factor
         monkeypatch.setattr(f, "apply_ds", lambda u: states.append(u.copy()) or real_ds(u))
-        monkeypatch.setattr(np.linalg, "solve",
-                            lambda a, b: jacobians.append(a.copy()) or real_solve(a, b))
+        monkeypatch.setattr(scipy.linalg, "lu_factor", lambda a, **kw: (
+            jacobians.append(a.T.copy()) or real_factor(a, **kw)))
         guess = 1.0 + 0.1 * np.random.default_rng(8).standard_normal(n)
         newton_refine(op, f, guess)
         assert len(jacobians) == len(states) >= 2
@@ -373,6 +377,136 @@ class TestNewton:
         _, _, op = unit_op(n)
         out = newton_refine(op, logistic(n), np.zeros(n))
         np.testing.assert_array_equal(out, 0.0)
+
+    def test_exactly_singular_jacobian_raises(self):
+        # J = amat = ones/n has rank one: elimination leaves exact zero pivots
+        n = 16
+        _, _, op = unit_op(n)
+        f = CallableReaction(np.ones_like, np.zeros_like, n_nodes=n)
+        with pytest.raises(RuntimeError, match="singular jacobian in newton refinement"):
+            newton_refine(op, f, np.zeros(n))
+
+
+def bench_system(n):
+    """The benchmark's equilibria system at its nominal coefficients."""
+    s = build_interval(0, 1, n)
+    op = build_operator(assemble_kernel(s, "tophat", R=0.3, J0=2.0),
+                        1.0 + 0.5 * np.sin(2 * np.pi * s.x))
+    return op, LogisticReaction(g=0.2, n=1.0, m=1.0, rho=3.0, n_nodes=n)
+
+
+def sampled_logistic_systems(count):
+    """The first `count` logistic systems of sample_system over seeds 0, 1, ..."""
+    out, seed = [], 0
+    while len(out) < count:
+        sys_ = sample_system(np.random.default_rng(seed))
+        if isinstance(sys_.reaction, LogisticReaction):
+            out.append((sys_.op, sys_.reaction))
+        seed += 1
+    return out
+
+
+def equilibrium_system(key):
+    """("bench", n) or ("sampled", i): a bench system or the i-th sampled one."""
+    kind, arg = key
+    return bench_system(arg) if kind == "bench" else sampled_logistic_systems(arg + 1)[arg]
+
+
+EQUILIBRIUM_SYSTEMS = [("bench", 256), ("bench", 512)] + [("sampled", i) for i in range(10)]
+
+
+class TestCertificate:
+    def certificate_inputs(self, op, f):
+        """φ_m with its last Newton factorization, and an orbit's slack."""
+        es = extremal_equilibria(op, f)
+        e, lu = eqmod._newton(op, f, es.phi_m + 1e-3)
+        np.testing.assert_allclose(e, es.phi_m, atol=1e-10)
+        start = es.phi + es.epsilon
+        return es, e, lu, start, eqmod.ORDER_TOL * (1.0 + float(np.max(start)))
+
+    def test_control_box_holding_two_equilibria_refuses(self):
+        """e = φ_m with u just above φ_M: the box holds φ_M ≠ φ_m, so the
+        certificate must refuse; the mirrored box below φ_m accepts."""
+        sampled = sampled_logistic_systems(10)
+        assert {op.n for op, _ in sampled} == {32, 64, 128}
+        controls = 0
+        for op, f in [bench_system(256), bench_system(512)] + sampled:
+            es, e, lu, start, slack = self.certificate_inputs(op, f)
+            assert eqmod._certifies(op, f, e, lu, es.phi_m - 1e-3, -start, +1, slack)
+            if np.max(es.phi_M - es.phi_m) > 1e-6:  # else φ_m is the only equilibrium
+                controls += 1
+                assert not eqmod._certifies(op, f, e, lu, es.phi_M + 1e-3, start, -1, slack)
+        assert controls >= 6
+
+    def test_limit_on_the_wrong_side_of_the_start_refuses(self):
+        for op, f in (bench_system(256), sampled_logistic_systems(1)[0]):
+            es, e, lu, start, slack = self.certificate_inputs(op, f)
+            below = es.phi_m - 1e-3
+            assert eqmod._certifies(op, f, e, lu, below, -start, +1, slack)
+            assert not eqmod._certifies(op, f, e, lu, below, es.phi_m + 0.1, +1, slack)
+            assert not eqmod._certifies(op, f, e, lu, below, -start, -1, slack)
+
+    def test_reaction_without_exact_derivative_bound_takes_the_fallback(self):
+        n = 48
+        _, _, op = unit_op(n, h=np.full(n, 2.0))  # Λ(K - hI) = -1
+        f = CallableReaction(lambda s: 0.3 + 0.5 * s - s ** 3, lambda s: 0.5 - 3.0 * s ** 2,
+                             n_nodes=n)  # the logistic law below, without ds_sup
+        assert f.ds_sup(np.zeros(n), np.ones(n)) is None
+        es = extremal_equilibria(op, f)
+        assert es.stopping_criteria == {"phi_M": "sup", "phi_m": "sup", "phi_m_plus": "sup"}
+        assert es.stopping_criterion == "sup"
+        ref = extremal_equilibria(op, logistic(n, g=0.3, ncoef=0.5))
+        assert ref.stopping_criteria == {"phi_M": "certified", "phi_m": "certified",
+                                         "phi_m_plus": "certified"}
+        assert ref.stopping_criterion == "certified"
+        for name in ("phi_M", "phi_m", "phi_m_plus"):
+            np.testing.assert_allclose(getattr(es, name), getattr(ref, name), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("system", EQUILIBRIUM_SYSTEMS, ids=lambda k: f"{k[0]}{k[1]}")
+    def test_certified_limits_match_the_fallback(self, system, monkeypatch):
+        op, f = equilibrium_system(system)
+        es = extremal_equilibria(op, f)
+        eqmod._check_equilibrium_set(es)
+        assert set(es.stopping_criteria.values()) - {None} == {"certified"}
+        with monkeypatch.context() as m:
+            m.setattr(eqmod, "_certifies", lambda *args: False)
+            ref = extremal_equilibria(op, f)
+        assert "certified" not in (ref.stopping_criteria["phi_M"], ref.stopping_criteria["phi_m"])
+        assert es.iterations["phi_M"] <= ref.iterations["phi_M"]
+        assert es.iterations["phi_m"] <= ref.iterations["phi_m"]
+        np.testing.assert_allclose(es.phi_M, ref.phi_M, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(es.phi_m, ref.phi_m, rtol=0, atol=1e-10)
+        assert (es.phi_m_plus is None) == (ref.phi_m_plus is None)
+        if es.phi_m_plus is not None:
+            np.testing.assert_allclose(es.phi_m_plus, ref.phi_m_plus, rtol=0, atol=1e-10)
+
+
+class TestCheckEquilibriumSet:
+    def equilibrium_set(self):
+        _, _, op = unit_op(32)
+        es = extremal_equilibria(op, logistic(32, g=0.3))
+        assert es.phi_m_plus is not None
+        eqmod._check_equilibrium_set(es)
+        return es
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda es: es.phi_M + 0.1, "phi_m_plus leaves the extremal sandwich"),
+        (lambda es: es.phi_m - 0.1, "phi_m_plus leaves the extremal sandwich"),
+        (lambda es: np.where(np.arange(32) == 3, -1e-6, es.phi_m_plus), "phi_m_plus is negative"),
+    ], ids=["above_phi_M", "below_phi_m", "negative"])
+    def test_corrupted_minimal_nonnegative_equilibrium_is_named(self, corrupt, message):
+        es = self.equilibrium_set()
+        es.phi_m_plus = corrupt(es)
+        with pytest.raises(RuntimeError, match=message):
+            eqmod._check_equilibrium_set(es)
+
+    def test_minimal_nonnegative_equilibrium_outside_the_envelope_is_named(self):
+        # within tolerance of the sandwich and of φ_M's envelope check, not of its own
+        es = self.equilibrium_set()
+        es.phi_M[3] = es.phi[3] + 0.9e-8
+        es.phi_m_plus[3] = es.phi[3] + 1.8e-8
+        with pytest.raises(RuntimeError, match="phi_m_plus escapes the envelope"):
+            eqmod._check_equilibrium_set(es)
 
 
 class TestPiecewiseFamily:
