@@ -19,7 +19,9 @@ the weights dt·w through which euler_op reads jmat in place (no n×n
 copy), the propagator pair — and returns a Stepper holding the prepared
 one-step map.  evolve_nonlinear builds one and runs the single stepping
 loop: per step it applies the map, makes one cheap blow-up test and
-stores the state on steps chosen before the loop.
+stores the state on steps chosen before the loop.  monotone_stages splits
+an order-preserving run into stages that end where the comparison bound
+doubles, each truncated at the bound's level up to its end.
 
 A (k, n) batch u0, one datum per row, is one run with states (len(times), k, n),
 each step mapping all rows at once as (M @ v.T).T.  The truncation level and β come from
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from numbers import Real
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -369,11 +371,55 @@ class SupersolutionBound:
         """Padded level, never below m0 (z(0) can round under it); NaN stays NaN."""
         return max(self.level, self.m0) * (1 + 1e-9) + 1e-9
 
+    def time_at(self, value: float) -> float:
+        """The time z reaches value, for value between z(0) and z(t_end) of a growing z."""
+        if self.c == 0.0:
+            return (value - self.m0) / self.d
+        return math.log1p(self.c * (value - self.m0) / (self.c * self.m0 + self.d)) / self.c
+
+    def stage_ends(self) -> List[float]:
+        """Stage ends t_1 < ... < t_S = t_end of the staged truncation.
+
+        t_j (j < S) is where z first reaches 2ʲ·z(0), so z at most doubles
+        over each stage.  One stage when z(0) <= 0 or z(t_end) <= 2·z(0), and
+        when c < 0, where explicit Euler of ż = cz + d leads the exact z
+        instead of lagging it, so a level taken at z(t_j) would keep no margin.
+        """
+        top = self(self.t_end)
+        ends: List[float] = []
+        if self.m0 > 0 and self.c >= 0 and math.isfinite(top):
+            for j in range(1, math.ceil(math.log2(top / self.m0))):
+                t = self.time_at(self.m0 * 2.0 ** j)
+                if (ends[-1] if ends else 0.0) < t < self.t_end:
+                    ends.append(t)
+        return ends + [self.t_end]
+
 
 def supersolution_ode(c: float, d: float, m0: float, t_end: float) -> SupersolutionBound:
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     return SupersolutionBound(c=float(c), d=float(d), m0=float(m0), t_end=float(t_end))
+
+
+def monotone_stages(op: NonlocalOperator, f: Reaction,
+                    bound: SupersolutionBound) -> List[Tuple[float, IntegratorConfig]]:
+    """(start, config) of each euler_op stage of a run on [0, bound.t_end]
+    whose data satisfy ‖u0‖_∞ <= bound.m0, chained by the caller, each
+    stage starting from the last state of the one before.
+
+    Stage j, from t_{j-1} to t_j (bound.stage_ends()), truncates at the
+    bound's padded level over [0, t_j] and takes its own β_j and dt_j from
+    monotone_config.  On the stage the orbit satisfies |u| <= z(t) <= z(t_j),
+    so the truncation never changes it, and dt_j·max(h + β_j) <= 1 keeps
+    each step order-preserving.  A β that grows with the level is thus paid
+    in full only on the last stage.
+    """
+    ends = bound.stage_ends()
+    probe = np.full(op.n, bound.m0)
+    return [(start, monotone_config(
+                op, f, probe, end - start,
+                trunc_k=supersolution_ode(bound.c, bound.d, bound.m0, end).trunc_level))
+            for start, end in zip([0.0] + ends[:-1], ends)]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from nonlocalrd.evolve import (
     lyapunov_E,
     make_stepper,
     monotone_config,
+    monotone_stages,
     picard_solve,
     supersolution_ode,
 )
@@ -37,7 +38,7 @@ from nonlocalrd.reaction import (
 )
 from nonlocalrd.space import build_interval
 from nonlocalrd.spectral import cw_bounds
-from nonlocalrd.verify import EXACT_TOL
+from nonlocalrd.verify import EXACT_TOL, sample_system
 
 
 def unit_op(n=32, c=1.0, h=None):
@@ -964,6 +965,70 @@ class TestSupersolutionOde:
             level = supersolution_ode(float(np.max(sb.c)) + corr, float(np.max(sb.d)),
                                       m0, 1.0).level
             assert _prepare_monotone(op, f, m0, 1.0)[2] == max(level, m0) * (1.0 + 1e-9) + 1e-9
+
+
+def random_bounds(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        c = 0.0 if rng.uniform() < 0.25 else float(rng.uniform(0.0, 6.0))
+        yield supersolution_ode(c, float(rng.uniform(0.0, 3.0)), float(rng.uniform(1e-3, 3.0)),
+                                float(rng.choice([0.25, 1.0, 2.0])))
+
+
+class TestStagedTruncation:
+    def test_stage_ends_increase_to_t_end_where_z_doubles(self):
+        staged = 0
+        for z in random_bounds(16, 400):
+            ends = z.stage_ends()
+            assert all(a < b for a, b in zip(ends, ends[1:]))
+            assert ends[-1] == z.t_end
+            for j, t in enumerate(ends[:-1], 1):
+                assert z(t) == pytest.approx(2.0 ** j * z.m0, rel=1e-12)
+            assert z(z.t_end) <= 2.0 ** len(ends) * z.m0 * (1 + 1e-12)
+            staged += len(ends) > 1
+        assert staged > 200
+
+    def test_each_stage_truncates_at_the_bound_up_to_its_end(self):
+        staged = 0
+        for trial in range(30):
+            rng = np.random.default_rng([16, trial])
+            sys_ = sample_system(rng)
+            op, f = sys_.op, sys_.reaction
+            sb = structure_bounds(f, "plain")
+            z = evolve._comparison_bound(op, sb.c, sb.d, float(rng.uniform(0.2, 1.0)), 1.0)
+            z = supersolution_ode(max(z.c, 0.1), z.d, z.m0, z.t_end)
+            stages = monotone_stages(op, f, z)
+            ends = z.stage_ends()
+            assert [start for start, _ in stages] == [0.0] + ends[:-1]
+            for (start, cfg), end in zip(stages, ends):
+                assert cfg.trunc_k == supersolution_ode(z.c, z.d, z.m0, end).trunc_level
+                assert cfg.trunc_k >= z(end)
+                assert cfg.scheme == "euler_op" and cfg.t_end == end - start
+                cfg.check_monotone_dt(op.h, cfg.beta)
+                _nsteps(cfg.dt, cfg.t_end)
+            staged += len(stages) > 1
+        assert staged >= 3
+
+    @pytest.mark.parametrize("c, d, m0", [
+        (1.0, 1.0, 0.0),     # z(0) = 0
+        (0.5, 0.1, 1.0),     # z(1) ≈ 1.78 < 2·z(0)
+        (0.0, 1.0, 1.0),     # z(1) = 2·z(0) exactly
+        (-1.0, 0.5, 1.0),    # decaying
+        (-0.1, 1.0, 0.1),    # c < 0 growing to z(1) ≈ 10·z(0): Euler would lead z
+    ])
+    def test_one_stage_is_the_single_level_configuration(self, c, d, m0):
+        _, _, op = unit_op(16)
+        f = LogisticReaction(g=0.2, n=1.0, m=0.5, rho=3.0, n_nodes=16)
+        z = supersolution_ode(c, d, m0, 1.0)
+        assert z.stage_ends() == [1.0]
+        single = monotone_config(op, f, np.full(16, m0), 1.0, trunc_k=z.trunc_level)
+        assert monotone_stages(op, f, z) == [(0.0, single)]
+
+    def test_linear_bound_inverse_is_its_closed_form(self):
+        z = supersolution_ode(0.0, 2.0, 0.5, 3.0)  # z(t) = 0.5 + 2t, z(3) = 13·z(0)
+        assert z.stage_ends() == [(2.0 ** j - 1.0) * 0.5 / 2.0 for j in (1, 2, 3)] + [3.0]
+        for v in np.linspace(0.5, 6.5, 13):
+            assert z.time_at(v) == (v - 0.5) / 2.0
 
 
 class TestEnvelope:

@@ -59,12 +59,19 @@ def test_shared_config_is_the_three_call_construction():
     assert kinds == {True, False}
 
 
-@pytest.mark.parametrize("suite", [comparison_suite, maximum_principle_suite,
-                                   supersolution_suite])
-def test_exact_suites_pass(suite):
-    rep = suite(12, SEED)
+@pytest.mark.parametrize("suite, trials, seed", [
+    pytest.param(comparison_suite, 12, SEED, id="comparison_suite"),
+    pytest.param(maximum_principle_suite, 12, SEED, id="maximum_principle_suite"),
+    pytest.param(supersolution_suite, 12, SEED, id="supersolution_suite"),
+    # the command line's default size
+    pytest.param(supersolution_suite, 50, 0, id="supersolution_suite-50-0"),
+    pytest.param(supersolution_suite, 50, SEED, id="supersolution_suite-50-SEED"),
+])
+def test_exact_suites_pass(suite, trials, seed):
+    rep = suite(trials, seed)
     assert rep.failures == 0, rep.details
     assert rep.worst_violation <= rep.tolerance
+    assert rep.details[-1]["fired"]
 
 
 def test_narrow_tophat_strong_check_uses_hop_chaining():
@@ -86,6 +93,34 @@ def test_asymptotic_suite_makes_one_two_row_run_per_trial(monkeypatch):
     rep = asymptotic_suite(3, 0)
     assert rep.failures == 0, rep.details
     assert len(runs) == 3 and all(shape[0] == 2 for shape in runs)
+
+
+def _recorded_runs(monkeypatch):
+    runs, real = [], verify.evolve_nonlinear
+
+    def recorded(op, f, u0, cfg):
+        tr = real(op, f, u0, cfg)
+        runs.append((cfg, tr))
+        return tr
+
+    monkeypatch.setattr(verify, "evolve_nonlinear", recorded)
+    return runs
+
+
+def test_supersolution_suite_stages_its_truncation(monkeypatch):
+    # one level for all of [0, 1] took 27,389 steps here (20 trials and the control)
+    runs = _recorded_runs(monkeypatch)
+    assert supersolution_suite(20, 0).passed
+    assert sum(int(tr.metadata["steps"][-1]) for _, tr in runs) <= 7000
+
+
+def test_supersolution_truncation_never_bites(monkeypatch):
+    runs = _recorded_runs(monkeypatch)
+    supersolution_suite(20, 0)
+    stages = runs[:-1]  # the last run is the control
+    assert len(stages) > 20
+    for cfg, tr in stages:
+        assert np.max(np.abs(tr.states)) <= cfg.trunc_k
 
 
 def test_asymptotic_suite_passes():
