@@ -2,9 +2,11 @@
 
 The integral operator Ku(x) = ∫ J(x,y) u(y) dy becomes the dense matrix
 jmat @ diag(weights) acting on raw node values, and the full linear part
-L = K - hI becomes amat = jmat @ diag(weights) - diag(h).  Measure
-weights are folded in once here so everything downstream is plain matrix
-algebra.
+L = K - hI becomes amat = jmat @ diag(weights) - diag(h).  An operator
+stores one n×n array, jmat, with the weights and h: apply is the matvec
+L v = jmat @ (w·v) - h·v, and a consumer that needs the matrix reads
+amat, assembled fresh on each read, once per call.  Kernel laws and the
+positivity certificate read the distances in the space's row blocks.
 """
 
 from __future__ import annotations
@@ -53,17 +55,16 @@ class Kernel:
             r, j0 = self.positivity_cert
             if j0 <= 0:
                 raise ValueError("positivity certificate needs J0 > 0")
-            if np.any((self.space.dist < r) & (j <= j0)):
+            if any(np.any((d < r) & (j[rows] <= j0)) for rows, d in self.space.row_blocks()):
                 raise ValueError("positivity certificate fails entrywise")
 
 
 @dataclass(frozen=True)
 class NonlocalOperator:
-    """Matrix realization of L = K - hI with its ingredients kept around."""
+    """L = K - hI by its ingredients: the kernel, h and h0 = ∫ J(·, y) dy."""
 
     kernel: Kernel
     h: np.ndarray
-    amat: np.ndarray
     h0: np.ndarray
 
     @property
@@ -74,39 +75,58 @@ class NonlocalOperator:
     def n(self) -> int:
         return self.kernel.space.n
 
+    @property
+    def amat(self) -> np.ndarray:
+        """jmat·diag(w) - diag(h), a fresh n×n array on each read."""
+        amat = self.kernel.jmat * self.kernel.space.weights
+        amat.flat[:: self.n + 1] -= self.h
+        return amat
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """L v = jmat @ (w·v) - h·v with no n×n array, row by row on a (k, n) batch."""
+        return (self.kernel.jmat @ (self.space.weights * v).T).T - self.h * v
+
+
+def _law_matrix(space: MeasureSpace, fill) -> np.ndarray:
+    """The (n, n) matrix filled by fill(out, d) on each row block out and its distances d."""
+    jmat = np.empty((space.n, space.n))
+    for rows, d in space.row_blocks():
+        fill(jmat[rows], d)
+    return jmat
+
 
 def assemble_kernel(space: MeasureSpace, law: str, **params) -> Kernel:
-    """Build the kernel matrix from a law applied to pairwise distances.
+    """Build the kernel matrix from a law applied to pairwise distances,
+    row block by row block.
 
     Laws: constant(c), tophat(R, J0) meaning J = J0 for d < R else 0,
     gaussian(sigma, scale), table(jmat) with an explicit matrix.
     """
-    d = space.dist
     if law == "constant":
         c = float(params["c"])
         if c < 0:
             raise ValueError("constant law needs c >= 0")
-        jmat = np.full_like(d, c)
-        cert = None
-        if c > 0:
-            # any radius certifies a constant kernel; pick one covering the space
-            cert = (2.0 * max(space.diameter(), 1.0), c / 2.0)
-        return Kernel(space=space, jmat=jmat, positivity_cert=cert)
+        # any radius certifies a positive constant kernel; pick one covering the space
+        cert = (2.0 * max(space.diameter(), 1.0), c / 2.0) if c > 0 else None
+        return Kernel(space=space, jmat=np.full((space.n, space.n), c), positivity_cert=cert)
     if law == "tophat":
         r = float(params["R"])
         j0 = float(params["J0"])
         if r <= 0 or j0 <= 0:
             raise ValueError("tophat law needs R > 0 and J0 > 0")
-        jmat = np.where(d < r, j0, 0.0)
+        jmat = _law_matrix(space, lambda out, d: np.multiply(d < r, j0, out=out))
         return Kernel(space=space, jmat=jmat, positivity_cert=(r, j0 / 2.0))
     if law == "gaussian":
         sigma = float(params["sigma"])
         scale = float(params.get("scale", 1.0))
         if sigma <= 0 or scale <= 0:
             raise ValueError("gaussian law needs sigma > 0 and scale > 0")
-        jmat = d / sigma  # then scale * exp(-0.5 * (d / sigma) ** 2) in the same buffer
-        np.exp(np.multiply(np.square(jmat, out=jmat), -0.5, out=jmat), out=jmat)
-        jmat *= scale
+        def gauss(out, d):  # scale * exp(-0.5 * (d / sigma) ** 2) in out
+            np.square(np.divide(d, sigma, out=out), out=out)
+            np.exp(np.multiply(out, -0.5, out=out), out=out)
+            out *= scale
+
+        jmat = _law_matrix(space, gauss)
         return Kernel(space=space, jmat=jmat)
     if law == "table":
         return Kernel(space=space, jmat=params["jmat"])
@@ -135,11 +155,9 @@ def build_operator(kernel: Kernel, h) -> NonlocalOperator:
         raise ValueError("potential length mismatch")
     if not np.all(np.isfinite(h)):
         raise ValueError("potential must be finite")
-    amat = kernel.jmat * kernel.space.weights[None, :]
-    amat.flat[:: n + 1] -= h
     h0 = compute_h0(kernel)
-    # consistency of the assembled matrix: L applied to constants
-    ones = np.ones(n)
-    if np.max(np.abs(amat @ ones - (h0 - h))) > 1e-10 * max(1.0, float(np.max(np.abs(h0))) + float(np.max(np.abs(h)))):
-        raise AssertionError("operator assembly inconsistent with h0 - h")
-    return NonlocalOperator(kernel=kernel, h=h, amat=amat, h0=h0)
+    # the BLAS matvec h0 against einsum's own row sums of jmat·w, with no n×n temporary
+    sums = np.einsum("ij,j->i", kernel.jmat, kernel.space.weights)
+    if np.max(np.abs(h0 - sums)) > 1e-10 * max(1.0, float(np.max(np.abs(h0)))):
+        raise AssertionError("operator assembly inconsistent: h0 is not the row sums of jmat·w")
+    return NonlocalOperator(kernel=kernel, h=h, h0=h0)

@@ -1,20 +1,24 @@
 """Discretized metric measure spaces.
 
 A space is a finite set of nodes carrying positive quadrature weights
-(the measure of each node's cell) and a full pairwise distance matrix.
-Intervals use midpoint or trapezoid quadrature, graphs use shortest-path
-distances, and unions of coordinate spaces keep honest euclidean gaps.
-Shortest paths and the chains of an R-connectivity check come from
-scipy.sparse.csgraph.
+(the measure of each node's cell) and a pairwise distance.  Intervals use
+midpoint or trapezoid quadrature, graphs use shortest-path distances, and
+unions of coordinate spaces keep honest euclidean gaps.  Graphs store
+their distance matrix; a space with points computes d(x_i, x_j) from
+them on demand, in row blocks of about GRID_BLOCK entries (row_blocks),
+so it holds no n×n array.  Shortest paths and the chains of an
+R-connectivity check come from scipy.sparse.csgraph.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Optional
 
 import numpy as np
+
+from nonlocalrd.reaction import GRID_BLOCK
 
 # Disconnected vertex pairs get a large finite sentinel instead of inf so
 # kernel laws J(d) stay well-defined (compactly supported laws evaluate to 0).
@@ -30,22 +34,38 @@ def _max_asymmetry(a: np.ndarray) -> float:
                    for i in range(0, n, tile) for j in range(i, n, tile)])
 
 
+def _euclid(p: np.ndarray, q: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Distances of broadcast coordinate arrays (..., dim): |p - q| in one
+    dimension, else √ of the squares summed in coordinate order; exactly symmetric."""
+    out = np.subtract(p[..., 0], q[..., 0], out=out)
+    if p.shape[-1] == 1:
+        return np.abs(out, out=out)
+    np.square(out, out=out)
+    for c in range(1, p.shape[-1]):
+        diff = p[..., c] - q[..., c]
+        out += np.square(diff, out=diff)
+    return np.sqrt(out, out=out)
+
+
 @dataclass(frozen=True)
 class MeasureSpace:
     """Nodes, weights and metric of a discretized metric measure space.
 
     points is an (n, dim) coordinate array for embedded spaces and None
-    for abstract graphs; dist is the full (n, n) distance matrix.
+    for abstract graphs.  A given (n, n) distance matrix dist is checked
+    and stored; with dist=None the space needs points and its metric is
+    _euclid of them.  Reading space.dist returns the stored matrix, or
+    else assembles a fresh one; row_blocks serves the metric without one.
     """
 
     points: Optional[np.ndarray]
     weights: np.ndarray
-    dist: np.ndarray
+    dist: InitVar[Optional[np.ndarray]]
     kind: str
+    _dist: Optional[np.ndarray] = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, dist):
         w = np.asarray(self.weights, dtype=float)
-        d = np.asarray(self.dist, dtype=float)
         object.__setattr__(self, "weights", w)
         if self.points is not None:
             object.__setattr__(self, "points", np.atleast_2d(np.asarray(self.points, dtype=float)))
@@ -56,6 +76,19 @@ class MeasureSpace:
             raise ValueError("all weights must be finite")
         if np.any(w <= 0):
             raise ValueError("all weights must be positive")
+        object.__setattr__(self, "_dist", None)
+        if dist is None:
+            if self.points is None:
+                raise ValueError("a space without points needs a distance matrix")
+            if self.points.shape[0] != n:
+                raise ValueError("points and weights disagree on the node count")
+            diam = self.diameter()  # NaN for NaN points
+            if not np.isfinite(diam):
+                raise ValueError("points must be finite with finite distances")
+            pts = self.points
+            _check_triangle_inequality(lambda a, b: _euclid(pts[a], pts[b]), n, diam)
+            return
+        d = np.asarray(dist, dtype=float)
         if d.shape != (n, n):
             raise ValueError("distance matrix shape mismatch")
         if np.any(np.abs(np.diagonal(d)) > 0):
@@ -65,8 +98,8 @@ class MeasureSpace:
         if not (asym <= 1e-12 or asym <= 1e-12 * max(np.max(d), -np.min(d)) < np.inf):
             raise ValueError("metric must be symmetric with finite distances")
         # searches read d < r as a relation, so store d exactly symmetric
-        object.__setattr__(self, "dist", np.minimum(d, d.T) if asym > 0 else d)
-        _check_triangle_inequality(d)
+        object.__setattr__(self, "_dist", np.minimum(d, d.T) if asym > 0 else d)
+        _check_triangle_inequality(lambda a, b: d[a, b], n, float(np.max(d)))
 
     @property
     def n(self) -> int:
@@ -83,23 +116,49 @@ class MeasureSpace:
             raise ValueError("abstract graph space has no coordinates")
         return self.points[:, 0]
 
+    def row_blocks(self):
+        """(rows, dist[rows]) over row blocks of about GRID_BLOCK entries: views
+        of a stored matrix, or else blocks computed from the points into one
+        buffer, so a block is valid until the next one is drawn."""
+        step = max(1, GRID_BLOCK // self.n)
+        buf = None if self._dist is not None else np.empty((min(step, self.n), self.n))
+        for i in range(0, self.n, step):
+            rows = slice(i, i + step)
+            yield rows, (self._dist[rows] if buf is None else _euclid(
+                self.points[rows, None], self.points, out=buf[:min(step, self.n - i)]))
+
     def diameter(self) -> float:
-        return float(np.max(self.dist)) if self.n > 1 else 0.0
+        return float(np.max([np.max(d) for _, d in self.row_blocks()]))
+
+    def restrict(self, idx: np.ndarray) -> MeasureSpace:
+        """The space on the nodes idx, with its points, weights and any stored matrix."""
+        pts, d = self.points, self._dist
+        return MeasureSpace(None if pts is None else pts[idx], self.weights[idx],
+                            None if d is None else d[np.ix_(idx, idx)], "restriction")
 
 
-def _check_triangle_inequality(d: np.ndarray) -> None:
-    n = d.shape[0]
+# the (n, n) matrix, stored or fresh from the points; set after the dataclass
+# read the InitVar dist, so that it has no default
+MeasureSpace.dist = property(
+    lambda self: self._dist if self._dist is not None else _euclid(self.points[:, None], self.points))
+
+
+def _check_triangle_inequality(pair, n: int, diam: float) -> None:
+    """d[i,j] <= d[i,k] + d[k,j] up to 1e-10·max(1, diam) on every triple
+    when n <= 24, else on 256 sampled ones; pair(a, b) is d on index arrays."""
     if n < 3:
         return
+    tol = 1e-10 * max(1.0, diam)
     if n <= 24:
-        # small spaces: check every triple; d[i,j] <= d[i,k] + d[k,j]
+        idx = np.arange(n)
+        d = pair(idx[:, None], idx[None, :])
         viol = d[:, None, :] + d[None, :, :] - d[:, :, None]
-        if np.min(viol) < -1e-10 * max(1.0, np.max(d)):
+        if np.min(viol) < -tol:
             raise ValueError("triangle inequality violated")
         return
     rng = np.random.default_rng(0)
     i, j, k = (rng.integers(0, n, size=256) for _ in range(3))
-    if np.any(d[i, j] > d[i, k] + d[k, j] + 1e-10 * max(1.0, np.max(d))):
+    if np.any(pair(i, j) > pair(i, k) + pair(k, j) + tol):
         raise ValueError("triangle inequality violated on sampled triples")
 
 
@@ -139,10 +198,7 @@ def build_interval(a: float, b: float, n: int, rule: str = "midpoint") -> Measur
         w[0] = w[-1] = h / 2
     else:
         raise ValueError(f"unknown quadrature rule {rule!r}")
-    pts = xs[:, None]
-    dist = np.subtract.outer(xs, xs)
-    np.abs(dist, out=dist)
-    return MeasureSpace(points=pts, weights=w, dist=dist, kind="interval")
+    return MeasureSpace(points=xs[:, None], weights=w, dist=None, kind="interval")
 
 
 def build_graph(vertices: int, edges: list, vertex_measures) -> MeasureSpace:
@@ -194,13 +250,7 @@ def merge_spaces(*spaces: MeasureSpace) -> MeasureSpace:
         raise ValueError("embedding dimensions differ")
     pts = np.vstack([s.points for s in spaces])
     w = np.concatenate([s.weights for s in spaces])
-    dist = np.subtract.outer(pts[:, 0], pts[:, 0])
-    np.square(dist, out=dist)
-    for col in pts.T[1:]:  # in the order np.sum adds a short axis, without an n×n×dim array
-        diff = np.subtract.outer(col, col)
-        dist += np.square(diff, out=diff)
-    np.sqrt(dist, out=dist)
-    return MeasureSpace(points=pts, weights=w, dist=dist, kind="union")
+    return MeasureSpace(points=pts, weights=w, dist=None, kind="union")
 
 
 def is_r_connected(space: MeasureSpace, r: float) -> ConnectivityCertificate:
@@ -216,10 +266,11 @@ def is_r_connected(space: MeasureSpace, r: float) -> ConnectivityCertificate:
 
     if r <= 0:
         raise ValueError("r must be positive")
-    adj = space.dist < r
+    d = space.dist
+    adj = d < r
     ball_measure = adj @ space.weights  # diagonal is True, so x's own cell counts
     mu0 = float(np.min(ball_measure))
-    i0, j0 = np.unravel_index(np.argmax(space.dist), space.dist.shape)
+    i0, j0 = np.unravel_index(np.argmax(d), d.shape)
     order, parent = breadth_first_order(csr_array(adj), int(i0))
     if order.size < space.n:
         return ConnectivityCertificate(r=r, connected=False, witness_chain=None, mu0=mu0)

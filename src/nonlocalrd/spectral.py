@@ -15,7 +15,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from nonlocalrd.kernel import Kernel, NonlocalOperator, build_operator
-from nonlocalrd.space import MeasureSpace
 
 POWER_MAX_ITER = 100_000
 POWER_RTOL = 1e-12
@@ -156,7 +155,7 @@ def _report(op: NonlocalOperator, lam: float, vec: np.ndarray, method: str) -> S
         is_principal=is_principal,
         essential_range=essential_range(op.h, op.space.weights),
         method=method,
-        residual=float(np.max(np.abs(op.amat @ phi - lam * phi))) if is_principal else None,
+        residual=float(np.max(np.abs(op.apply(phi) - lam * phi))) if is_principal else None,
         certificate=cw_bounds(op, phi) if is_principal else None,
     )
 
@@ -208,7 +207,7 @@ def cw_bounds(op: NonlocalOperator, phi: np.ndarray) -> CwBounds:
         raise ValueError("test function length mismatch")
     if np.any(phi <= 0):
         raise ValueError("test function must be strictly positive")
-    ratios = (op.amat @ phi) / phi
+    ratios = op.apply(phi) / phi
     return CwBounds(lower=float(np.min(ratios)), upper=float(np.max(ratios)), test_function=phi)
 
 
@@ -364,14 +363,7 @@ def restrict_operator(op: NonlocalOperator, mask) -> NonlocalOperator:
     idx = np.nonzero(mask)[0]
     if idx.size == 0:
         raise ValueError("empty restriction")
-    space = op.space
-    sub_space = MeasureSpace(
-        points=None if space.points is None else space.points[idx],
-        weights=space.weights[idx],
-        dist=space.dist[np.ix_(idx, idx)],
-        kind="restriction",
-    )
-    sub_kernel = Kernel(space=sub_space, jmat=op.kernel.jmat[np.ix_(idx, idx)])
+    sub_kernel = Kernel(space=op.space.restrict(idx), jmat=op.kernel.jmat[np.ix_(idx, idx)])
     return build_operator(sub_kernel, op.h[idx])
 
 

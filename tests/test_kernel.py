@@ -2,9 +2,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import nonlocalrd.kernel as kmod
+from nonlocalrd.equilibria import _certifies, _newton, solve_phi
 from nonlocalrd.evolve import IntegratorConfig, make_stepper
-from nonlocalrd.kernel import Kernel, apply_K, assemble_kernel, build_operator, compute_h0
+from nonlocalrd.kernel import (
+    Kernel,
+    NonlocalOperator,
+    apply_K,
+    assemble_kernel,
+    build_operator,
+    compute_h0,
+)
 from nonlocalrd.reaction import (
     GRID_BLOCK,
     CallableReaction,
@@ -15,7 +25,8 @@ from nonlocalrd.reaction import (
     structure_bounds,
     truncate,
 )
-from nonlocalrd.space import build_interval, merge_spaces
+from nonlocalrd.space import MeasureSpace, build_graph, build_interval, is_r_connected, merge_spaces
+from nonlocalrd.spectral import principal_value, restrict_operator
 
 
 def brute_force_K(kernel, u):
@@ -333,3 +344,195 @@ def test_row_sum_identity_and_weighted_symmetry():
     lhs = np.sum(w * apply_K(k, u) * v)
     rhs = np.sum(w * u * apply_K(k, v))
     assert abs(lhs - rhs) <= 1e-10
+
+
+# --- kernel laws and the positivity check in row blocks ----------------------
+
+
+def _block_rows(n):
+    return max(1, GRID_BLOCK // n)
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_kernel_laws_in_row_blocks_bitwise_equal_to_the_whole_matrix(n):
+    assert n % _block_rows(n) != 0  # the last row block is partial
+    spaces = (build_interval(0, 1, n),
+              merge_spaces(build_interval(0, 1, n // 2), build_interval(1.3, 2.0, n - n // 2)),
+              build_graph(n, [(i, i + 1, 1.0 / n) for i in range(n - 1)], np.ones(n)))
+    for space in spaces:
+        d = space.dist
+        tophat = assemble_kernel(space, "tophat", R=0.3, J0=2.0).jmat
+        assert tophat.tobytes() == np.where(d < 0.3, 2.0, 0.0).tobytes()
+        for sigma, scale in ((0.2, 1.0), (1e-3, 2.5), (0.05, 1e300)):
+            gauss = assemble_kernel(space, "gaussian", sigma=sigma, scale=scale).jmat
+            assert gauss.tobytes() == (scale * np.exp(-0.5 * (d / sigma) ** 2)).tobytes()
+        const = assemble_kernel(space, "constant", c=0.7).jmat
+        assert const.tobytes() == np.full((n, n), 0.7).tobytes()
+
+
+def test_positivity_certificate_rejects_a_failure_in_the_last_partial_block():
+    n = 1000
+    rows = _block_rows(n)
+    s = build_interval(0, 1, n)
+    jmat = assemble_kernel(s, "tophat", R=0.05, J0=1.0).jmat
+    Kernel(space=s, jmat=jmat, positivity_cert=(0.05, 0.5))
+    assert n - 1 >= n - n % rows  # row n - 1 lies in the last, partial block
+    jmat[n - 1, n - 2] = 0.5  # within R, and not above J0 = 0.5
+    with pytest.raises(ValueError, match="certificate fails entrywise"):
+        Kernel(space=s, jmat=jmat, positivity_cert=(0.05, 0.5))
+
+
+# --- the operator stores jmat, w and h; amat is assembled on demand ---------
+
+
+def _sampled_kernel(kind, n, rng):
+    if kind == "graph":
+        edges = [(int(i), int(j), float(rng.uniform(0.5, 1.5)))
+                 for i, j in rng.integers(0, n, size=(n, 2)) if i != j]
+        space = build_graph(n, edges, rng.uniform(0.5, 1.5, size=n) / n)
+        return assemble_kernel(space, "tophat", R=float(rng.uniform(1.0, 3.0)), J0=1.5)
+    if kind == "union":
+        space = merge_spaces(build_interval(0, 1, max(1, n // 2)),
+                             build_interval(1.5, 2.5, max(1, n - n // 2)))
+        return assemble_kernel(space, "gaussian", sigma=float(rng.uniform(0.05, 0.8)))
+    space = build_interval(0, 1, n, str(rng.choice(["midpoint", "trapezoid"])))
+    if kind == "table":
+        table = rng.uniform(0.0, 2.0, size=(space.n, space.n))
+        table[rng.uniform(size=table.shape) < 0.3] = 0.0
+        return assemble_kernel(space, "table", jmat=table)
+    return assemble_kernel(space, "tophat", R=float(rng.uniform(0.05, 0.6)), J0=2.0)
+
+
+OPERATOR_CASES = dict(kind=st.sampled_from(["interval", "union", "graph", "table"]),
+                      n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**OPERATOR_CASES)
+def test_amat_is_a_fresh_bitwise_assembly_on_each_read(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    kernel = _sampled_kernel(kind, n, rng)
+    h = rng.standard_normal(kernel.space.n)
+    op = build_operator(kernel, h)
+    jmat = kernel.jmat.copy()
+    expected = kernel.jmat * kernel.space.weights[None, :] - np.diag(h)
+    first = op.amat
+    assert first.tobytes() == expected.tobytes()
+    first[...] = np.nan
+    assert op.amat.tobytes() == expected.tobytes()
+    assert op.kernel.jmat.tobytes() == jmat.tobytes() and op.h.tobytes() == h.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 5), **OPERATOR_CASES)
+def test_apply_matches_the_assembled_matrix(kind, n, seed, k):
+    rng = np.random.default_rng(seed)
+    kernel = _sampled_kernel(kind, n, rng)
+    n = kernel.space.n
+    op = build_operator(kernel, rng.standard_normal(n))
+    wj = np.abs(kernel.jmat) * kernel.space.weights
+    tol = 4 * n * np.finfo(float).eps
+    v = rng.standard_normal(n)
+    scale = wj @ np.abs(v) + np.abs(op.h * v)
+    assert op.apply(v).shape == (n,)
+    assert np.all(np.abs(op.apply(v) - op.amat @ v) <= tol * scale)
+    batch = rng.standard_normal((k, n))
+    scale = (wj @ np.abs(batch).T).T + np.abs(op.h * batch)
+    assert op.apply(batch).shape == (k, n)
+    assert np.all(np.abs(op.apply(batch) - (op.amat @ batch.T).T) <= tol * scale)
+
+
+def test_build_operator_rejects_an_inconsistent_h0(monkeypatch):
+    kernel = assemble_kernel(build_interval(0, 1, 50), "tophat", R=0.3, J0=1.0)
+    build_operator(kernel, 1.0)
+    real = kmod.compute_h0
+    monkeypatch.setattr(kmod, "compute_h0", lambda k: real(k) * (1.0 + 1e-8))
+    with pytest.raises(AssertionError, match="inconsistent"):
+        build_operator(kernel, 1.0)
+
+
+def test_one_matrix_per_operator():
+    """Space, tophat kernel and operator together hold one n×n array, jmat
+    (8 n² bytes); an euler_op stepper adds none, and an rk4 stepper one, its
+    amat, which it drops with the run."""
+    def setup(n):
+        space = build_interval(0, 1, n)
+        return build_operator(assemble_kernel(space, "tophat", R=0.1, J0=2.0), np.linspace(0, 1, n))
+
+    n = 512
+    mat = 8 * n * n
+    f = LogisticReaction(g=0.0, n=1.0, m=1.0, rho=3.0, n_nodes=n)
+    setup(64)  # imports what the set-up imports lazily (numpy.random), untraced
+    tracemalloc.start()
+    try:
+        op = setup(n)
+        assert tracemalloc.get_traced_memory()[1] <= 1.5 * mat
+        for cfg, bound in ((IntegratorConfig(scheme="euler_op", dt=1e-3, t_end=0.1, beta=30.0,
+                                             trunc_k=3.0), 0.5 * mat),
+                           (IntegratorConfig(scheme="rk4", dt=1e-3, t_end=0.1), 1.1 * mat)):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            stepper = make_stepper(op, f, np.ones(n), cfg)
+            assert tracemalloc.get_traced_memory()[1] - base <= bound
+            del stepper
+    finally:
+        tracemalloc.stop()
+
+
+# --- consumers read an on-demand matrix at most once per call ----------------
+
+
+@pytest.fixture
+def matrix_reads(monkeypatch):
+    """Counts of reads of NonlocalOperator.amat and MeasureSpace.dist."""
+    counts = {}
+    for cls, name in ((NonlocalOperator, "amat"), (MeasureSpace, "dist")):
+        def counted(self, _get=getattr(cls, name).fget, _name=name):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _get(self)
+        monkeypatch.setattr(cls, name, property(counted))
+    return counts
+
+
+def _consumer_cases():
+    n = 40
+    space = build_interval(0, 1, n)
+    kernel = assemble_kernel(space, "tophat", R=0.3, J0=2.0)
+    op = build_operator(kernel, 1.0 + 0.5 * np.sin(2 * np.pi * space.x))
+    f = LogisticReaction(g=0.2, n=1.0, m=1.0, rho=3.0, n_nodes=n)
+    guess = 1.0 + 0.1 * np.random.default_rng(8).standard_normal(n)
+    e, lu = _newton(op, f, guess)
+    graph = build_graph(n, [(i, i + 1, 0.1) for i in range(n - 1)], np.ones(n))
+    graph_op = build_operator(assemble_kernel(graph, "tophat", R=0.25, J0=1.0), 1.0)
+    return {  # each call with the reads it makes
+        "_newton": (lambda: _newton(op, f, guess), {"amat": 1}),
+        "_certifies": (lambda: _certifies(op, f, e, lu, e + 1e-3, e + 1.0, -1, 1e-12),
+                       {"amat": 1}),
+        "solve_phi": (lambda: solve_phi(kernel, -5.0, 1.0), {"amat": 1}),
+        "principal_value_dense": (lambda: principal_value(op, method="dense"), {"amat": 1}),
+        "is_r_connected": (lambda: is_r_connected(space, 0.2), {"dist": 1}),
+        "restrict_operator": (lambda: restrict_operator(op, space.x < 0.5), {}),
+        "restrict_graph_operator": (lambda: restrict_operator(graph_op, np.arange(n) % 2 == 0),
+                                    {}),
+    }
+
+
+@pytest.mark.parametrize("consumer", list(_consumer_cases()))
+def test_consumers_read_an_on_demand_matrix_at_most_once(consumer, matrix_reads):
+    """A read inside a loop would assemble n² entries per pass."""
+    call, reads = _consumer_cases()[consumer]
+    matrix_reads.clear()
+    call()
+    assert matrix_reads == reads
+
+
+def test_newton_takes_several_steps_on_one_matrix_read(monkeypatch, matrix_reads):
+    import scipy.linalg
+
+    cases = _consumer_cases()
+    factored = []
+    real = scipy.linalg.lu_factor
+    monkeypatch.setattr(scipy.linalg, "lu_factor", lambda a, **kw: factored.append(1) or real(a, **kw))
+    matrix_reads.clear()
+    cases["_newton"][0]()
+    assert len(factored) >= 2 and matrix_reads == {"amat": 1}

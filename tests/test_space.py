@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nonlocalrd.reaction import GRID_BLOCK
 from nonlocalrd.space import (
     MeasureSpace,
     _max_asymmetry,
@@ -265,6 +266,101 @@ def test_interval_distances_bitwise_equal_to_the_outer_difference():
         s = build_interval(a, b, n, rule)
         xs = s.x
         assert s.dist.tobytes() == np.abs(xs[:, None] - xs[None, :]).tobytes()
+
+
+# --- the metric of a space with points, computed on demand ------------------
+# Intervals and unions store no matrix; their distances come from the points
+# in row blocks.  The references are the matrices build_interval and
+# merge_spaces stored before, computed the same way.
+
+
+def _stored_interval_dist(xs):
+    dist = np.subtract.outer(xs, xs)
+    return np.abs(dist, out=dist)
+
+
+def _stored_union_dist(pts):
+    dist = np.subtract.outer(pts[:, 0], pts[:, 0])
+    np.square(dist, out=dist)
+    for col in pts.T[1:]:
+        diff = np.subtract.outer(col, col)
+        dist += np.square(diff, out=diff)
+    return np.sqrt(dist, out=dist)
+
+
+def _blocks(space):
+    """The row blocks stacked; each is copied, since the blocks share a buffer."""
+    return np.concatenate([d.copy() for _, d in space.row_blocks()])
+
+
+def _check_on_demand(space, ref):
+    assert space.dist.tobytes() == ref.tobytes()
+    assert space.dist is not space.dist  # a fresh array on each read
+    assert _blocks(space).tobytes() == ref.tobytes()
+    assert space.diameter() == (float(np.max(ref)) if space.n > 1 else 0.0)
+    idx = np.flatnonzero(np.arange(space.n) % 3 != 1)
+    sub = space.restrict(idx)
+    assert sub.points is not None and sub.kind == "restriction"
+    assert sub.dist.tobytes() == ref[np.ix_(idx, idx)].tobytes()
+
+
+@pytest.mark.parametrize("rule", ["midpoint", "trapezoid"])
+@pytest.mark.parametrize("n", [1, 2, 25, 300, 1000])
+def test_interval_metric_on_demand_bitwise_equal_to_the_stored_matrix(rule, n):
+    if n >= 300:  # several row blocks, the last one partial
+        assert 1 < GRID_BLOCK // n < n and n % (GRID_BLOCK // n) != 0
+    s = build_interval(-1.3, 2.7, n, rule)
+    _check_on_demand(s, _stored_interval_dist(s.x))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("sizes", [(1, 1), (3, 5, 2), (40, 90), (150, 170)])
+def test_union_metric_on_demand_bitwise_equal_to_the_stored_matrix(dim, sizes):
+    rng = np.random.default_rng([dim, len(sizes)])
+    clouds = [rng.uniform(-3.0, 3.0, (m, dim)) * 10.0 ** rng.integers(-3, 4) for m in sizes]
+    u = merge_spaces(*[MeasureSpace(points=p, weights=np.ones(len(p)), dist=None, kind="cloud")
+                       for p in clouds])
+    _check_on_demand(u, _stored_union_dist(u.points))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_metric_from_points_is_exactly_symmetric_with_zero_diagonal(dim):
+    rng = np.random.default_rng(dim)
+    for scale in (1e-6, 1.0, 1e6):
+        pts = rng.standard_normal((200, dim)) * scale
+        d = MeasureSpace(points=pts, weights=np.ones(200), dist=None, kind="cloud").dist
+        assert np.array_equal(d, d.T)
+        assert np.all(np.diagonal(d) == 0.0)
+
+
+def test_graph_keeps_its_stored_matrix():
+    g = build_graph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 0.5)], np.ones(4))
+    assert g.dist is g.dist
+    assert _blocks(g).tobytes() == g.dist.tobytes()
+    assert g.restrict(np.array([0, 2, 3])).dist.tobytes() == g.dist[np.ix_([0, 2, 3], [0, 2, 3])].tobytes()
+
+
+def test_given_matrix_with_points_is_stored_and_checked():
+    xs = np.linspace(0.0, 1.0, 30)
+    d = np.abs(xs[:, None] - xs[None, :]) * 2.0  # not the euclidean metric of xs
+    s = MeasureSpace(points=xs[:, None], weights=np.ones(30), dist=d, kind="scaled")
+    assert s.dist is d
+    assert s.restrict(np.arange(5)).dist.tobytes() == d[:5, :5].tobytes()
+    d[0, 1] += 1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        MeasureSpace(points=xs[:, None], weights=np.ones(30), dist=d, kind="scaled")
+
+
+@pytest.mark.parametrize("points, message", [
+    (None, "needs a distance matrix"),
+    (np.zeros((3, 1)), "node count"),
+    (np.array([[0.0], [np.nan], [1.0], [2.0]]), "points must be finite"),
+    pytest.param(np.array([[-1e308], [0.0], [1e308], [2.0]]), "finite distances",
+                 marks=pytest.mark.filterwarnings("ignore:overflow encountered")),
+])
+def test_space_without_matrix_rejects_bad_points(points, message):
+    with pytest.raises(ValueError, match=message):
+        MeasureSpace(points=points, weights=np.ones(4), dist=None, kind="cloud")
 
 
 # --- graph queries against frozen copies of the hand-written routines ------
