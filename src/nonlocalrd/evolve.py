@@ -184,27 +184,35 @@ def _expm_phi1(mat: np.ndarray):
     2^-53, summed by Horner; e^Y = I + Y·φ1(Y), and each of the s
     doublings uses φ1(2Y) = ½φ1(Y)(e^Y + I) and e^{2Y} = (e^Y)².  Returns
     (e^M, φ1(M), {"taylor_degree": d, "squarings": s}).
+
+    No identity matrix is stored: I/(d+1)! and e^Y + I are written on a
+    diagonal, bitwise the sums with np.eye, and y is mat itself when s = 0.
+    Besides mat the work holds at most four n×n arrays.
     """
     n = mat.shape[0]
-    eye = np.eye(n)
     norm = float(np.linalg.norm(mat, 1))
     if norm == 0.0:
-        return eye, eye.copy(), {"taylor_degree": 0, "squarings": 0}
+        return np.eye(n), np.eye(n), {"taylor_degree": 0, "squarings": 0}
     s = max(0, math.ceil(math.log2(norm / PHI_THETA)))
-    y = mat / 2.0 ** s
+    y = mat / 2.0 ** s if s else mat  # x / 1.0 == x
     ny = norm / 2.0 ** s
     d = 1
     while ny ** (d + 1) / math.factorial(d + 2) * math.exp(ny) > 2.0 ** -53:
         d += 1
-    phi = eye / math.factorial(d + 1)
+    phi = np.zeros((n, n))
+    phi.flat[::n + 1] = 1.0 / math.factorial(d + 1)
     for k in range(d - 1, -1, -1):
         phi = y @ phi
         phi.flat[::n + 1] += 1.0 / math.factorial(k + 1)
     emat = y @ phi
     emat.flat[::n + 1] += 1.0
+    del y  # the doublings need only φ1(Y) and e^Y
     for _ in range(s):
-        phi = 0.5 * (phi @ (emat + eye))
-        emat = emat @ emat
+        buf = emat + 0.0  # e^Y + I; + 0.0 turns -0.0 to +0.0, as + eye does
+        buf.flat[::n + 1] += 1.0
+        phi = phi @ buf
+        phi *= 0.5
+        emat = np.matmul(emat, emat, out=buf)
     return emat, phi, {"taylor_degree": d, "squarings": s}
 
 
@@ -253,17 +261,21 @@ def make_stepper(op: NonlocalOperator, f: Reaction, u0: np.ndarray,
                                             config.trunc_k, config.beta)
         config.check_monotone_dt(op.h, beta)
         # dt·K v = jmat @ (dt·w·v); jmat, dt·w, decay >= 0 keep it exactly monotone
-        jmat, dtw = op.kernel.jmat, dt * op.space.weights
+        matvec, dtw = op.kernel.matvec, dt * op.space.weights
         decay = 1.0 - dt * (op.h + beta)
 
         def step(v):
-            return decay * v + (jmat @ (dtw * v).T).T + dt * (f_used.apply(v) + beta * v)
+            return decay * v + matvec(dtw * v) + dt * (f_used.apply(v) + beta * v)
     elif config.scheme == "rk4":
-        amat = op.amat
         half, sixth = 0.5 * dt, dt / 6.0
+        if u0.ndim == 1 and op.kernel.symmetric:  # apply reads one triangle of jmat
+            def rhs(v):
+                return op.apply(v) + f.apply(v)
+        else:  # a batch or a nonsymmetric kernel reads amat once per product
+            amat = op.amat
 
-        def rhs(v):
-            return (amat @ v.T).T + f.apply(v)
+            def rhs(v):
+                return (amat @ v.T).T + f.apply(v)
 
         def step(v):
             k1 = rhs(v)
@@ -273,7 +285,11 @@ def make_stepper(op: NonlocalOperator, f: Reaction, u0: np.ndarray,
             return v + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
     else:  # vcf_exact_linear
         beta = float(config.beta) if config.beta is not None else 0.0
-        emat, phi1, propagator = _expm_phi1((op.amat - beta * np.eye(op.n)) * dt)
+        # M = (amat - βI)·dt in amat's own buffer, bitwise the out-of-place form for β >= 0
+        mat = op.amat
+        mat.flat[::op.n + 1] -= beta
+        mat *= dt
+        emat, phi1, propagator = _expm_phi1(mat)
         phi1 *= dt
 
         def step(v):

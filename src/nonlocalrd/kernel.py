@@ -7,6 +7,10 @@ stores one n×n array, jmat, with the weights and h: apply is the matvec
 L v = jmat @ (w·v) - h·v, and a consumer that needs the matrix reads
 amat, assembled fresh on each read, once per call.  Kernel laws and the
 positivity certificate read the distances in the space's row blocks.
+
+Kernel.matvec is the one product x ↦ jmat @ x that the steppers, apply
+and apply_K share.  A symmetric kernel is exactly symmetric, so on a
+single vector it reads one triangle through BLAS dsymv.
 """
 
 from __future__ import annotations
@@ -28,6 +32,11 @@ class Kernel:
     positivity_cert, when present, is a pair (R, J0) with J0 > 0 such
     that d(x_i, x_j) < R implies jmat[i, j] > J0; it is what the strong
     maximum principle machinery needs.
+
+    symmetric means exactly symmetric.  A matrix within SYMMETRY_TOL of
+    its transpose but not equal to it is stored as np.minimum(jmat,
+    jmat.T), as MeasureSpace stores its distances, before the
+    certificate is checked; jmat is stored C-ordered.
     """
 
     space: MeasureSpace
@@ -36,8 +45,7 @@ class Kernel:
     symmetric: bool = field(init=False)  # found by inspection of jmat
 
     def __post_init__(self):
-        j = np.asarray(self.jmat, dtype=float)
-        object.__setattr__(self, "jmat", j)
+        j = np.ascontiguousarray(self.jmat, dtype=float)
         n = self.space.n
         if j.shape != (n, n):
             raise ValueError("kernel matrix shape mismatch")
@@ -49,7 +57,11 @@ class Kernel:
         if lo < 0:
             i, k = np.argwhere(j < 0)[0]
             raise ValueError(f"kernel entry ({i},{k}) is negative")
-        sym = bool(_max_asymmetry(j) <= SYMMETRY_TOL * max(1.0, hi))
+        asym = _max_asymmetry(j)
+        sym = bool(asym <= SYMMETRY_TOL * max(1.0, hi))
+        if sym and asym > 0:
+            j = np.minimum(j, j.T)
+        object.__setattr__(self, "jmat", j)
         object.__setattr__(self, "symmetric", sym)
         if self.positivity_cert is not None:
             r, j0 = self.positivity_cert
@@ -57,6 +69,20 @@ class Kernel:
                 raise ValueError("positivity certificate needs J0 > 0")
             if any(np.any((d < r) & (j[rows] <= j0)) for rows, d in self.space.row_blocks()):
                 raise ValueError("positivity certificate fails entrywise")
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """jmat @ x on an (n,) vector, and row by row on a (k, n) batch.
+
+        A symmetric kernel's single vector goes through BLAS dsymv on the
+        Fortran-ordered view jmat.T: it reads one triangle and copies
+        nothing.  Everything else is (jmat @ x.T).T, which reads jmat once
+        for all k rows of a batch.
+        """
+        if self.symmetric and x.ndim == 1:
+            from scipy.linalg.blas import dsymv  # here, so the CLI imports no scipy
+
+            return dsymv(1.0, self.jmat.T, x)
+        return (self.jmat @ x.T).T
 
 
 @dataclass(frozen=True)
@@ -84,7 +110,7 @@ class NonlocalOperator:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """L v = jmat @ (w·v) - h·v with no n×n array, row by row on a (k, n) batch."""
-        return (self.kernel.jmat @ (self.space.weights * v).T).T - self.h * v
+        return self.kernel.matvec(self.space.weights * v) - self.h * v
 
 
 def _law_matrix(space: MeasureSpace, fill) -> np.ndarray:
@@ -138,7 +164,7 @@ def apply_K(kernel: Kernel, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != (kernel.space.n,):
         raise ValueError("state vector length mismatch")
-    return kernel.jmat @ (kernel.space.weights * u)
+    return kernel.matvec(kernel.space.weights * u)
 
 
 def compute_h0(kernel: Kernel) -> np.ndarray:

@@ -67,6 +67,11 @@ class Reaction:
         up; None (the default) when the reaction has no exact one."""
         return None
 
+    def ds_inf(self, k: float) -> Optional[np.ndarray]:
+        """Per-node infimum of ∂f/∂s(x_i, s) over -k <= s <= k; None (the
+        default) when the reaction has no closed form and is sampled."""
+        return None
+
     def eval_grid(self, smat: np.ndarray) -> np.ndarray:
         """f(x_i, s[i, j]) on an (n, k) matrix of s-values."""
         return self.apply(np.asarray(smat, dtype=float).T).T
@@ -181,6 +186,10 @@ class LogisticReaction(Reaction):
         drop = self.rho * self.m * least ** (self.rho - 1)
         return self.ncoef - drop + 4 * np.finfo(float).eps * (np.abs(self.ncoef) + drop)
 
+    def ds_inf(self, k):
+        # n - ρm|s|^{ρ-1} falls with |s| (m >= 0): its least value is at ±k
+        return self.apply_ds(np.full(self.n_nodes, float(k)))
+
     def lip_on(self, k: float) -> float:
         # |∂f/∂s| = |n - ρ m |s|^{ρ-1}| is monotone in |s|: extremes at 0 and k
         end = np.abs(self.ncoef - self.rho * self.m * k ** (self.rho - 1))
@@ -216,6 +225,11 @@ class TruncatedReaction(Reaction):
     def lip_on(self, k: float) -> float:
         return self.base.lip_on(min(k, self.k))
 
+    def ds_inf(self, k):
+        # inside the window f_k is f; past it the sampled grid need not hold
+        # the edge ±self.k, so sampling keeps its value there
+        return self.base.ds_inf(k) if k <= self.k else None
+
     def primitive(self, u):
         u = np.asarray(u, dtype=float)
         inner = self.base.primitive(self._clamp(u))
@@ -240,6 +254,9 @@ class ShiftedReaction(Reaction):
     def apply_ds(self, u):
         return self.base.apply_ds(u)
 
+    def ds_inf(self, k):
+        return self.base.ds_inf(k)
+
     def lip_on(self, k):
         return self.base.lip_on(k)
 
@@ -263,6 +280,10 @@ class PotentialAbsorbedReaction(Reaction):
 
     def apply_ds(self, u):
         return self.base.apply_ds(u) - self.h
+
+    def ds_inf(self, k):
+        inner = self.base.ds_inf(k)
+        return None if inner is None else inner - self.h
 
     def lip_on(self, k):
         return self.base.lip_on(k) + float(np.max(np.abs(self.h)))
@@ -299,14 +320,19 @@ def add_bump(f: Reaction, bump) -> Reaction:
 def monotone_shift(f: Reaction, k: float) -> float:
     """Shift β making s ↦ f(x,s) + βs increasing on [-k, k].
 
-    Any upper bound works; cheapness beats sharpness, so the infimum of
-    the derivative is sampled on a 512-point grid (linear plus a
-    log-spaced refinement near 0) and padded by 1; a non-finite sample raises.
+    Any upper bound works; cheapness beats sharpness.  The infimum of the
+    derivative is f.ds_inf's closed form when the reaction has one, else it
+    is sampled on a 512-point grid (linear plus a log-spaced refinement
+    near 0); it is padded by 1, and a non-finite infimum raises.
     """
-    lin = np.linspace(-k, k, LIP_GRID)
-    logp = np.logspace(-8, np.log10(max(k, 1e-8)), LIP_GRID // 4)
-    svals = np.unique(np.concatenate([lin, logp, -logp]))
-    dmin = float(np.min(_block_reduce(svals, f.n_nodes, lambda s: np.min(f.apply_ds(s)))))
+    exact = f.ds_inf(k)
+    if exact is not None:
+        dmin = float(np.min(exact))
+    else:
+        lin = np.linspace(-k, k, LIP_GRID)
+        logp = np.logspace(-8, np.log10(max(k, 1e-8)), LIP_GRID // 4)
+        svals = np.unique(np.concatenate([lin, logp, -logp]))
+        dmin = float(np.min(_block_reduce(svals, f.n_nodes, lambda s: np.min(f.apply_ds(s)))))
     if not np.isfinite(dmin):
         raise ValueError(f"monotone shift: derivative minimum {dmin} on [-{k:g}, {k:g}]")
     return max(0.0, -dmin) + 1.0

@@ -114,11 +114,23 @@ def _weight_symmetrized(kernel: Kernel, h: np.ndarray) -> Tuple[np.ndarray, np.n
 
     S is symmetric for symmetric kernels (exactly so after averaging with
     its transpose); an eigenvector ψ of S maps back to the eigenvector
-    ψ / √w of amat.
+    ψ / √w of amat.  S is formed in one buffer: (√w_i J_ij)·√w_j, minus h
+    on the diagonal, then each tile averaged with its mirror in place,
+    which is bitwise 0.5·(S + Sᵀ) since a + b == b + a in IEEE arithmetic.
     """
     sq = np.sqrt(kernel.space.weights)
-    smat = sq[:, None] * kernel.jmat * sq[None, :] - np.diag(h)
-    return 0.5 * (smat + smat.T), sq
+    smat = kernel.jmat * sq[:, None]
+    smat *= sq
+    n, tile = smat.shape[0], 128
+    smat.flat[:: n + 1] -= h
+    for i in range(0, n, tile):
+        for j in range(i, n, tile):
+            upper, lower = smat[i:i + tile, j:j + tile], smat[j:j + tile, i:i + tile]
+            avg = upper + lower.T
+            avg *= 0.5
+            upper[...] = avg
+            lower[...] = avg.T
+    return smat, sq
 
 
 def _arpack_top(op: NonlocalOperator) -> Optional[Tuple[float, np.ndarray, str]]:

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+import scipy.linalg.blas
 from scipy.linalg import expm
 
 from nonlocalrd import evolve
@@ -159,7 +161,76 @@ def table_op(n, seed):
     return build_operator(k, rng.uniform(0.0, 1.0, size=n))
 
 
+def _expm_phi1_with_eye(mat):
+    """_expm_phi1 as it stood with a stored identity and a copied y, frozen."""
+    n = mat.shape[0]
+    eye = np.eye(n)
+    norm = float(np.linalg.norm(mat, 1))
+    s = max(0, math.ceil(math.log2(norm / evolve.PHI_THETA)))
+    y = mat / 2.0 ** s
+    ny = norm / 2.0 ** s
+    d = 1
+    while ny ** (d + 1) / math.factorial(d + 2) * math.exp(ny) > 2.0 ** -53:
+        d += 1
+    phi = eye / math.factorial(d + 1)
+    for k in range(d - 1, -1, -1):
+        phi = y @ phi
+        phi.flat[::n + 1] += 1.0 / math.factorial(k + 1)
+    emat = y @ phi
+    emat.flat[::n + 1] += 1.0
+    for _ in range(s):
+        phi = 0.5 * (phi @ (emat + eye))
+        emat = emat @ emat
+    return emat, phi, {"taylor_degree": d, "squarings": s}
+
+
 class TestExpmPhi1:
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    @pytest.mark.parametrize("scale", [1e-3, 0.4, 5.0, 20.0])
+    def test_bitwise_the_form_with_a_stored_identity(self, n, scale):
+        """-0.0 entries included, which e^Y + I must turn to +0.0."""
+        mat = random_metzler(n, n) * scale
+        mat[np.random.default_rng(n).random((n, n)) < 0.2] = -0.0
+        got, ref = _expm_phi1(mat), _expm_phi1_with_eye(mat)
+        assert got[2] == ref[2]
+        assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()
+
+    @pytest.mark.parametrize("scale, squarings, bound", [(1e-3, 0, 2.1), (5.0, 5, 4.1)])
+    def test_work_besides_mat(self, scale, squarings, bound):
+        """At most four n×n arrays besides mat (φ1, e^Y, e^Y + I and the
+        next φ1) while doubling, two without a doubling; the form with a
+        stored identity and a copied y peaked at six."""
+        n = 256
+        _, _, op = unit_op(n, h=np.linspace(0.5, 2.0, n))
+        mat = op.amat * scale
+        _expm_phi1(mat[:8, :8])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            plan = _expm_phi1(mat)[2]
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert plan["squarings"] == squarings and peak <= bound * 8 * n * n
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 40.0])
+    def test_vcf_stepper_forms_m_in_place_bitwise(self, beta, monkeypatch):
+        """M = (amat - βI)·dt formed in amat's buffer gives the propagators
+        of the out-of-place form bit for bit when β >= 0."""
+        op, f, u0 = smooth_system(40)
+        dt = 0.05
+        seen = []
+        monkeypatch.setattr(evolve, "_expm_phi1", lambda mat: seen.append(mat.copy())
+                            or _expm_phi1(mat))
+        cfg = IntegratorConfig(scheme="vcf_exact_linear", dt=dt, t_end=1.0, beta=beta)
+        make_stepper(op, f, u0, cfg)
+        old = (op.amat - beta * np.eye(op.n)) * dt
+        assert len(seen) == 1 and seen[0].tobytes() == old.tobytes()
+        emat, phi1, _ = _expm_phi1_with_eye(old)
+        phi1 *= dt
+        ref = (emat @ u0) + phi1 @ (f.apply(u0) + beta * u0)
+        assert make_stepper(op, f, u0, cfg).step(u0).tobytes() == ref.tobytes()
+
     def check(self, mat):
         emat, phi1, plan = _expm_phi1(mat)
         ref_e, ref_phi = augmented_reference(mat)
@@ -441,9 +512,19 @@ def _reference_apply(f, v):
     return f.eval_grid(v[:, None])[:, 0]
 
 
+def _reference_product(kernel, x):
+    """jmat @ x on one state: BLAS dsymv on the Fortran-ordered view jmat.T
+    for a symmetric kernel, gemv otherwise."""
+    if kernel.symmetric:
+        return scipy.linalg.blas.dsymv(1.0, kernel.jmat.T, x)
+    return kernel.jmat @ x
+
+
 def _reference_step(op, f, u0, config):
     """The one-step maps as evolve_nonlinear formed them before steppers;
-    euler_op's forms dt·K v as jmat @ (dt·w·v), reading the kernel in place."""
+    euler_op's forms dt·K v as jmat @ (dt·w·v), reading the kernel in place,
+    and rk4 on a symmetric kernel steps L v = jmat @ (w·v) - h·v, both
+    through _reference_product."""
     dt = config.dt
     meta = {"beta": None, "trunc_k": None, "propagator": None}
     if config.scheme == "euler_op":
@@ -455,11 +536,15 @@ def _reference_step(op, f, u0, config):
         decay = 1.0 - dt * (op.h + beta)
 
         def step(v):
-            return (decay * v + op.kernel.jmat @ (dtw * v)
+            return (decay * v + _reference_product(op.kernel, dtw * v)
                     + dt * (_reference_apply(f_used, v) + beta * v))
     elif config.scheme == "rk4":
         def rhs(v):
-            return op.amat @ v + _reference_apply(f, v)
+            if op.kernel.symmetric:
+                lv = _reference_product(op.kernel, op.space.weights * v) - op.h * v
+            else:
+                lv = op.amat @ v
+            return lv + _reference_apply(f, v)
 
         def step(v):
             k1 = rhs(v)
@@ -536,6 +621,23 @@ class TestPreparedStepper:
                                beta=0.5 if scheme == "vcf_exact_linear" else None)
         step, meta = _reference_step(op, f, u0, cfg)
         assert_same_run(evolve_nonlinear(op, f, u0, cfg), _reference_loop(step, u0, cfg, meta))
+
+    @pytest.mark.parametrize("scheme", ["euler_op", "rk4"])
+    def test_a_nonsymmetric_table_matches_frozen_loop(self, scheme):
+        """rk4 on a nonsymmetric kernel keeps stepping amat @ v."""
+        op = table_op(20, seed=3)
+        f = LogisticReaction(g=0.2, n=1.0, m=1.0, rho=3.0, n_nodes=20)
+        u0 = np.linspace(0.2, 0.9, 20)
+        cfg = IntegratorConfig(scheme=scheme, dt=0.01, t_end=0.2, store_every=3)
+        step, meta = _reference_step(op, f, u0, cfg)
+        assert_same_run(evolve_nonlinear(op, f, u0, cfg), _reference_loop(step, u0, cfg, meta))
+
+    @pytest.mark.parametrize("scheme", ["euler_op", "rk4", "vcf_exact_linear"])
+    def test_repeat_runs_are_bitwise_identical(self, scheme):
+        op, f, u0 = smooth_system(150)
+        cfg = IntegratorConfig(scheme=scheme, dt=0.01, t_end=0.2)
+        first, second = (evolve_nonlinear(op, f, u0, cfg) for _ in range(2))
+        assert first.states.tobytes() == second.states.tobytes()
 
     @pytest.mark.parametrize("rho", [2.0, 2.5, 3.0])
     def test_monotone_config_runs_match(self, rho):

@@ -453,8 +453,10 @@ def test_build_operator_rejects_an_inconsistent_h0(monkeypatch):
 
 def test_one_matrix_per_operator():
     """Space, tophat kernel and operator together hold one n×n array, jmat
-    (8 n² bytes); an euler_op stepper adds none, and an rk4 stepper one, its
-    amat, which it drops with the run."""
+    (8 n² bytes); an euler_op stepper adds none, nor does an rk4 stepper of
+    one state, which steps op.apply.  An rk4 stepper of a batch adds one,
+    its amat, which it drops with the run, and preparing a vcf stepper
+    needs at most three: M in amat's buffer and _expm_phi1's work."""
     def setup(n):
         space = build_interval(0, 1, n)
         return build_operator(assemble_kernel(space, "tophat", R=0.1, J0=2.0), np.linspace(0, 1, n))
@@ -467,13 +469,17 @@ def test_one_matrix_per_operator():
     try:
         op = setup(n)
         assert tracemalloc.get_traced_memory()[1] <= 1.5 * mat
-        for cfg, bound in ((IntegratorConfig(scheme="euler_op", dt=1e-3, t_end=0.1, beta=30.0,
-                                             trunc_k=3.0), 0.5 * mat),
-                           (IntegratorConfig(scheme="rk4", dt=1e-3, t_end=0.1), 1.1 * mat)):
+        rk4 = IntegratorConfig(scheme="rk4", dt=1e-3, t_end=0.1)
+        for cfg, u0, bound in ((IntegratorConfig(scheme="euler_op", dt=1e-3, t_end=0.1,
+                                                 beta=30.0, trunc_k=3.0), np.ones(n), 0.5 * mat),
+                               (rk4, np.ones(n), 0.1 * mat),
+                               (rk4, np.ones((2, n)), 1.1 * mat),
+                               (IntegratorConfig(scheme="vcf_exact_linear", dt=1e-3, t_end=0.1,
+                                                 beta=0.5), np.ones(n), 3.1 * mat)):
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            stepper = make_stepper(op, f, np.ones(n), cfg)
-            assert tracemalloc.get_traced_memory()[1] - base <= bound
+            stepper = make_stepper(op, f, u0, cfg)
+            assert tracemalloc.get_traced_memory()[1] - base <= bound, (cfg.scheme, u0.shape)
             del stepper
     finally:
         tracemalloc.stop()
@@ -536,3 +542,97 @@ def test_newton_takes_several_steps_on_one_matrix_read(monkeypatch, matrix_reads
     matrix_reads.clear()
     cases["_newton"][0]()
     assert len(factored) >= 2 and matrix_reads == {"amat": 1}
+
+
+# --- the kernel's one product: a symmetric single vector reads one triangle --
+
+
+def _symmetric_kernel(kind, n, rng):
+    """A symmetric kernel of its law's kind on about n nodes (a union has
+    at least two)."""
+    if kind == "constant":
+        return assemble_kernel(build_interval(0, 1, n), "constant", c=float(rng.uniform(0.5, 2)))
+    if kind == "graph":
+        edges = [(i, i + 1, float(rng.uniform(0.5, 1.5))) for i in range(n - 1)]
+        edges += [(int(i), int(j), 1.0) for i, j in rng.integers(0, n, size=(n // 4, 2)) if i != j]
+        space = build_graph(n, edges, rng.uniform(0.5, 1.5, size=n) / n)
+        return assemble_kernel(space, "gaussian", sigma=4.0)
+    if kind == "union":
+        space = merge_spaces(build_interval(0, 1, max(1, n // 2)),
+                             build_interval(1.2, 2, max(1, n - n // 2)))
+        return assemble_kernel(space, "tophat", R=0.5, J0=1.5)
+    return assemble_kernel(build_interval(0, 1, n, "trapezoid"), "gaussian", sigma=0.3)
+
+
+@pytest.fixture
+def dsymv_calls(monkeypatch):
+    """The vectors handed to BLAS dsymv, which Kernel.matvec imports per call."""
+    import scipy.linalg.blas
+
+    calls, real = [], scipy.linalg.blas.dsymv
+    monkeypatch.setattr(scipy.linalg.blas, "dsymv",
+                        lambda alpha, a, x, **kw: calls.append(x) or real(alpha, a, x, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["interval", "union", "graph", "constant"])
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 300])
+def test_matvec_agrees_with_the_dense_product(kind, n, dsymv_calls):
+    """Each entry of either product, dsymv's triangle sum on one vector or
+    gemm on a batch, is a sum of m products, so it lies within
+    γ_m·(|J| @ |x|) of the exact value, γ_m = mu/(1 - mu), u = 2⁻⁵³.  The
+    exact value is taken in extended precision and the bound widened to
+    γ_{m+1} for its own rounding."""
+    rng = np.random.default_rng(n)
+    kernel = _symmetric_kernel(kind, n, rng)
+    m = kernel.space.n
+    assert kernel.symmetric and kernel.jmat.flags.c_contiguous
+    gamma = (m + 1) * 2.0 ** -53 / (1 - (m + 1) * 2.0 ** -53)
+    wide = kernel.jmat.astype(np.longdouble)
+    for x in (rng.standard_normal(m), rng.standard_normal((3, m))):
+        got = kernel.matvec(x)
+        assert got.shape == x.shape
+        exact = (wide @ x.T.astype(np.longdouble)).T
+        bound = gamma * (np.abs(kernel.jmat) @ np.abs(x).T).T
+        assert np.all(np.abs(got - exact) <= bound), (kind, x.shape)
+        assert got.tobytes() == kernel.matvec(x).tobytes()  # repeat runs, same bits
+    assert len(dsymv_calls) == 2  # the single vector only, twice
+
+
+def test_apply_and_apply_K_take_the_product(dsymv_calls):
+    kernel = _symmetric_kernel("interval", 50, np.random.default_rng(0))
+    op = build_operator(kernel, 0.5)
+    v = np.linspace(-1, 1, kernel.space.n)
+    wv = kernel.space.weights * v
+    assert apply_K(kernel, v).tobytes() == kernel.matvec(wv).tobytes()
+    assert op.apply(v).tobytes() == (kernel.matvec(wv) - op.h * v).tobytes()
+    assert len(dsymv_calls) == 4
+
+
+def test_a_nonsymmetric_table_takes_gemv(dsymv_calls):
+    rng = np.random.default_rng(2)
+    space = build_interval(0, 1, 64)
+    kernel = assemble_kernel(space, "table", jmat=rng.uniform(0, 2, (64, 64)))
+    assert not kernel.symmetric
+    x = rng.standard_normal(64)
+    assert kernel.matvec(x).tobytes() == (kernel.jmat @ x).tobytes()
+    assert dsymv_calls == []
+
+
+def test_a_near_symmetric_table_is_stored_exactly_symmetric():
+    """An asymmetry within SYMMETRY_TOL is accepted and stored as
+    np.minimum(jmat, jmat.T), which keeps a certificate true of the table."""
+    rng = np.random.default_rng(4)
+    space = build_interval(0, 1, 40)
+    table = rng.uniform(1.0, 2.0, (40, 40))
+    table = np.minimum(table, table.T)
+    table[3, 5] = table[5, 3] = 1.0
+    near = table.copy()
+    near[3, 5] = np.nextafter(1.0, 2.0)
+    kernel = assemble_kernel(space, "table", jmat=near)
+    assert kernel.symmetric
+    assert kernel.jmat.tobytes() == table.tobytes()
+    assert near[3, 5] > 1.0  # the caller's matrix is not changed
+    certified = Kernel(space=space, jmat=near, positivity_cert=(0.1, 0.5))
+    assert certified.jmat.tobytes() == table.tobytes()
+    assert assemble_kernel(space, "table", jmat=table).jmat.tobytes() == table.tobytes()

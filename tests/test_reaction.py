@@ -449,3 +449,58 @@ def test_bump_must_be_nonnegative():
     f = LogisticReaction(g=0.0, n=1.0, m=1.0, rho=2.0, n_nodes=2)
     with pytest.raises(ValueError):
         add_bump(f, np.array([0.1, -0.2]))
+
+
+# --- the closed-form infimum of ∂f/∂s behind monotone_shift ------------------
+
+
+def _sampled_shift(f, k):
+    """monotone_shift's grid definition: the least ∂f/∂s on 512 linear and
+    2·128 log-spaced points of [-k, k], padded by 1."""
+    lin = np.linspace(-k, k, 512)
+    logp = np.logspace(-8, np.log10(max(k, 1e-8)), 128)
+    svals = np.unique(np.concatenate([lin, logp, -logp]))
+    dmin = float(np.min(f.apply_ds(np.broadcast_to(svals[:, None], (svals.size, f.n_nodes)))))
+    return max(0.0, -dmin) + 1.0
+
+
+def test_closed_form_shift_is_bitwise_the_sampled_one():
+    """On 3,000 random truncated logistic systems, bare and under the
+    wrappers that delegate ds_inf, β from apply_ds at ±k equals the
+    sampled β, since ∂f/∂s = n - ρm|s|^{ρ-1} is monotone in |s| in floating
+    point too and the grid holds ±k."""
+    rng = np.random.default_rng(2024)
+    for trial in range(3000):
+        n = int(rng.integers(1, 7))
+        base = LogisticReaction(g=rng.uniform(-1, 1, n), n=rng.uniform(-2, 3, n),
+                                m=rng.uniform(0, 2, n) * (rng.random(n) > 0.1),
+                                rho=float(rng.choice([2.0, 2.5, 3.0])))
+        wrap = trial % 3
+        if wrap == 1:
+            base = ShiftedReaction(base, rng.uniform(0, 1, n))
+        elif wrap == 2:
+            base = PotentialAbsorbedReaction(base, rng.uniform(-1, 1, n))
+        k = float(10.0 ** rng.uniform(-2, 2))
+        f = truncate(base, k)
+        assert f.ds_inf(k) is not None
+        assert monotone_shift(f, k) == _sampled_shift(f, k), trial
+        # inside the window the grid's log-spaced end 10**log10(k/2) may pass
+        # k/2 by an ulp, and past the window it reads the frozen tail's 0
+        inner = monotone_shift(f, 0.5 * k)
+        assert abs(inner - _sampled_shift(f, 0.5 * k)) <= 1e-14 * inner, trial
+
+
+def test_shift_without_a_closed_form_is_sampled():
+    """A callable reaction, and a truncated one asked past its window,
+    have no ds_inf and keep the grid."""
+    f = cube(4)
+    assert f.ds_inf(2.0) is None and monotone_shift(f, 2.0) == _sampled_shift(f, 2.0)
+    g = truncate(LogisticReaction(g=0.1, n=1.0, m=1.0, rho=3.0, n_nodes=4), 2.0)
+    assert g.ds_inf(2.0) is not None and g.ds_inf(3.0) is None
+    assert monotone_shift(g, 3.0) == _sampled_shift(g, 3.0)
+
+
+def test_closed_form_shift_raises_on_overflow():
+    f = truncate(LogisticReaction(g=0.0, n=1.0, m=1.0, rho=3.0, n_nodes=2), 1e200)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="derivative minimum"):
+        monotone_shift(f, 1e200)

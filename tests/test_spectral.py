@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from nonlocalrd.spectral import (
     POWER_MAX_ITER,
     POWER_RTOL,
     _power_iteration,
+    _weight_symmetrized,
     cw_bounds,
     essential_range,
     principal_value,
@@ -464,3 +466,46 @@ def test_power_iteration_equals_the_frozen_loop():
         assert vec.tobytes() == ref_vec.tobytes()
         outcomes.add((converged, rho == 0.0))
     assert outcomes == {(True, False), (True, True), (False, False)}
+
+
+# --- S = W^½ J W^½ - diag(h), symmetrised in one buffer ----------------------
+
+
+def _weight_symmetrized_out_of_place(kernel, h):
+    """The three-temporary form: scale, subtract np.diag(h), average with Sᵀ."""
+    sq = np.sqrt(kernel.space.weights)
+    smat = sq[:, None] * kernel.jmat * sq[None, :] - np.diag(h)
+    return 0.5 * (smat + smat.T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
+@pytest.mark.parametrize("law", ["tophat", "gaussian", "table"])
+def test_weight_symmetrized_is_bitwise_the_out_of_place_form(n, law):
+    """Tiles of 128 meet at n = 128 and 129; a nonsymmetric table shows
+    that each entry is averaged with its own mirror."""
+    rng = np.random.default_rng(n)
+    space = build_interval(0, 1, n, "trapezoid")
+    params = {"tophat": dict(R=0.2, J0=2.0), "gaussian": dict(sigma=0.3),
+              "table": dict(jmat=rng.uniform(0.0, 2.0, (space.n, space.n)))}[law]
+    kernel = assemble_kernel(space, law, **params)
+    h = rng.uniform(-1.0, 3.0, space.n)
+    smat, sq = _weight_symmetrized(kernel, h)
+    assert smat.tobytes() == _weight_symmetrized_out_of_place(kernel, h).tobytes()
+    assert sq.tobytes() == np.sqrt(space.weights).tobytes()
+
+
+def test_weight_symmetrized_holds_one_matrix():
+    """At n = 512 the form with three n×n temporaries peaked above 2 matrices
+    (8 n² bytes each) besides jmat; one buffer and its tiles stay under 1.25."""
+    n = 512
+    space = build_interval(0, 1, n)
+    kernel = assemble_kernel(space, "tophat", R=0.1, J0=2.0)
+    h = np.linspace(0.0, 1.0, n)
+    _weight_symmetrized(kernel, h)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        smat, _ = _weight_symmetrized(kernel, h)
+        assert tracemalloc.get_traced_memory()[1] - base <= 1.25 * 8 * n * n
+    finally:
+        tracemalloc.stop()
