@@ -39,6 +39,7 @@ RESIDUAL_TOL = 1e-10
 NEWTON_TOL = 1e-12
 ORDER_TOL = 1e-12  # relative rounding slack of a monotone orbit's ordering
 CERT_TRY = 1e-2    # block difference at which an orbit tries its Newton certificate
+CHORD_RATE = 0.25  # Newton keeps its LU while each step cuts the residual to this
 
 
 @dataclass
@@ -202,8 +203,8 @@ def _monotone_orbit(op: NonlocalOperator, f: Reaction, u_start: np.ndarray,
 def _certifies(op: NonlocalOperator, f: Reaction, e: np.ndarray, lu,
                u: np.ndarray, u_start: np.ndarray, direction: int,
                slack: float) -> bool:
-    """True when Newton's limit e from the block end u, with lu its last
-    step's factorization, is provably the orbit's limit L.
+    """True when Newton's limit e from the block end u, with lu the last
+    factorization _newton made, is provably the orbit's limit L.
 
     With J = amat + diag ∂f/∂s, Metzler, e is accepted when
     1. e has Newton's residual NEWTON_TOL (the caller's _newton);
@@ -212,7 +213,8 @@ def _certifies(op: NonlocalOperator, f: Reaction, e: np.ndarray, lu,
        it is a fixed point of the order-preserving scheme, and the orbit
        from u_start stays on e's far side; L lies in the box between e and
        u, which the orbit passed on its monotone way to L;
-    3. ψ solving J(u_k)ψ = -1 by the last Newton step's LU is positive;
+    3. ψ solving J(u_k)ψ = -1 is positive, u_k being the iterate at which
+       _newton last refactored (a chord step keeps an older LU);
     4. (amat + diag q̄)ψ < 0, q̄ = f.ds_sup over the box widened by slack.
        Then Λ(amat + diag q̄) < 0 (Collatz-Wielandt), and L - e solves
        (amat + diag q)(L - e) = 0 with secant slopes q <= q̄, whose
@@ -243,12 +245,17 @@ def _certifies(op: NonlocalOperator, f: Reaction, e: np.ndarray, lu,
 
 def _newton(op: NonlocalOperator, f: Reaction, guess: np.ndarray,
             tol: float = NEWTON_TOL, max_steps: int = 50):
-    """Damped Newton on R(u) = amat·u + f(u), halving on residual increase.
+    """Damped chord Newton on R(u) = amat·u + f(u), halving on residual rise.
 
-    Returns the root and the LU factorization of the last step's Jacobian
-    J, None if the guess met tol.  The factorization is of Jᵀ, the
-    Fortran-ordered view of J, which spares LAPACK a copy; solve with
-    lu_solve(..., trans=1).  An exactly zero pivot raises.
+    One LU of the Jacobian J serves later (chord) steps.  J is refactored
+    at the new iterate after a step leaving more than CHORD_RATE of the
+    residual, and at the same iterate when a chord step fails even at
+    damping 1/64; a failed step on a fresh J raises (Kelley, *Solving
+    Nonlinear Equations with Newton's Method*, ch. 2).  Returns the root
+    and the last LU, of J at the last refactored iterate, None if the
+    guess met tol.  It factors Jᵀ, the Fortran-ordered view of J, sparing
+    LAPACK a copy: solve with lu_solve(..., trans=1).  max_steps bounds
+    the passes; an exactly zero pivot raises.
     """
     from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
@@ -256,18 +263,20 @@ def _newton(op: NonlocalOperator, f: Reaction, guess: np.ndarray,
     amat = op.amat
     r = amat @ u + f.apply(u)
     rn = float(np.max(np.abs(r)))
-    lu = None
+    lu, refactor = None, True
     for _ in range(max_steps):
         if rn <= tol:
             return u, lu
-        jac = amat.copy()
-        jac.flat[::op.n + 1] += f.apply_ds(u)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", LinAlgWarning)  # an exactly zero pivot
-            try:
-                lu = lu_factor(jac.T, overwrite_a=True, check_finite=False)
-            except LinAlgWarning as exc:
-                raise RuntimeError("singular jacobian in newton refinement") from exc
+        fresh = refactor
+        if fresh:
+            jac = amat.copy()
+            jac.flat[::op.n + 1] += f.apply_ds(u)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", LinAlgWarning)  # an exactly zero pivot
+                try:
+                    lu = lu_factor(jac.T, overwrite_a=True, check_finite=False)
+                except LinAlgWarning as exc:
+                    raise RuntimeError("singular jacobian in newton refinement") from exc
         delta = lu_solve(lu, -r, trans=1, check_finite=False)
         lam = 1.0
         while True:
@@ -277,8 +286,12 @@ def _newton(op: NonlocalOperator, f: Reaction, guess: np.ndarray,
             if rn_try < rn or lam <= 1.0 / 64.0:
                 break
             lam /= 2.0
-        if rn_try >= rn and rn > tol:
-            raise RuntimeError("newton refinement diverged")
+        if rn_try >= rn:
+            if fresh:
+                raise RuntimeError("newton refinement diverged")
+            refactor = True  # a stale LU failed: refactor at this iterate
+            continue
+        refactor = rn_try > CHORD_RATE * rn
         u, r, rn = u_try, r_try, rn_try
     if rn <= tol:
         return u, lu
@@ -287,7 +300,7 @@ def _newton(op: NonlocalOperator, f: Reaction, guess: np.ndarray,
 
 def newton_refine(op: NonlocalOperator, f: Reaction, guess: np.ndarray,
                   tol: float = NEWTON_TOL, max_steps: int = 50) -> np.ndarray:
-    """Damped Newton on R(u) = amat·u + f(u), halving on residual increase."""
+    """Damped chord Newton on R(u) = amat·u + f(u), refactoring as _newton."""
     return _newton(op, f, guess, tol, max_steps)[0]
 
 

@@ -185,8 +185,8 @@ def _expm_phi1(mat: np.ndarray):
     doublings uses φ1(2Y) = ½φ1(Y)(e^Y + I) and e^{2Y} = (e^Y)².  Returns
     (e^M, φ1(M), {"taylor_degree": d, "squarings": s}).
 
-    No identity matrix is stored: I/(d+1)! and e^Y + I are written on a
-    diagonal, bitwise the sums with np.eye, and y is mat itself when s = 0.
+    No identity is stored, bitwise the np.eye forms: Horner starts at
+    y/(d+1)! + I/d!, e^Y + I is made on a diagonal, and y is mat if s = 0.
     Besides mat the work holds at most four n×n arrays.
     """
     n = mat.shape[0]
@@ -199,9 +199,9 @@ def _expm_phi1(mat: np.ndarray):
     d = 1
     while ny ** (d + 1) / math.factorial(d + 2) * math.exp(ny) > 2.0 ** -53:
         d += 1
-    phi = np.zeros((n, n))
-    phi.flat[::n + 1] = 1.0 / math.factorial(d + 1)
-    for k in range(d - 1, -1, -1):
+    phi = y * (1.0 / math.factorial(d + 1)) + 0.0  # y @ (I/(d+1)!); + 0.0 as the gemm
+    phi.flat[::n + 1] += 1.0 / math.factorial(d)
+    for k in range(d - 2, -1, -1):
         phi = y @ phi
         phi.flat[::n + 1] += 1.0 / math.factorial(k + 1)
     emat = y @ phi

@@ -330,7 +330,8 @@ def monotone_shift(f: Reaction, k: float) -> float:
         dmin = float(np.min(exact))
     else:
         lin = np.linspace(-k, k, LIP_GRID)
-        logp = np.logspace(-8, np.log10(max(k, 1e-8)), LIP_GRID // 4)
+        # 10**log10(k) can exceed k by an ulp: clamp to stay in [-k, k]
+        logp = np.minimum(np.logspace(-8, np.log10(max(k, 1e-8)), LIP_GRID // 4), k)
         svals = np.unique(np.concatenate([lin, logp, -logp]))
         dmin = float(np.min(_block_reduce(svals, f.n_nodes, lambda s: np.min(f.apply_ds(s)))))
     if not np.isfinite(dmin):

@@ -415,6 +415,154 @@ def equilibrium_system(key):
 EQUILIBRIUM_SYSTEMS = [("bench", 256), ("bench", 512)] + [("sampled", i) for i in range(10)]
 
 
+def _full_newton(op, f, guess, tol=eqmod.NEWTON_TOL, max_steps=50):
+    """_newton as it stood with a fresh LU at every step, frozen."""
+    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+
+    u = np.array(guess, dtype=float)
+    amat = op.amat
+    r = amat @ u + f.apply(u)
+    rn = float(np.max(np.abs(r)))
+    lu = None
+    for _ in range(max_steps):
+        if rn <= tol:
+            return u, lu
+        jac = amat.copy()
+        jac.flat[::op.n + 1] += f.apply_ds(u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", LinAlgWarning)
+            try:
+                lu = lu_factor(jac.T, overwrite_a=True, check_finite=False)
+            except LinAlgWarning as exc:
+                raise RuntimeError("singular jacobian in newton refinement") from exc
+        delta = lu_solve(lu, -r, trans=1, check_finite=False)
+        lam = 1.0
+        while True:
+            u_try = u + lam * delta
+            r_try = amat @ u_try + f.apply(u_try)
+            rn_try = float(np.max(np.abs(r_try)))
+            if rn_try < rn or lam <= 1.0 / 64.0:
+                break
+            lam /= 2.0
+        if rn_try >= rn and rn > tol:
+            raise RuntimeError("newton refinement diverged")
+        u, r, rn = u_try, r_try, rn_try
+    if rn <= tol:
+        return u, lu
+    raise RuntimeError(f"newton refinement stalled at residual {rn:.3e}")
+
+
+def count_newton_factorizations(monkeypatch):
+    """Per _newton call, the scipy.linalg.lu_factor calls made while it runs."""
+    import scipy.linalg
+
+    per_call, running = [], []
+    real_newton, real_factor = eqmod._newton, scipy.linalg.lu_factor
+
+    def newton(*args, **kwargs):
+        per_call.append(0)
+        running.append(True)
+        try:
+            return real_newton(*args, **kwargs)
+        finally:
+            running.pop()
+
+    def factor(*args, **kwargs):
+        if running:
+            per_call[-1] += 1
+        return real_factor(*args, **kwargs)
+
+    monkeypatch.setattr(eqmod, "_newton", newton)
+    monkeypatch.setattr(scipy.linalg, "lu_factor", factor)
+    return per_call
+
+
+def factored_states(monkeypatch, f):
+    """The iterates at which Newton forms a Jacobian, one per factorization."""
+    import scipy.linalg
+
+    states, factors = [], []
+    real_ds, real_factor = f.apply_ds, scipy.linalg.lu_factor
+    monkeypatch.setattr(f, "apply_ds", lambda u: states.append(u.copy()) or real_ds(u))
+    monkeypatch.setattr(scipy.linalg, "lu_factor", lambda a, **kw: (
+        factors.append(1) or real_factor(a, **kw)))
+    return states, factors
+
+
+def cubic_on_constants(n, a, c, b):
+    """unit_op with the reaction f(s) = s³ + as² + (c-1)s + b: on constant
+    states R(s·1) = (s³ + as² + cs + b)·1, a scalar cubic, and Newton's
+    direction from a constant state is constant."""
+    _, _, op = unit_op(n)
+    f = CallableReaction(lambda s: s ** 3 + a * s ** 2 + (c - 1.0) * s + b,
+                         lambda s: 3.0 * s ** 2 + 2.0 * a * s + (c - 1.0), n_nodes=n)
+    return op, f
+
+
+class TestChordNewton:
+    @pytest.mark.parametrize("system", EQUILIBRIUM_SYSTEMS, ids=lambda k: f"{k[0]}{k[1]}")
+    def test_one_factorization_per_certified_orbit(self, system, monkeypatch):
+        op, f = equilibrium_system(system)
+        per_call = count_newton_factorizations(monkeypatch)
+        es = extremal_equilibria(op, f)
+        plus = "certified" if np.all(f.g0 >= -1e-14) else None
+        assert es.stopping_criteria == {"phi_M": "certified", "phi_m": "certified",
+                                        "phi_m_plus": plus}
+        orbits = 2 + (plus is not None and float(np.max(np.abs(f.g0))) > 0)
+        assert len(per_call) == orbits
+        assert all(count <= 1 for count in per_call), per_call
+
+    def test_bench_op_factors_three_times_in_newton(self, monkeypatch):
+        per_call = count_newton_factorizations(monkeypatch)
+        es = extremal_equilibria(*bench_system(512))
+        assert sum(per_call) == 3 and max(es.residuals.values()) <= 1e-12
+
+    def test_slow_step_refactors_at_the_new_iterate(self, monkeypatch):
+        """From 4 the first step leaves 0.29 of the residual, more than
+        CHORD_RATE: the next LU is of J at that step's iterate, which is the
+        full-Newton iterate bit for bit, and the root is the full-Newton
+        root."""
+        op, f = bench_system(48)
+        guess = np.full(op.n, 4.0)
+        ref_states, _ = factored_states(monkeypatch, f)
+        ref, _ = _full_newton(op, f, guess)
+        monkeypatch.undo()
+        r0 = residual_norm(op, f, guess)
+        assert residual_norm(op, f, ref_states[1]) > eqmod.CHORD_RATE * r0
+        states, factors = factored_states(monkeypatch, f)
+        root = newton_refine(op, f, guess)
+        assert len(factors) == len(states) < len(ref_states)
+        assert states[1].tobytes() == ref_states[1].tobytes()
+        np.testing.assert_allclose(root, ref, rtol=0, atol=1e-10)
+        assert residual_norm(op, f, root) <= eqmod.NEWTON_TOL
+
+    def test_failed_stale_step_refactors_where_it_stands(self, monkeypatch):
+        """R(s) = s³ + 2.6s² + 0.7s - 0.2 from -1.5: the first step lands past
+        the local minimum of R at 0.25 with an eighth of the residual, so the
+        LU is kept, but the chord direction on it is uphill at every damping;
+        Newton factors again at 0.25, not raising, and reaches the root
+        0.1705...."""
+        op, f = cubic_on_constants(8, 2.6, 0.7, -0.2)
+        guess = np.full(op.n, -1.5)
+        states, factors = factored_states(monkeypatch, f)
+        root, lu = eqmod._newton(op, f, guess)
+        assert lu is not None and len(factors) == len(states) == 2
+        np.testing.assert_allclose(states[1], 0.25, rtol=0, atol=1e-14)
+        assert residual_norm(op, f, states[1]) <= eqmod.CHORD_RATE * residual_norm(op, f, guess)
+        assert residual_norm(op, f, root) <= eqmod.NEWTON_TOL
+        np.testing.assert_allclose(root, 0.17056623133835, rtol=0, atol=1e-12)
+
+    def test_failed_fresh_step_raises(self):
+        """R(s) = s³ - 3s + 3 has its local minimum 1 at s = 1; from 1.01 the
+        fresh Newton step overshoots and fails even at damping 1/64, as it
+        did with a fresh LU at every step."""
+        op, f = cubic_on_constants(8, 0.0, -3.0, 3.0)
+        guess = np.full(op.n, 1.01)
+        for newton in (eqmod._newton, _full_newton):
+            with pytest.raises(RuntimeError, match="newton refinement diverged"):
+                newton(op, f, guess)
+
+
 class TestCertificate:
     def certificate_inputs(self, op, f):
         """φ_m with its last Newton factorization, and an orbit's slack."""

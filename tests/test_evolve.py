@@ -195,6 +195,16 @@ class TestExpmPhi1:
         assert got[2] == ref[2]
         assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()
 
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_degree_one_is_bitwise_the_form_with_a_stored_identity(self, n):
+        """At d = 1 the Horner loop is empty: φ1(Y) = Y/2 + I, and e^Y is
+        still Y·φ1(Y) + I."""
+        mat = random_metzler(n, n) * 1e-10
+        mat[np.random.default_rng(n).random((n, n)) < 0.2] = -0.0
+        got, ref = _expm_phi1(mat), _expm_phi1_with_eye(mat)
+        assert got[2] == ref[2] == {"taylor_degree": 1, "squarings": 0}
+        assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()
+
     @pytest.mark.parametrize("scale, squarings, bound", [(1e-3, 0, 2.1), (5.0, 5, 4.1)])
     def test_work_besides_mat(self, scale, squarings, bound):
         """At most four n×n arrays besides mat (φ1, e^Y, e^Y + I and the

@@ -500,6 +500,21 @@ def test_shift_without_a_closed_form_is_sampled():
     assert monotone_shift(g, 3.0) == _sampled_shift(g, 3.0)
 
 
+def test_sampled_shift_stays_in_the_window():
+    """The log-spaced end 10**log10(k) passes k by an ulp at this k; the
+    samples are clamped to [-k, k], so a derivative falling with |s| gives
+    β = -f'(k) + 1 bit for bit."""
+    k = 63.73247256341329
+    assert np.logspace(-8, np.log10(k), 128)[-1] > k
+    seen = []
+    dfun = lambda s: -3.0 * s ** 2
+    f = CallableReaction(lambda s: -s ** 3, lambda s: seen.append(s.copy()) or dfun(s),
+                         n_nodes=2)
+    assert f.ds_inf(k) is None
+    assert monotone_shift(f, k) == max(0.0, -dfun(k)) + 1.0
+    assert seen and all(np.max(np.abs(s)) <= k for s in seen)
+
+
 def test_closed_form_shift_raises_on_overflow():
     f = truncate(LogisticReaction(g=0.0, n=1.0, m=1.0, rho=3.0, n_nodes=2), 1e200)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="derivative minimum"):
