@@ -32,7 +32,7 @@ from nonlocalrd.reaction import (
     structure_bounds,
 )
 from nonlocalrd.space import MeasureSpace
-from nonlocalrd.spectral import principal_value
+from nonlocalrd.spectral import cw_bounds, principal_value
 
 MAX_BLOCKS = 10_000
 RESIDUAL_TOL = 1e-10
@@ -75,36 +75,33 @@ def residual_norm(op: NonlocalOperator, f: Reaction, u: np.ndarray) -> float:
 def solve_phi(kernel: Kernel, c, d) -> np.ndarray:
     """Nonnegative solution of KΦ + C(x)Φ + D(x) = 0.
 
-    Requires sup Re σ(K + CI) < 0, and is the one place that decides it.
+    Requires sup Re σ(K + CI) < 0, and is the one place that decides it:
     K + CI is Metzler, so the bound is negative iff (K + CI)x = -1 has a
-    solution x > 0, and for any such x the Collatz-Wielandt bound
-    max_i ((K+CI)x)_i / x_i < 0 certifies it by a matvec that does not
-    trust the solve (Berman & Plemmons, ch. 6).  One LU factorization
-    serves that certificate, the solve for Φ and one step of iterative
-    refinement, which is plenty at desk scale because the spectral
-    condition controls the conditioning.
+    solution x > 0, and cw_bounds(K + CI, x).upper < 0 certifies it without
+    trusting the solve.  One LU of (K + CI)ᵀ, as in _newton, serves that
+    certificate, the solve for Φ and one refinement step, plenty at desk
+    scale because the spectral condition controls the conditioning.
     """
     from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
     n = kernel.space.n
     c = np.broadcast_to(np.asarray(c, dtype=float), (n,))
     d = np.broadcast_to(np.asarray(d, dtype=float), (n,))
-    if np.any(d < 0):
-        raise ValueError("the inhomogeneity D must be nonnegative")
+    if not np.all((d >= 0) & (d < np.inf)):
+        raise ValueError("the inhomogeneity D must be finite and nonnegative")
     op_c = build_operator(kernel, -c)
-    amat = op_c.amat
     with warnings.catch_warnings():
         # an exactly singular matrix fails the certificate below
         warnings.simplefilter("ignore", LinAlgWarning)
-        lu = lu_factor(amat)
-    x = lu_solve(lu, -np.ones(n))
-    if not (np.all(x > 0) and float(np.max(amat @ x / x)) < 0):
+        lu = lu_factor(op_c.amat.T, overwrite_a=True, check_finite=False)
+    x = lu_solve(lu, -np.ones(n), trans=1, check_finite=False)
+    if not (np.all((x > 0) & (x < np.inf)) and cw_bounds(op_c, x).upper < 0):
         raise ValueError("spectral precondition fails: no positive solution of (K+CI)x = -1 "
                          "certifies a negative spectral bound of K+CI")
-    phi = lu_solve(lu, -d)
-    phi += lu_solve(lu, -d - amat @ phi)  # one refinement step
+    phi = lu_solve(lu, -d, trans=1, check_finite=False)
+    phi += lu_solve(lu, -d - op_c.apply(phi), trans=1, check_finite=False)  # one refinement step
     scale = 1.0 + float(np.max(np.abs(d)))
-    if float(np.max(np.abs(amat @ phi + d))) > RESIDUAL_TOL * scale:
+    if float(np.max(np.abs(op_c.apply(phi) + d))) > RESIDUAL_TOL * scale:
         raise RuntimeError("envelope solve residual too large")
     if np.min(phi) < -1e-10 * scale:
         raise RuntimeError("envelope solution lost nonnegativity")
@@ -206,7 +203,7 @@ def _certifies(op: NonlocalOperator, f: Reaction, e: np.ndarray, lu,
     """True when Newton's limit e from the block end u, with lu the last
     factorization _newton made, is provably the orbit's limit L.
 
-    With J = amat + diag ∂f/∂s, Metzler, e is accepted when
+    With J = amat + diag ∂f/∂s, Metzler, e is accepted (Sattinger, 1972; Amann, 1976) when
     1. e has Newton's residual NEWTON_TOL (the caller's _newton);
     2. e lies on the start's side: direction·(e - u_start) >= -slack.  An
        equilibrium lies in the envelope, inside the truncation window, so
@@ -215,32 +212,21 @@ def _certifies(op: NonlocalOperator, f: Reaction, e: np.ndarray, lu,
        u, which the orbit passed on its monotone way to L;
     3. ψ solving J(u_k)ψ = -1 is positive, u_k being the iterate at which
        _newton last refactored (a chord step keeps an older LU);
-    4. (amat + diag q̄)ψ < 0, q̄ = f.ds_sup over the box widened by slack.
-       Then Λ(amat + diag q̄) < 0 (Collatz-Wielandt), and L - e solves
-       (amat + diag q)(L - e) = 0 with secant slopes q <= q̄, whose
+    4. cw_bounds(NonlocalOperator(op.kernel, op.h - q̄, op.h0), ψ).upper < 0, q̄ =
+       f.ds_sup (rounded up) over the box widened by slack.  Then L - e
+       solves (amat + diag q)(L - e) = 0 with secant slopes q <= q̄, whose
        matrix has Λ <= Λ(amat + diag q̄) < 0 and is nonsingular: L = e.
-    ψ is only a test vector, so the check trusts no solve, but 4 must
-    hold in exact arithmetic.  Each entry of (amat + diag q̄)ψ sums n + 1
-    products, so rounding moves it by at most γ_{n+2}·mag, with
-    mag = (|amat| + |diag q̄|)ψ and γ_k = kε/(1 - kε), ε = eps/2 (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, §3.1).  Computed
-    entries must stay below -2(n+2)·eps·mag <= -2γ_{n+2}·mag; the factor
-    2 covers the rounding of mag itself, and ds_sup rounds q̄ up.
-    Sattinger (1972); Amann (1976).
+    ψ is only a test vector, so the check trusts no solve; rounding h - q̄
+    adds at most ε·|(h - q̄)ψ|, well inside cw_bounds' margin of 4γ_{n+2}.
     """
     from scipy.linalg import lu_solve
 
     if np.any(direction * (e - u_start) < -slack):
         return False
     psi = lu_solve(lu, -np.ones(op.n), trans=1, check_finite=False)
-    if not np.all(psi > 0):
-        return False
     qbar = f.ds_sup(np.minimum(e, u) - slack, np.maximum(e, u) + slack)
-    amat = op.amat
-    a_psi = amat @ psi
-    bound = a_psi + qbar * psi
-    mag = a_psi - 2.0 * np.minimum(np.diagonal(amat), 0.0) * psi + np.abs(qbar) * psi
-    return bool(np.all(bound + 2 * (op.n + 2) * np.finfo(float).eps * mag < 0))
+    return bool(np.all((psi > 0) & (psi < np.inf))
+                and cw_bounds(NonlocalOperator(op.kernel, op.h - qbar, op.h0), psi).upper < 0)
 
 
 def _newton(op: NonlocalOperator, f: Reaction, guess: np.ndarray,

@@ -1,10 +1,10 @@
 """Spectral quantities of L = K - hI.
 
 Computes the spectral bound Λ = sup Re σ(K - hI) by certified ARPACK,
-dense eigensolve or power iteration, the Collatz-Wielandt ratio
-sandwich, the essential range of -h, the symmetric Rayleigh
-characterization, the sign-criteria report, and the potential-shifting
-experiment on a subdomain.
+dense eigensolve or power iteration, the Collatz-Wielandt ratio sandwich
+(widened by its rounding margin, so it bounds Λ in floating point), the
+essential range of -h, the symmetric Rayleigh characterization, the
+sign-criteria report, and the potential-shifting experiment on a subdomain.
 """
 
 from __future__ import annotations
@@ -213,14 +213,27 @@ def principal_value(op: NonlocalOperator, method: str = "auto") -> SpectralRepor
 
 
 def cw_bounds(op: NonlocalOperator, phi: np.ndarray) -> CwBounds:
-    """inf and sup of (Lφ)_i / φ_i over nodes for a positive test function."""
+    """Rigorous lower <= Λ <= upper from a positive test function φ.
+
+    For Metzler L, min_i (Lφ)_i/φ_i <= Λ <= max_i (Lφ)_i/φ_i (Collatz-
+    Wielandt; Berman & Plemmons, ch. 2 and 6).  The ratios sum op.apply's
+    terms kφ = jmat @ (w·φ) >= 0 and hφ = h·φ; with the roundings of w·φ,
+    hφ, the n-term sum, the difference and the division they err by under
+    γ_{n+3}·mag/φ, mag = kφ + |hφ| (Higham, §3.1; γ_k = kε/(1 - kε), ε =
+    eps/2), where |amat|φ would miss the cancellation of w_i·J_ii·φ_i and
+    h_i·φ_i.  The widening 2(n+2)·eps·mag/φ ≈ 4γ_{n+2}·mag/φ leaves slack
+    for its own rounding and one rounding of h by the caller (_certifies).
+    """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (op.n,):
         raise ValueError("test function length mismatch")
-    if np.any(phi <= 0):
-        raise ValueError("test function must be strictly positive")
-    ratios = op.apply(phi) / phi
-    return CwBounds(lower=float(np.min(ratios)), upper=float(np.max(ratios)), test_function=phi)
+    if not np.all((phi > 0) & (phi < np.inf)):
+        raise ValueError("test function must be finite and strictly positive")
+    kphi = op.kernel.matvec(op.space.weights * phi)
+    hphi = op.h * phi
+    ratios = (kphi - hphi) / phi
+    margin = 2 * (op.n + 2) * np.finfo(float).eps * (kphi + np.abs(hphi)) / phi
+    return CwBounds(float(np.min(ratios - margin)), float(np.max(ratios + margin)), phi)
 
 
 def essential_range(h, weights, tol: float = 1e-12) -> List[Tuple[float, float]]:

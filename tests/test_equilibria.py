@@ -113,6 +113,12 @@ class TestSolvePhi:
         with pytest.raises(ValueError):
             solve_phi(k, -2.0, -np.ones(16))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_inhomogeneity(self, bad):
+        s, k, _ = unit_op(16)
+        with pytest.raises(ValueError, match="inhomogeneity D must be finite"):
+            solve_phi(k, -2.0, np.r_[np.ones(15), bad])
+
     @pytest.mark.parametrize("n", [16, 64, 200])
     @pytest.mark.parametrize("law, params", [("constant", {"c": 1.0}),
                                              ("tophat", {"R": 0.25, "J0": 1.0}),

@@ -512,8 +512,7 @@ def _consumer_cases():
     graph_op = build_operator(assemble_kernel(graph, "tophat", R=0.25, J0=1.0), 1.0)
     return {  # each call with the reads it makes
         "_newton": (lambda: _newton(op, f, guess), {"amat": 1}),
-        "_certifies": (lambda: _certifies(op, f, e, lu, e + 1e-3, e + 1.0, -1, 1e-12),
-                       {"amat": 1}),
+        "_certifies": (lambda: _certifies(op, f, e, lu, e + 1e-3, e + 1.0, -1, 1e-12), {}),
         "solve_phi": (lambda: solve_phi(kernel, -5.0, 1.0), {"amat": 1}),
         "principal_value_dense": (lambda: principal_value(op, method="dense"), {"amat": 1}),
         "is_r_connected": (lambda: is_r_connected(space, 0.2), {"dist": 1}),

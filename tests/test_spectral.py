@@ -226,11 +226,23 @@ class TestCwBounds:
             assert b.lower <= lam + 1e-9
             assert b.upper >= lam - 1e-9
 
+    def test_sandwich_holds_a_zero_bound_through_rounding(self):
+        # rows [1, t, t] with h = 1 + 2t: eigenvalues 0, -h, -h, and L1 = 0
+        # exactly, but the computed 1 + t + t - h rounds to -2t, below Λ
+        t = 2.0 ** -53
+        space = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)], np.ones(3))
+        kernel = assemble_kernel(space, "table", jmat=np.array([[1.0, t, t]] * 3))
+        b = cw_bounds(build_operator(kernel, 1.0 + 2 * t), np.ones(3))
+        assert b.lower <= 0.0 <= b.upper
+
     def test_rejects_nonpositive_test_function(self):
         s, k = unit_system(n=8)
         op = build_operator(k, np.zeros(8))
         with pytest.raises(ValueError):
             cw_bounds(op, np.zeros(8))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                cw_bounds(op, np.r_[np.ones(7), bad])
 
 
 class TestEssentialRange:
