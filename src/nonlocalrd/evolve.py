@@ -24,9 +24,10 @@ an order-preserving run into stages that end where the comparison bound
 doubles, each truncated at the bound's level up to its end.
 
 A (k, n) batch u0, one datum per row, is one run with states (len(times), k, n),
-each step mapping all rows at once as (M @ v.T).T.  The truncation level and β come from
+each step mapping all rows at once as v @ M.T.  The truncation level and β come from
 max|u0| over the batch, valid for every row, so rows equal separate runs when
-trunc_k and β are given or coincide; the run stops when any row blows up.
+trunc_k and β are given or coincide; the run stops when any row blows up.  rk4 steps
+an OperatorStack's (G, k, n) stack by the same product; any system's blow-up stops it.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class IntegratorConfig:
 @dataclass
 class Trajectory:
     times: np.ndarray
-    states: np.ndarray  # (len(times), n); (len(times), k, n) for a batch of k data
+    states: np.ndarray  # (len(times),) + u0.shape: u0 (n,), a (k, n) batch or a (G, k, n) stack
     scheme: str
     dt: float
     metadata: dict = field(default_factory=dict)
@@ -234,6 +235,17 @@ def _propagate(amat: np.ndarray, vecs: np.ndarray, times) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class OperatorStack:
+    """The (G, n, n) amat of G systems of one size n, which rk4 steps as one stack."""
+
+    amat: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.amat.shape[-1]
+
+
+@dataclass(frozen=True)
 class Stepper:
     """The prepared one-step map u ↦ u(t + dt) of one scheme, with the
     beta, trunc_k and propagator that evolve_nonlinear records in the
@@ -252,8 +264,10 @@ def make_stepper(op: NonlocalOperator, f: Reaction, u0: np.ndarray,
     euler_op truncates locally Lipschitz reactions at the level the
     scalar supersolution bound provides over [0, t_end] and checks the
     monotone step-size condition; rk4 and the exponential-Euler scheme
-    use the raw reaction.
+    use the raw reaction.  Only rk4 steps a (G, k, n) stack.
     """
+    if u0.ndim == 3 and config.scheme != "rk4":
+        raise ValueError(f"{config.scheme} cannot step a (G, k, n) stack; rk4 can")
     dt = config.dt
     beta = k = propagator = None
     if config.scheme == "euler_op":
@@ -271,11 +285,11 @@ def make_stepper(op: NonlocalOperator, f: Reaction, u0: np.ndarray,
         if u0.ndim == 1 and op.kernel.symmetric:  # apply reads one triangle of jmat
             def rhs(v):
                 return op.apply(v) + f.apply(v)
-        else:  # a batch or a nonsymmetric kernel reads amat once per product
-            amat = op.amat
+        else:  # a batch, a stack or a nonsymmetric kernel reads amat once per product
+            amat_t = op.amat.swapaxes(-1, -2)
 
             def rhs(v):
-                return (amat @ v.T).T + f.apply(v)
+                return v @ amat_t + f.apply(v)
 
         def step(v):
             k1 = rhs(v)
@@ -306,8 +320,10 @@ def evolve_nonlinear(op: NonlocalOperator, f: Reaction, u0: np.ndarray,
     threshold; the last finite state is stored.
     """
     u = np.array(u0, dtype=float)
-    if u.ndim not in (1, 2) or u.shape[-1] != op.n or u.size == 0:
-        raise ValueError(f"initial state shape {u.shape} is not (n,) or (k >= 1, n), n = {op.n}")
+    lead_ok = u.shape[:-2] == op.amat.shape[:1] if isinstance(op, OperatorStack) else u.ndim < 3
+    if not lead_ok or u.shape[-1:] != (op.n,) or u.size == 0:
+        raise ValueError(f"initial state shape {u.shape} is not (n,) or (k >= 1, n) for an "
+                         f"operator, nor (G, k >= 1, n) for a stack of G, n = {op.n}")
     if not np.all(np.isfinite(u)):
         raise ValueError("initial state must be finite")
     nsteps = _nsteps(config.dt, config.t_end)

@@ -43,6 +43,7 @@ class Kernel:
     jmat: np.ndarray
     positivity_cert: Optional[Tuple[float, float]] = None
     symmetric: bool = field(init=False)  # found by inspection of jmat
+    h0: np.ndarray = field(init=False, repr=False)  # jmat @ w, read-only: operators share it
 
     def __post_init__(self):
         j = np.ascontiguousarray(self.jmat, dtype=float)
@@ -69,6 +70,12 @@ class Kernel:
                 raise ValueError("positivity certificate needs J0 > 0")
             if any(np.any((d < r) & (j[rows] <= j0)) for rows, d in self.space.row_blocks()):
                 raise ValueError("positivity certificate fails entrywise")
+        h0 = j @ self.space.weights  # checked against einsum's row sums: no n×n temporary
+        sums = np.einsum("ij,j->i", j, self.space.weights)
+        if np.max(np.abs(h0 - sums)) > 1e-10 * max(1.0, float(np.max(np.abs(h0)))):
+            raise AssertionError("operator assembly inconsistent: h0 is not the row sums of jmat·w")
+        h0.flags.writeable = False
+        object.__setattr__(self, "h0", h0)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """jmat @ x on an (n,) vector, and row by row on a (k, n) batch.
@@ -168,8 +175,8 @@ def apply_K(kernel: Kernel, u: np.ndarray) -> np.ndarray:
 
 
 def compute_h0(kernel: Kernel) -> np.ndarray:
-    """Total outflow rate h0(x) = ∫ J(x,y) dy at each node."""
-    return kernel.jmat @ kernel.space.weights
+    """Total outflow rate h0(x) = ∫ J(x,y) dy at each node, formed with the kernel."""
+    return kernel.h0
 
 
 def build_operator(kernel: Kernel, h) -> NonlocalOperator:
@@ -181,9 +188,4 @@ def build_operator(kernel: Kernel, h) -> NonlocalOperator:
         raise ValueError("potential length mismatch")
     if not np.all(np.isfinite(h)):
         raise ValueError("potential must be finite")
-    h0 = compute_h0(kernel)
-    # the BLAS matvec h0 against einsum's own row sums of jmat·w, with no n×n temporary
-    sums = np.einsum("ij,j->i", kernel.jmat, kernel.space.weights)
-    if np.max(np.abs(h0 - sums)) > 1e-10 * max(1.0, float(np.max(np.abs(h0)))):
-        raise AssertionError("operator assembly inconsistent: h0 is not the row sums of jmat·w")
-    return NonlocalOperator(kernel=kernel, h=h, h0=h0)
+    return NonlocalOperator(kernel=kernel, h=h, h0=kernel.h0)

@@ -149,22 +149,22 @@ class CallableReaction(Reaction):
 
 
 class LogisticReaction(Reaction):
-    """f(x, s) = g(x) + n(x) s - m(x) |s|^{ρ-1} s with per-node coefficients."""
+    """f(x, s) = g(x) + n(x) s - m(x) |s|^{ρ-1} s with per-node coefficients,
+    or (G, 1, n) stacks of G systems' coefficients for a (G, k, n) stack of states."""
 
     kind = "logistic"
 
     def __init__(self, g, n, m, rho: float, n_nodes: Optional[int] = None):
         size = n_nodes
-        for c in (g, n, m):
-            arr = np.asarray(c, dtype=float)
+        coefs = [np.asarray(c, dtype=float) for c in (g, n, m)]
+        for arr in coefs:
             if arr.ndim == 1:
                 size = arr.shape[0] if size is None else size
         if size is None:
             raise ValueError("give n_nodes or at least one per-node coefficient vector")
         super().__init__(size)
-        self.g = np.broadcast_to(np.asarray(g, dtype=float), (size,)).copy()
-        self.ncoef = np.broadcast_to(np.asarray(n, dtype=float), (size,)).copy()
-        self.m = np.broadcast_to(np.asarray(m, dtype=float), (size,)).copy()
+        self.g, self.ncoef, self.m = (np.broadcast_to(c, c.shape[:-1] + (size,)).copy()
+                                      for c in coefs)
         if np.any(self.m < 0):
             raise ValueError("damping coefficient m must be nonnegative")
         if rho <= 1:

@@ -41,6 +41,7 @@ class CwBounds:
     lower: float
     upper: float
     test_function: np.ndarray
+    applied: np.ndarray  # Lφ = kφ - hφ, bitwise op.apply(φ): the ratios' numerators
 
 
 @dataclass
@@ -161,14 +162,15 @@ def _report(op: NonlocalOperator, lam: float, vec: np.ndarray, method: str) -> S
     """Report for a computed eigenpair, certified when the eigenfunction is positive."""
     phi = _sup_normalize(vec)
     is_principal = bool(np.all(phi > PRINCIPAL_FLOOR))
+    cert = cw_bounds(op, phi) if is_principal else None  # kφ serves the residual too
     return SpectralReport(
         lam=float(lam),
         eigenfunction=phi if is_principal else None,
         is_principal=is_principal,
         essential_range=essential_range(op.h, op.space.weights),
         method=method,
-        residual=float(np.max(np.abs(op.apply(phi) - lam * phi))) if is_principal else None,
-        certificate=cw_bounds(op, phi) if is_principal else None,
+        residual=float(np.max(np.abs(cert.applied - lam * phi))) if is_principal else None,
+        certificate=cert,
     )
 
 
@@ -231,9 +233,10 @@ def cw_bounds(op: NonlocalOperator, phi: np.ndarray) -> CwBounds:
         raise ValueError("test function must be finite and strictly positive")
     kphi = op.kernel.matvec(op.space.weights * phi)
     hphi = op.h * phi
-    ratios = (kphi - hphi) / phi
+    lphi = kphi - hphi
+    ratios = lphi / phi
     margin = 2 * (op.n + 2) * np.finfo(float).eps * (kphi + np.abs(hphi)) / phi
-    return CwBounds(float(np.min(ratios - margin)), float(np.max(ratios + margin)), phi)
+    return CwBounds(float(np.min(ratios - margin)), float(np.max(ratios + margin)), phi, lphi)
 
 
 def essential_range(h, weights, tol: float = 1e-12) -> List[Tuple[float, float]]:
@@ -288,8 +291,7 @@ def spectral_energy(kernel: Kernel, h, phi: np.ndarray) -> float:
     h = np.asarray(h, dtype=float)
     diff = phi[None, :] - phi[:, None]
     quad = -0.5 * float(np.sum(w[:, None] * w[None, :] * kernel.jmat * diff * diff))
-    h0 = kernel.jmat @ w
-    return quad - float(np.sum(w * (h - h0) * phi * phi))
+    return quad - float(np.sum(w * (h - kernel.h0) * phi * phi))
 
 
 def sign_criteria(op: NonlocalOperator) -> SignCriteriaReport:

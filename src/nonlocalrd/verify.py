@@ -6,7 +6,8 @@ satisfy the hypotheses of the property under test, and additionally runs
 a hypothesis-violating control trial that must trip the check (otherwise
 the suite itself fails for having no teeth).  A suite supplies only its
 sampler, its violation and its control; `_run_trials` seeds, counts and
-reports for all four, and needs at least one trial.
+reports for all four, and needs at least one trial.  The asymptotic suite
+integrates its sampled trials as one stack per (n, ρ) before it checks them.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from nonlocalrd.kernel import NonlocalOperator, assemble_kernel, build_operator
 from nonlocalrd.equilibria import solve_phi
 from nonlocalrd.evolve import (
     IntegratorConfig,
+    OperatorStack,
     _comparison_bound,
     _prepare_monotone,
     _propagate,
@@ -171,21 +173,21 @@ def _shared_monotone_config(op, f0, f1, u_init_scale, t_end):
 
 
 def _run_trials(prop: str, trials: int, seed: int, tol: float, trial, control,
-                summary=None) -> PropertyReport:
+                summary=None, check=None) -> PropertyReport:
     """Run `trials` seeded trials and one control into a report.
 
-    `trial(rng, t)` returns `(violation, extra)`; it fails when the
-    violation exceeds `tol` or extra holds `strong_ok=False`.  `summary`
-    goes after the trials; `control(rng)` returns `(label, fired, extra)`,
-    and a control that did not fire is one more failure.
+    `trial(rng, t)` returns `(violation, extra)`, or a sample that `check(samples)`
+    turns into one, in trial order; it fails when the violation exceeds `tol` or
+    extra holds `strong_ok=False`.  `summary` goes after the trials; `control(rng)`
+    returns `(label, fired, extra)`, and a control that did not fire is one more failure.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     failures = 0
     worst = 0.0
     details: List[dict] = []
-    for t in range(trials):
-        viol, extra = trial(np.random.default_rng([seed, t]), t)
+    results = [trial(np.random.default_rng([seed, t]), t) for t in range(trials)]
+    for t, (viol, extra) in enumerate(check(results) if check else results):
         if not (viol <= tol and extra.get("strong_ok", True)):
             failures += 1
             details.append({"trial": t, "violation": viol, **extra, "expected": False})
@@ -331,15 +333,17 @@ def asymptotic_suite(trials: int, seed: int) -> PropertyReport:
     dominated by -max(h0), so sup Re σ(K + CI) < 0; checks the envelope
     inequality |u(t)| <= U(t), the invariance |u0| <= Φ ⇒ |u(t)| <= Φ,
     and the exponential decay of (|u(T)| - Φ)₊ against the rigorous
-    matrix-exponential rate, all at rk4 tolerance.
+    matrix-exponential rate, all at rk4 tolerance.  Each (n, ρ) is one rk4
+    stack, rerun one system at a time if it blows up, so each orbit is its own run.
     """
     def outside(states, phi):  # the invariance check max(|u(t)| - Φ)
         return float(np.max(np.abs(states) - phi[None, :]))
 
     fitted: List[float] = []
     last = {}
+    cfg = IntegratorConfig(scheme="rk4", dt=5e-3, t_end=2.0, store_every=40)
 
-    def trial(rng, t):
+    def sample(rng, t):
         space = _sample_space(rng)
         kern = _sample_kernel(rng, space, strong=False)
         op = build_operator(kern, np.zeros(space.n))
@@ -357,17 +361,32 @@ def asymptotic_suite(trials: int, seed: int) -> PropertyReport:
         u0_in = 0.99 * rng.uniform(-1.0, 1.0, size=space.n) * phi
         # (b) a generic datum, for envelope domination and the rigorous decay rate
         u0 = (1.0 + rng.uniform(0.0, 2.0)) * phi + rng.uniform(0.0, 0.5, size=space.n)
-        cfg = IntegratorConfig(scheme="rk4", dt=5e-3, t_end=2.0, store_every=40)
-        tr = evolve_nonlinear(op, f, np.stack([u0_in, u0]), cfg)  # one 2-row run
-        inv_viol = outside(tr.states[:, 0], phi)
-        states = tr.states[:, 1]
+        return op, f, op_c, lam, phi, np.stack([u0_in, u0])
+
+    def run(group):  # (times, states) of each system of one (n, ρ), from one rk4 stack
+        coefs = (np.stack([getattr(s[1], c) for s in group])[:, None] for c in ("g", "ncoef", "m"))
+        f = LogisticReaction(*coefs, rho=group[0][1].rho, n_nodes=group[0][0].n)
+        tr = evolve_nonlinear(OperatorStack(np.stack([s[0].amat for s in group])), f,
+                              np.stack([s[5] for s in group]), cfg)
+        if tr.blowup and len(group) > 1:  # the blow-up test read the whole stack
+            return [out for s in group for out in run([s])]
+        return [(tr.times, tr.states[:, i]) for i in range(len(group))]
+
+    def check(samples):
+        keys = [(s[0].n, s[1].rho) for s in samples]
+        groups = [[t for t, k in enumerate(keys) if k == key] for key in dict.fromkeys(keys)]
+        runs = {t: out for idx in groups for t, out in zip(idx, run([samples[t] for t in idx]))}
+        return [check_one(*s, *runs[t]) for t, s in enumerate(samples)]
+
+    def check_one(op, f, op_c, lam, phi, data, times, both):
+        inv_viol = outside(both[:, 0], phi)
+        states, u0 = both[:, 1], data[1]
         gap_plus = np.maximum(np.abs(u0) - phi, 0.0)
-        props = _propagate(op_c.amat, np.column_stack([np.abs(u0) - phi, gap_plus]),
-                           tr.times)
+        props = _propagate(op_c.amat, np.column_stack([np.abs(u0) - phi, gap_plus]), times)
         env_viol = float(np.max(np.abs(states) - (phi + props[:, :, 0])))
         delta = np.max(np.maximum(np.abs(states) - phi, 0.0), axis=1)
         decay_viol = float(np.max(delta - np.max(props[:, :, 1], axis=1)))
-        fitted.append(float(np.max(delta * np.exp(0.5 * abs(lam) * tr.times))))
+        fitted.append(float(np.max(delta * np.exp(0.5 * abs(lam) * times))))
         last.update(states=states, phi=phi)
         return max(inv_viol, env_viol, decay_viol), {}
 
@@ -377,7 +396,7 @@ def asymptotic_suite(trials: int, seed: int) -> PropertyReport:
         return "outside-envelope", ctrl_viol > SOFT_TOL, {"violation": ctrl_viol}
 
     summary = {"trial": "summary", "fitted_M": fitted, "informational": True}
-    return _run_trials("asymptotic", trials, seed, SOFT_TOL, trial, control, summary)
+    return _run_trials("asymptotic", trials, seed, SOFT_TOL, sample, control, summary, check)
 
 
 SUITES = {

@@ -874,6 +874,100 @@ class TestBatch:
             fit_growth_constant(op, tr)
 
 
+def stack_system(n, rho, seed):
+    """A random operator (a nonsymmetric table kernel among the laws) and a
+    logistic reaction with per-node coefficients, of one size n and ρ."""
+    rng = np.random.default_rng(seed)
+    space = build_interval(0.0, float(rng.choice([1.0, 1.5])), n)
+    law = int(rng.integers(0, 4))
+    if law == 0:
+        kern = assemble_kernel(space, "constant", c=rng.uniform(0.5, 2.0))
+    elif law == 1:
+        kern = assemble_kernel(space, "tophat", R=0.4, J0=rng.uniform(0.5, 2.0))
+    elif law == 2:
+        kern = assemble_kernel(space, "gaussian", sigma=rng.uniform(0.2, 0.5))
+    else:
+        kern = assemble_kernel(space, "table", jmat=rng.uniform(0.0, 2.0, (n, n)))
+    op = build_operator(kern, rng.uniform(-0.5, 1.0, n))
+    f = LogisticReaction(g=rng.uniform(0.1, 0.6, n), n=-rng.uniform(1.0, 3.0),
+                         m=rng.uniform(0.3, 1.0, n), rho=rho)
+    return op, f
+
+
+def op_stack(ops):
+    return evolve.OperatorStack(np.stack([op.amat for op in ops]))
+
+
+def stacked(reactions, n):
+    """One LogisticReaction whose (G, 1, n) coefficients stack the given ones."""
+    coef = [np.stack([getattr(f, c) for f in reactions])[:, None] for c in ("g", "ncoef", "m")]
+    return LogisticReaction(*coef, rho=reactions[0].rho, n_nodes=n)
+
+
+class TestStack:
+    """An rk4 run of a (G, k, n) stack whose slices are the systems' own runs."""
+
+    CFG = dict(scheme="rk4", dt=5e-3, t_end=0.5, store_every=10)
+
+    @pytest.mark.parametrize("rho", [2.0, 3.0])
+    @pytest.mark.parametrize("n", [32, 128])
+    @pytest.mark.parametrize("g", [1, 2, 7])
+    def test_slices_equal_separate_runs(self, g, n, rho, record_property):
+        systems = [stack_system(n, rho, 100 * g + j) for j in range(g)]
+        ops, fs = zip(*systems)
+        data = np.random.default_rng(g).uniform(-1.5, 1.5, (g, 2, n))
+        cfg = IntegratorConfig(**self.CFG)
+        tr = evolve_nonlinear(op_stack(ops), stacked(fs, n), data, cfg)
+        assert tr.states.shape == (len(tr.times), g, 2, n) and not tr.blowup
+        bitwise = True
+        for j, (op, f) in enumerate(systems):
+            one = evolve_nonlinear(op, f, data[j], cfg)
+            assert one.times.tolist() == tr.times.tolist()
+            assert one.metadata["steps"].tolist() == tr.metadata["steps"].tolist()
+            bitwise &= np.array_equal(tr.states[:, j], one.states)
+            scale = float(np.max(np.abs(one.states)))
+            np.testing.assert_allclose(tr.states[:, j], one.states, rtol=0,
+                                       atol=8 * np.finfo(float).eps * scale)
+        record_property("bitwise", bitwise)  # OpenBLAS here: bitwise
+
+    def test_blowup_of_one_system_stops_the_stack(self):
+        systems = [stack_system(32, 3.0, j) for j in range(3)]
+        ops, fs = zip(*systems)
+        data = np.random.default_rng(0).uniform(-1.0, 1.0, (3, 2, 32))
+        data[1, 0] *= 1e4  # rk4 at dt = 5e-3 is unstable for |s|² ~ 1e8
+        cfg = IntegratorConfig(**self.CFG)
+        tr = evolve_nonlinear(op_stack(ops), stacked(fs, 32), data, cfg)
+        alone = evolve_nonlinear(ops[1], fs[1], data[1], cfg)
+        assert tr.blowup and alone.blowup
+        assert tr.metadata["blowup_time"] == alone.metadata["blowup_time"]
+        assert not evolve_nonlinear(ops[0], fs[0], data[0], cfg).blowup
+
+    @pytest.mark.parametrize("scheme", ["euler_op", "vcf_exact_linear"])
+    def test_other_schemes_reject_a_stack(self, scheme):
+        op, f = stack_system(16, 3.0, 0)
+        cfg = IntegratorConfig(scheme=scheme, dt=1e-3, t_end=0.01, beta=1.0, trunc_k=10.0)
+        data = np.zeros((2, 1, 16))
+        with pytest.raises(ValueError, match=scheme):
+            make_stepper(op, f, data, cfg)
+        with pytest.raises(ValueError, match=scheme):
+            evolve_nonlinear(op_stack([op, op]), stacked([f, f], 16), data, cfg)
+
+    @pytest.mark.parametrize("shape", [(2, 16), (16,), (3, 2, 16), (2, 1, 2, 16), (2, 0, 16)])
+    def test_stack_rejects_misshapen_data(self, shape):
+        op, f = stack_system(16, 3.0, 0)
+        cfg = IntegratorConfig(**self.CFG)
+        with pytest.raises(ValueError, match=r"shape .*\(G, k >= 1, n\)"):
+            evolve_nonlinear(op_stack([op, op]), stacked([f, f], 16),
+                             np.zeros(shape), cfg)
+
+    def test_an_operator_rejects_a_stack_or_more_axes(self):
+        op, f = stack_system(16, 3.0, 0)
+        cfg = IntegratorConfig(**self.CFG)
+        for shape in [(2, 1, 16), (1, 1, 1, 16)]:
+            with pytest.raises(ValueError, match="shape"):
+                evolve_nonlinear(op, f, np.zeros(shape), cfg)
+
+
 def _scripted_stepper(script):
     """A stepper whose m-th step returns script[m-1]."""
     it = iter(script)

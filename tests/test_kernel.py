@@ -442,13 +442,27 @@ def test_apply_matches_the_assembled_matrix(kind, n, seed, k):
     assert np.all(np.abs(op.apply(batch) - (op.amat @ batch.T).T) <= tol * scale)
 
 
-def test_build_operator_rejects_an_inconsistent_h0(monkeypatch):
-    kernel = assemble_kernel(build_interval(0, 1, 50), "tophat", R=0.3, J0=1.0)
-    build_operator(kernel, 1.0)
-    real = kmod.compute_h0
-    monkeypatch.setattr(kmod, "compute_h0", lambda k: real(k) * (1.0 + 1e-8))
+def test_kernel_rejects_an_inconsistent_h0(monkeypatch):
+    # the cross-check runs once, where the kernel forms h0
+    space = build_interval(0, 1, 50)
+    real = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *a: real(*a) * (1.0 + 1e-8))
     with pytest.raises(AssertionError, match="inconsistent"):
-        build_operator(kernel, 1.0)
+        assemble_kernel(space, "tophat", R=0.3, J0=1.0)
+
+
+def test_h0_is_formed_and_checked_once_per_kernel(monkeypatch):
+    """Repeated operators on one kernel share its h0, bitwise jmat @ w, and
+    build_operator makes no product and no einsum cross-check of its own."""
+    real, sums = np.einsum, []
+    monkeypatch.setattr(np, "einsum", lambda *a: sums.append(a[0]) or real(*a))
+    space = build_interval(0, 1, 64)
+    kernel = assemble_kernel(space, "gaussian", sigma=0.3)
+    assert sums == ["ij,j->i"]
+    ops = [build_operator(kernel, h) for h in (0.0, 1.0, np.linspace(0, 1, 64))]
+    assert sums == ["ij,j->i"] and kmod.compute_h0(kernel) is kernel.h0
+    assert all(op.h0 is kernel.h0 for op in ops) and not kernel.h0.flags.writeable
+    assert np.array_equal(kernel.h0, kernel.jmat @ space.weights)
 
 
 def test_one_matrix_per_operator():

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse.linalg
 
 from nonlocalrd.evolve import IntegratorConfig, evolve_nonlinear, kaplan_witness
-from nonlocalrd.kernel import assemble_kernel, build_operator, compute_h0
+from nonlocalrd.kernel import Kernel, assemble_kernel, build_operator, compute_h0
 from nonlocalrd.reaction import CallableReaction
 from nonlocalrd.space import build_graph, build_interval, merge_spaces
 from nonlocalrd.spectral import (
@@ -234,6 +234,20 @@ class TestCwBounds:
         kernel = assemble_kernel(space, "table", jmat=np.array([[1.0, t, t]] * 3))
         b = cw_bounds(build_operator(kernel, 1.0 + 2 * t), np.ones(3))
         assert b.lower <= 0.0 <= b.upper
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dense_report_makes_one_kernel_product(self, seed, monkeypatch):
+        # residual and certificate share kφ: one product, where there were two
+        _, _, op = random_system(np.random.default_rng(seed))
+        calls, real = [], Kernel.matvec
+        monkeypatch.setattr(Kernel, "matvec", lambda self, x: calls.append(x) or real(self, x))
+        rep = principal_value(op, "dense")
+        assert rep.is_principal and len(calls) == 1
+        monkeypatch.undo()
+        phi = rep.eigenfunction
+        assert rep.residual == float(np.max(np.abs(op.apply(phi) - rep.lam * phi)))
+        ref = cw_bounds(op, phi)
+        assert (rep.certificate.lower, rep.certificate.upper) == (ref.lower, ref.upper)
 
     def test_rejects_nonpositive_test_function(self):
         s, k = unit_system(n=8)

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from nonlocalrd import verify
-from nonlocalrd.evolve import monotone_config
-from nonlocalrd.reaction import add_bump
+from nonlocalrd.equilibria import solve_phi
+from nonlocalrd.evolve import IntegratorConfig, _propagate, evolve_nonlinear, monotone_config
+from nonlocalrd.kernel import build_operator
+from nonlocalrd.reaction import LogisticReaction, add_bump, structure_bounds
 from nonlocalrd.space import MeasureSpace, build_graph, build_interval, merge_spaces
+from nonlocalrd.spectral import principal_value
 from nonlocalrd.verify import (
     _hops_to_cover,
     _run_trials,
@@ -82,17 +85,157 @@ def test_narrow_tophat_strong_check_uses_hop_chaining():
     assert rep.failures == 0, rep.details
 
 
-def test_asymptotic_suite_makes_one_two_row_run_per_trial(monkeypatch):
+def _frozen_asymptotic_sample(rng):
+    """The draws of the asymptotic suite's per-trial loop before its trials
+    were stacked, kept as the reference the sampler must equal bitwise."""
+    space = verify._sample_space(rng)
+    kern = verify._sample_kernel(rng, space, strong=False)
+    op = build_operator(kern, np.zeros(space.n))
+    margin = float(rng.uniform(0.2, 1.0))
+    ncoef = -(float(np.max(op.h0)) + margin)
+    g = rng.uniform(0.1, 0.6, size=space.n)
+    f = LogisticReaction(g=g, n=ncoef, m=float(rng.uniform(0.3, 1.0)),
+                         rho=float(rng.choice([2.0, 3.0])), n_nodes=space.n)
+    sb = structure_bounds(f, "plain")
+    op_c = build_operator(kern, -sb.c)
+    lam = principal_value(op_c).lam
+    phi = solve_phi(kern, sb.c, sb.d)
+    u0_in = 0.99 * rng.uniform(-1.0, 1.0, size=space.n) * phi
+    u0 = (1.0 + rng.uniform(0.0, 2.0)) * phi + rng.uniform(0.0, 0.5, size=space.n)
+    return op, f, op_c, lam, phi, u0_in, u0
+
+
+def _frozen_asymptotic_trial(rng, fitted, last):
+    """One trial of the per-trial asymptotic suite: its own two-row rk4 run."""
+    op, f, op_c, lam, phi, u0_in, u0 = _frozen_asymptotic_sample(rng)
+    cfg = IntegratorConfig(scheme="rk4", dt=5e-3, t_end=2.0, store_every=40)
+    tr = evolve_nonlinear(op, f, np.stack([u0_in, u0]), cfg)
+    inv_viol = float(np.max(np.abs(tr.states[:, 0]) - phi[None, :]))
+    states = tr.states[:, 1]
+    gap_plus = np.maximum(np.abs(u0) - phi, 0.0)
+    props = _propagate(op_c.amat, np.column_stack([np.abs(u0) - phi, gap_plus]), tr.times)
+    env_viol = float(np.max(np.abs(states) - (phi + props[:, :, 0])))
+    delta = np.max(np.maximum(np.abs(states) - phi, 0.0), axis=1)
+    decay_viol = float(np.max(delta - np.max(props[:, :, 1], axis=1)))
+    fitted.append(float(np.max(delta * np.exp(0.5 * abs(lam) * tr.times))))
+    last.update(states=states, phi=phi)
+    return max(inv_viol, env_viol, decay_viol)
+
+
+def _asymptotic_sampler(monkeypatch):
+    """The suite's own sampler, taken from its call into the shared loop."""
+    grabbed = {}
+
+    def grab(prop, trials, seed, tol, trial, control, summary=None, check=None):
+        grabbed.update(sample=trial, check=check)
+
+    monkeypatch.setattr(verify, "_run_trials", grab)
+    asymptotic_suite(1, 0)
+    monkeypatch.undo()
+    return grabbed["sample"]
+
+
+def test_asymptotic_sampler_draws_the_per_trial_systems(monkeypatch):
+    sample = _asymptotic_sampler(monkeypatch)
+    for seed, t in [(0, 0), (0, 7), (1, 3), (7, 19), (SEED, 2)]:
+        op, f, op_c, lam, phi, data = sample(np.random.default_rng([seed, t]), t)
+        ref = _frozen_asymptotic_sample(np.random.default_rng([seed, t]))
+        assert np.array_equal(op.kernel.jmat, ref[0].kernel.jmat)
+        assert np.array_equal(op.space.x, ref[0].space.x)
+        assert np.array_equal(op.h, ref[0].h) and np.array_equal(op_c.h, ref[2].h)
+        for c in ("g", "ncoef", "m", "rho"):
+            assert np.array_equal(getattr(f, c), getattr(ref[1], c))
+        assert lam == ref[3] and np.array_equal(phi, ref[4])
+        assert np.array_equal(data, np.stack(ref[5:]))
+
+
+@pytest.mark.parametrize("trials, seed", [(20, 0), (9, 7)])
+def test_stacked_asymptotic_suite_is_the_per_trial_suite(trials, seed, record_property):
+    fitted, last = [], {}
+    viols = [_frozen_asymptotic_trial(np.random.default_rng([seed, t]), fitted, last)
+             for t in range(trials)]
+    rep = asymptotic_suite(trials, seed)
+    (summary,) = [d for d in rep.details if d["trial"] == "summary"]
+    control = rep.details[-1]
+    ref_control = float(np.max(np.abs(last["states"]) - last["phi"][None, :]))
+    bitwise = (summary["fitted_M"] == fitted and rep.worst_violation == max(0.0, *viols)
+               and control["violation"] == ref_control)
+    record_property("bitwise", bitwise)  # OpenBLAS here: bitwise
+    np.testing.assert_allclose(summary["fitted_M"], fitted, rtol=1e-12)
+    assert rep.worst_violation == pytest.approx(max(0.0, *viols), rel=1e-12, abs=1e-15)
+    assert control["violation"] == pytest.approx(ref_control, rel=1e-12)
+    assert rep.failures == 0 and control["fired"]
+
+
+def test_asymptotic_suite_makes_one_run_per_n_rho_group(monkeypatch):
     runs, real = [], verify.evolve_nonlinear
 
     def counted(op, f, u0, cfg):
-        runs.append(np.shape(u0))
+        runs.append((np.shape(u0), f.rho))
         return real(op, f, u0, cfg)
 
     monkeypatch.setattr(verify, "evolve_nonlinear", counted)
-    rep = asymptotic_suite(3, 0)
+    rep = asymptotic_suite(20, 0)
     assert rep.failures == 0, rep.details
-    assert len(runs) == 3 and all(shape[0] == 2 for shape in runs)
+    # one (G, 2, n) stack per (n, ρ), the G summing to the trials
+    keys = [(shape[2], rho) for shape, rho in runs]
+    assert len(runs) == len(set(keys)) == 6
+    assert all(len(shape) == 3 and shape[1] == 2 for shape, _ in runs)
+    assert sum(shape[0] for shape, _ in runs) == 20
+
+
+def test_asymptotic_blowup_reruns_its_group_trial_by_trial(monkeypatch):
+    trials, seed = 8, 0
+    keys, real_sb = [], verify.structure_bounds
+
+    def keyed(f, mode):  # called once per trial, in trial order
+        keys.append((f.n_nodes, f.rho))
+        return real_sb(f, mode)
+
+    monkeypatch.setattr(verify, "structure_bounds", keyed)
+    plain = asymptotic_suite(trials, seed)
+    monkeypatch.undo()
+    forced = next(t for t, k in enumerate(keys) if keys.count(k) > 1)
+    group = [t for t, k in enumerate(keys) if k == keys[forced]]
+
+    # scale the forced trial's Φ, and so both its data, to where rk4 at dt = 5e-3 blows up
+    calls, real_phi = [], verify.solve_phi
+
+    def scaled_phi(*args):
+        calls.append(args)
+        return real_phi(*args) * (1e4 if len(calls) == forced + 1 else 1.0)
+
+    monkeypatch.setattr(verify, "solve_phi", scaled_phi)
+    built, real_build = [], verify.build_operator  # each trial builds op, then op_c
+    monkeypatch.setattr(verify, "build_operator", lambda *a: built.append(real_build(*a)) or built[-1])
+    runs, real = [], verify.evolve_nonlinear
+
+    def recorded(op, f, u0, cfg):
+        tr = real(op, f, u0, cfg)
+        runs.append((op, f, np.array(u0), cfg, tr))
+        return tr
+
+    monkeypatch.setattr(verify, "evolve_nonlinear", recorded)
+    rep = asymptotic_suite(trials, seed)
+
+    blown = [i for i, r in enumerate(runs) if r[-1].blowup and r[2].shape[0] > 1]
+    assert len(blown) == 1 and runs[blown[0]][2].shape[0] == len(group)
+    singles = runs[blown[0] + 1: blown[0] + 1 + len(group)]
+    assert [r[2].shape[0] for r in singles] == [1] * len(group)
+    assert [r[-1].blowup for r in singles] == [t == forced for t in group]
+    # the forced trial's rerun is its own one-system run, bit for bit
+    op, f, u0, cfg, tr = singles[group.index(forced)]
+    assert np.array_equal(op.amat[0], built[2 * forced].amat)
+    one = real(built[2 * forced], LogisticReaction(f.g[0, 0], f.ncoef[0, 0], f.m[0, 0], f.rho),
+               u0[0], cfg)
+    assert one.blowup and one.metadata["blowup_time"] == tr.metadata["blowup_time"]
+    assert np.array_equal(one.times, tr.times) and np.array_equal(one.states, tr.states[:, 0])
+    # every other trial reads as in the unforced suite
+    fit = [d for d in rep.details if d["trial"] == "summary"][0]["fitted_M"]
+    fit0 = [d for d in plain.details if d["trial"] == "summary"][0]["fitted_M"]
+    assert [x for t, x in enumerate(fit) if t != forced] == \
+        [x for t, x in enumerate(fit0) if t != forced]
+    assert [d["trial"] for d in rep.details if d.get("expected") is False] == [forced]
 
 
 def _recorded_runs(monkeypatch):
