@@ -166,6 +166,13 @@ def _build_kernel(spec: dict, space):
 
 
 def _node_vector(spec, space, kernel, field: str) -> np.ndarray:
+    vec = _node_values(spec, space, kernel, field)
+    if not np.all(np.isfinite(vec)):
+        raise ConfigError(field, "must be finite")
+    return vec
+
+
+def _node_values(spec, space, kernel, field: str) -> np.ndarray:
     n = space.n
     if isinstance(spec, (int, float)):
         return np.full(n, float(spec))
@@ -254,10 +261,7 @@ class Experiment:
     def initial_state(self) -> np.ndarray:
         if "u0" not in self.raw:
             raise ConfigError("u0", "missing")
-        u0 = _node_vector(self.raw["u0"], self.space, self.kernel, "u0")
-        if not np.all(np.isfinite(u0)):
-            raise ConfigError("u0", "initial state must be finite")
-        return u0
+        return _node_vector(self.raw["u0"], self.space, self.kernel, "u0")
 
 
 def load_config(path: str) -> dict:

@@ -167,7 +167,7 @@ class LogisticReaction(Reaction):
                                       for c in coefs)
         if np.any(self.m < 0):
             raise ValueError("damping coefficient m must be nonnegative")
-        if rho <= 1:
+        if not rho > 1:  # NaN too
             raise ValueError("exponent rho must exceed 1")
         self.rho = float(rho)
 

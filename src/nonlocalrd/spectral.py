@@ -1,7 +1,8 @@
 """Spectral quantities of L = K - hI.
 
-Computes the spectral bound Λ = sup Re σ(K - hI) by certified ARPACK,
-dense eigensolve or power iteration, the Collatz-Wielandt ratio sandwich
+Computes the spectral bound Λ = sup Re σ(K - hI) by certified ARPACK or
+power iteration, both on the kernel's one product Kernel.matvec with no
+n×n array, or by dense eigensolve; the Collatz-Wielandt ratio sandwich
 (widened by its rounding margin, so it bounds Λ in floating point), the
 essential range of -h, the symmetric Rayleigh characterization, the
 sign-criteria report, and the potential-shifting experiment on a subdomain.
@@ -74,22 +75,21 @@ def _sup_normalize(v: np.ndarray) -> np.ndarray:
     return v / v[i]
 
 
-def _power_iteration(bmat: np.ndarray) -> Tuple[float, np.ndarray, bool]:
-    """Spectral radius and Perron vector of an entrywise-nonnegative matrix.
+def _power_iteration(product, n: int) -> Tuple[float, np.ndarray, bool]:
+    """Spectral radius and Perron vector of an entrywise-nonnegative x ↦ product(x).
 
     Returns (rho, vector, converged); converged is False on stagnation
     (reducible or defective cases), which callers resolve densely.
     """
-    n = bmat.shape[0]
     x = np.ones(n) / n
-    y = bmat @ x
+    y = product(x)
     lam = 0.0
     for it in range(POWER_MAX_ITER):
         norm = np.max(np.abs(y))
         if norm == 0.0:
-            return 0.0, x, True  # bmat annihilates the positive cone: rho = 0
+            return 0.0, x, True  # the product annihilates the positive cone: rho = 0
         x_new = y / norm
-        y = bmat @ x_new  # the Rayleigh quotient's, the residual's and the next step's product
+        y = product(x_new)  # the Rayleigh quotient's, the residual's and the next step's product
         lam_new = float(x_new @ y) / float(x_new @ x_new)
         if it > 0 and abs(lam_new - lam) <= POWER_RTOL * max(1.0, abs(lam_new)):
             if np.max(np.abs(y - lam_new * x_new)) <= 1e-9 * max(1.0, abs(lam_new)):
@@ -110,46 +110,29 @@ def _dense_top(amat: np.ndarray) -> Tuple[float, np.ndarray]:
     return lam, np.asarray(v, dtype=float)
 
 
-def _weight_symmetrized(kernel: Kernel, h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """S = W^½ J W^½ - diag(h), similar to amat by W^½, and √w.
-
-    S is symmetric for symmetric kernels (exactly so after averaging with
-    its transpose); an eigenvector ψ of S maps back to the eigenvector
-    ψ / √w of amat.  S is formed in one buffer: (√w_i J_ij)·√w_j, minus h
-    on the diagonal, then each tile averaged with its mirror in place,
-    which is bitwise 0.5·(S + Sᵀ) since a + b == b + a in IEEE arithmetic.
-    """
-    sq = np.sqrt(kernel.space.weights)
-    smat = kernel.jmat * sq[:, None]
-    smat *= sq
-    n, tile = smat.shape[0], 128
-    smat.flat[:: n + 1] -= h
-    for i in range(0, n, tile):
-        for j in range(i, n, tile):
-            upper, lower = smat[i:i + tile, j:j + tile], smat[j:j + tile, i:i + tile]
-            avg = upper + lower.T
-            avg *= 0.5
-            upper[...] = avg
-            lower[...] = avg.T
-    return smat, sq
-
-
 def _arpack_top(op: NonlocalOperator) -> Optional[Tuple[float, np.ndarray, str]]:
-    """Rightmost eigenpair by implicitly restarted Lanczos/Arnoldi.
+    """Rightmost eigenpair by implicitly restarted Lanczos/Arnoldi on kernel products.
 
-    Starts from the constant vector so that repeated calls are bit
-    identical.  Returns None when ARPACK fails or its rightmost value is
-    complex (never the spectral bound of a Metzler matrix).
+    Lanczos runs on a symmetric kernel's W^½-similar y ↦ √w·K(√w·y) - h·y
+    (eigenvector ψ/√w), Arnoldi on op.apply.  Starts from the constant
+    vector so that repeated calls are bit identical.  Returns None when
+    ARPACK fails or its rightmost value is complex (never the spectral
+    bound of a Metzler matrix).
     """
-    from scipy.sparse.linalg import ArpackError, eigs, eigsh
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, eigsh
 
-    v0 = np.ones(op.n)
+    shape, v0 = (op.n, op.n), np.ones(op.n)
     try:
         if op.kernel.symmetric:
-            smat, sq = _weight_symmetrized(op.kernel, op.h)
-            vals, vecs = eigsh(smat, k=1, which="LA", v0=v0)
+            sq = np.sqrt(op.space.weights)
+            def similar(y):  # a LinearOperator may hand an (n, 1) column: ravel it
+                y = np.ravel(y)
+                return sq * op.kernel.matvec(sq * y) - op.h * y
+
+            vals, vecs = eigsh(LinearOperator(shape, similar, dtype=float), k=1, which="LA", v0=v0)
             return float(vals[0]), vecs[:, 0] / sq, "lanczos"
-        vals, vecs = eigs(op.amat, k=1, which="LR", v0=v0)
+        lin = LinearOperator(shape, lambda y: op.apply(np.ravel(y)), dtype=float)
+        vals, vecs = eigs(lin, k=1, which="LR", v0=v0)
     except ArpackError:  # includes ArpackNoConvergence
         return None
     if vals[0].imag != 0.0:
@@ -194,14 +177,14 @@ def principal_value(op: NonlocalOperator, method: str = "auto") -> SpectralRepor
     method "auto" keeps a certified ARPACK answer ("lanczos" for symmetric
     kernels, "arnoldi" otherwise) from DENSE_CUTOFF nodes up and otherwise
     uses the full eigensolver ("dense").  The reference methods are
-    "dense" and "power", which shifts by s = max(h) + 1 so the matrix is
-    entrywise nonnegative and iterates.
+    "dense" and "power", which shifts by s = max(h) + 1 so that x ↦ Lx + sx
+    is entrywise nonnegative and iterates it.
     """
     if method not in ("dense", "power", "auto"):
         raise ValueError(f"unknown method {method!r}")
     if method == "power":
         shift = float(np.max(op.h)) + 1.0
-        rho, v, converged = _power_iteration(op.amat + shift * np.eye(op.n))
+        rho, v, converged = _power_iteration(lambda x: op.apply(x) + shift * x, op.n)
         if not converged:
             raise RuntimeError("power iteration did not converge; use dense")
         return _report(op, rho - shift, v, "power")
@@ -272,7 +255,10 @@ def rayleigh_lambda(kernel: Kernel, h) -> SpectralReport:
     if not kernel.symmetric:
         raise ValueError("rayleigh characterization requires a symmetric kernel")
     op = build_operator(kernel, h)
-    smat, sq = _weight_symmetrized(kernel, op.h)
+    sq = np.sqrt(kernel.space.weights)
+    smat = kernel.jmat * sq[:, None]
+    smat *= sq
+    smat.flat[:: op.n + 1] -= op.h  # eigh reads one triangle: S needs no averaging
     vals, vecs = np.linalg.eigh(smat)
     return _report(op, float(vals[-1]), vecs[:, -1] / sq, "rayleigh")
 

@@ -204,6 +204,32 @@ class TestEvolveCommand:
         assert "config field 'u0'" in capsys.readouterr().err
         assert not (tmp_path / "evolve.json").exists()
 
+    @pytest.mark.parametrize("command", ["evolve", "equilibria"])
+    @pytest.mark.parametrize("field", ["potential", "reaction.g", "reaction.n", "reaction.m",
+                                       "reaction.rho"])
+    def test_non_finite_coefficient_exits_2(self, tmp_path, capsys, command, field):
+        """A NaN coefficient stops the command before it runs and names its
+        field; unchecked, it reads as a blow-up at the first step (evolve) or
+        as a structure error naming no field (equilibria).  u0 is read by
+        evolve only; test_non_finite_u0_exits_2 covers it."""
+        nan = {"kind": "expr", "expr": "log(x - 2)"}
+        reaction = {"kind": "logistic", "g": 0.0, "n": 2.0, "m": 1.0, "rho": 3.0}
+        if field == "potential":
+            cfg = write_config(tmp_path, potential=nan)
+        else:
+            key = field.split(".")[1]
+            reaction[key] = math.nan if key == "rho" else nan
+            cfg = write_config(tmp_path, reaction=reaction)
+        with np.errstate(invalid="ignore"):
+            rc = main(["--out", str(tmp_path), command, "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        # ρ is a number, not a node vector: the reaction section's error names it
+        named = "config field 'reaction': exponent rho" if field == "reaction.rho" else \
+            f"config field '{field}': must be finite"
+        assert named in err
+        assert not (tmp_path / f"{command}.json").exists()
+
     @pytest.mark.parametrize("scheme", ["rk4", "vcf_exact_linear"])
     def test_propagator_key(self, tmp_path, scheme):
         cfg = write_config(tmp_path, integrator={"scheme": scheme, "dt": 0.01,

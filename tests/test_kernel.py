@@ -26,7 +26,7 @@ from nonlocalrd.reaction import (
     truncate,
 )
 from nonlocalrd.space import MeasureSpace, build_graph, build_interval, is_r_connected, merge_spaces
-from nonlocalrd.spectral import principal_value, restrict_operator
+from nonlocalrd.spectral import DENSE_CUTOFF, principal_value, restrict_operator
 
 
 def brute_force_K(kernel, u):
@@ -524,11 +524,19 @@ def _consumer_cases():
     e, lu = _newton(op, f, guess)
     graph = build_graph(n, [(i, i + 1, 0.1) for i in range(n - 1)], np.ones(n))
     graph_op = build_operator(assemble_kernel(graph, "tophat", R=0.25, J0=1.0), 1.0)
+    big = build_interval(0, 1, DENSE_CUTOFF)  # where "auto" runs ARPACK
+    d = big.x[None, :] - big.x[:, None]
+    big_h = 1.0 + 0.5 * np.sin(2 * np.pi * big.x)
+    sym_op = build_operator(assemble_kernel(big, "tophat", R=0.3, J0=2.0), big_h)
+    table_op = build_operator(assemble_kernel(big, "table", jmat=(np.abs(d) < 0.3) * (2.0 + d)), big_h)
     return {  # each call with the reads it makes
         "_newton": (lambda: _newton(op, f, guess), {"amat": 1}),
         "_certifies": (lambda: _certifies(op, f, e, lu, e + 1e-3, e + 1.0, -1, 1e-12), {}),
         "solve_phi": (lambda: solve_phi(kernel, -5.0, 1.0), {"amat": 1}),
         "principal_value_dense": (lambda: principal_value(op, method="dense"), {"amat": 1}),
+        "principal_value_lanczos": (lambda: principal_value(sym_op), {}),
+        "principal_value_arnoldi": (lambda: principal_value(table_op), {}),
+        "principal_value_power": (lambda: principal_value(sym_op, method="power"), {}),
         "is_r_connected": (lambda: is_r_connected(space, 0.2), {"dist": 1}),
         "restrict_operator": (lambda: restrict_operator(op, space.x < 0.5), {}),
         "restrict_graph_operator": (lambda: restrict_operator(graph_op, np.arange(n) % 2 == 0),

@@ -15,7 +15,6 @@ from nonlocalrd.spectral import (
     POWER_MAX_ITER,
     POWER_RTOL,
     _power_iteration,
-    _weight_symmetrized,
     cw_bounds,
     essential_range,
     principal_value,
@@ -113,11 +112,15 @@ class TestPrincipalValue:
 
     def test_power_matches_dense(self):
         rng = np.random.default_rng(31)
-        for _ in range(8):
-            _, _, op = random_system(rng, n=40)
+        ops = [random_system(rng, n=40)[2] for _ in range(8)]
+        # a reducible union: two parts no kernel entry joins, each with its own potential
+        space = merge_spaces(build_interval(0, 1, 12), build_interval(2, 3, 12))
+        ops.append(build_operator(assemble_kernel(space, "tophat", R=0.3, J0=2.0),
+                                  np.where(space.x < 1.5, 1.0, 1.5) + 0.1 * np.sin(space.x)))
+        for op in ops:
             d = principal_value(op, "dense").lam
-            p = principal_value(op, "auto").lam
-            assert p == pytest.approx(d, abs=1e-9)
+            p = principal_value(op, "power").lam
+            assert abs(p - d) <= 1e-12 * max(1.0, abs(d))
 
     def test_rejects_unknown_method(self):
         _, k = unit_system(n=8)
@@ -486,7 +489,7 @@ def test_power_iteration_equals_the_frozen_loop():
              np.array([[0.0, 2.0], [1.0, 0.0]])]  # ±√2 alternate: never converges
     outcomes = set()
     for bmat in mats:
-        rho, vec, converged = _power_iteration(bmat)
+        rho, vec, converged = _power_iteration(bmat.__matmul__, bmat.shape[0])
         ref_rho, ref_vec, ref_converged = _reference_power_iteration(bmat)
         assert (rho, converged) == (ref_rho, ref_converged)
         assert vec.tobytes() == ref_vec.tobytes()
@@ -494,44 +497,58 @@ def test_power_iteration_equals_the_frozen_loop():
     assert outcomes == {(True, False), (True, True), (False, False)}
 
 
-# --- S = W^½ J W^½ - diag(h), symmetrised in one buffer ----------------------
+# --- the iterative solvers run on kernel products: no n×n array -------------
 
 
-def _weight_symmetrized_out_of_place(kernel, h):
-    """The three-temporary form: scale, subtract np.diag(h), average with Sᵀ."""
-    sq = np.sqrt(kernel.space.weights)
-    smat = sq[:, None] * kernel.jmat * sq[None, :] - np.diag(h)
-    return 0.5 * (smat + smat.T)
-
-
-@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
-@pytest.mark.parametrize("law", ["tophat", "gaussian", "table"])
-def test_weight_symmetrized_is_bitwise_the_out_of_place_form(n, law):
-    """Tiles of 128 meet at n = 128 and 129; a nonsymmetric table shows
-    that each entry is averaged with its own mirror."""
-    rng = np.random.default_rng(n)
-    space = build_interval(0, 1, n, "trapezoid")
-    params = {"tophat": dict(R=0.2, J0=2.0), "gaussian": dict(sigma=0.3),
-              "table": dict(jmat=rng.uniform(0.0, 2.0, (space.n, space.n)))}[law]
-    kernel = assemble_kernel(space, law, **params)
-    h = rng.uniform(-1.0, 3.0, space.n)
-    smat, sq = _weight_symmetrized(kernel, h)
-    assert smat.tobytes() == _weight_symmetrized_out_of_place(kernel, h).tobytes()
-    assert sq.tobytes() == np.sqrt(space.weights).tobytes()
-
-
-def test_weight_symmetrized_holds_one_matrix():
-    """At n = 512 the form with three n×n temporaries peaked above 2 matrices
-    (8 n² bytes each) besides jmat; one buffer and its tiles stay under 1.25."""
+def test_iterative_solvers_hold_no_matrix():
+    """At n = 512 a matrix is 8n² bytes: Lanczos on a symmetric kernel, Arnoldi
+    on a nonsymmetric table and the power iteration each peak below one."""
     n = 512
     space = build_interval(0, 1, n)
-    kernel = assemble_kernel(space, "tophat", R=0.1, J0=2.0)
-    h = np.linspace(0.0, 1.0, n)
-    _weight_symmetrized(kernel, h)
+    h = 1.0 + 0.5 * np.sin(2 * np.pi * space.x)
+    d = space.x[None, :] - space.x[:, None]
+    sym = build_operator(assemble_kernel(space, "tophat", R=0.3, J0=2.0), h)
+    table = build_operator(assemble_kernel(space, "table", jmat=(np.abs(d) < 0.3) * (2.0 + d)), h)
+    cases = ((sym, "auto", "lanczos"), (table, "auto", "arnoldi"), (sym, "power", "power"))
+    principal_value(sym)  # imports what the solvers import lazily, untraced
     tracemalloc.start()
     try:
-        base = tracemalloc.get_traced_memory()[0]
-        smat, _ = _weight_symmetrized(kernel, h)
-        assert tracemalloc.get_traced_memory()[1] - base <= 1.25 * 8 * n * n
+        for op, method, expected in cases:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rep = principal_value(op, method)
+            assert tracemalloc.get_traced_memory()[1] - base < 8 * n * n, expected
+            assert rep.method == expected
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind, method, expected", [("interval", "auto", "lanczos"),
+                                                    ("table", "auto", "arnoldi"),
+                                                    ("interval", "power", "power")])
+def test_iterative_solvers_run_on_kernel_products(kind, method, expected, monkeypatch):
+    """Every product of the solve is one Kernel.matvec of an (n,) vector."""
+    op = sampled_operator(np.random.default_rng(4), kind, 100)
+    shapes, real = [], Kernel.matvec
+    monkeypatch.setattr(Kernel, "matvec", lambda self, x: shapes.append(x.shape) or real(self, x))
+    rep = principal_value(op, method)
+    assert rep.method == expected
+    assert len(shapes) > 2 and set(shapes) == {(op.n,)}
+
+
+@pytest.mark.parametrize("kind, solver", [("interval", "eigsh"), ("table", "eigs")])
+def test_arpack_operator_takes_a_column(kind, solver, monkeypatch):
+    """A LinearOperator may be handed an (n, 1) column; its product is then
+    the (n,) product as a column."""
+    op = sampled_operator(np.random.default_rng(4), kind, 100)
+    real, seen = getattr(scipy.sparse.linalg, solver), []
+
+    def checked(lin, **kwargs):
+        x = np.linspace(1.0, 2.0, op.n)
+        np.testing.assert_array_equal(lin.matvec(x[:, None]), lin.matvec(x)[:, None])
+        seen.append(lin.shape)
+        return real(lin, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, solver, checked)
+    assert principal_value(op).method == ("lanczos" if solver == "eigsh" else "arnoldi")
+    assert seen == [(op.n, op.n)]
