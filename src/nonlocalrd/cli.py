@@ -222,8 +222,12 @@ def _build_reaction(spec: dict, space, kernel):
                 m=_node_vector(spec.get("m", 1.0), space, kernel, "reaction.m"),
                 rho=float(spec.get("rho", 2.0)), n_nodes=space.n)
         if kind == "power":
-            return _power_reaction(float(spec.get("exponent", 3.0)),
-                                   float(spec.get("scale", 1.0)), space.n)
+            coef = {"exponent": 3.0, "scale": 1.0}  # the defaults
+            for key in coef:
+                coef[key] = float(spec.get(key, coef[key]))
+                if not math.isfinite(coef[key]):
+                    raise ConfigError(f"reaction.{key}", "must be finite")
+            return _power_reaction(coef["exponent"], coef["scale"], space.n)
         if kind == "none":
             return None
     raise ConfigError("reaction.kind", f"unknown reaction kind {kind!r}")

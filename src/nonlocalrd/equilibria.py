@@ -6,6 +6,7 @@ from ±(Φ+ε), stopped at a certified damped-Newton limit; minimal
 nonnegative and minimal positive equilibria come from monotone orbits
 off 0 and off small multiples of a principal eigenfunction; and the
 constant-kernel cubic gives the piecewise-constant non-isolated family.
+Each linear system is solved by PCG for a symmetric kernel, else by LU.
 """
 
 from __future__ import annotations
@@ -38,8 +39,10 @@ MAX_BLOCKS = 10_000
 RESIDUAL_TOL = 1e-10
 NEWTON_TOL = 1e-12
 ORDER_TOL = 1e-12  # relative rounding slack of a monotone orbit's ordering
-CERT_TRY = 1e-2    # block difference at which an orbit tries its Newton certificate
-CHORD_RATE = 0.25  # Newton keeps its LU while each step cuts the residual to this
+CERT_TRY = 1e-1    # block difference at which an orbit tries its Newton certificate
+CHORD_RATE = 0.25  # LU Newton keeps its LU while each step cuts the residual to this
+PCG_TOL = 1e-14    # relative residual at which _pcg stops
+PCG_MAX_ITER = 100
 
 
 @dataclass
@@ -78,34 +81,91 @@ def solve_phi(kernel: Kernel, c, d) -> np.ndarray:
     Requires sup Re σ(K + CI) < 0, and is the one place that decides it:
     K + CI is Metzler, so the bound is negative iff (K + CI)x = -1 has a
     solution x > 0, and cw_bounds(K + CI, x).upper < 0 certifies it without
-    trusting the solve.  One LU of (K + CI)ᵀ, as in _newton, serves that
-    certificate, the solve for Φ and one refinement step, plenty at desk
-    scale because the spectral condition controls the conditioning.
+    trusting the solve.  One _JacobianSolve of K + CI, PCG or LU, serves
+    that certificate and Φ, with one refinement step on an LU.
     """
-    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-
     n = kernel.space.n
     c = np.broadcast_to(np.asarray(c, dtype=float), (n,))
     d = np.broadcast_to(np.asarray(d, dtype=float), (n,))
     if not np.all((d >= 0) & (d < np.inf)):
         raise ValueError("the inhomogeneity D must be finite and nonnegative")
     op_c = build_operator(kernel, -c)
-    with warnings.catch_warnings():
-        # an exactly singular matrix fails the certificate below
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu = lu_factor(op_c.amat.T, overwrite_a=True, check_finite=False)
-    x = lu_solve(lu, -np.ones(n), trans=1, check_finite=False)
+    solve = _JacobianSolve(op_c)
+    try:
+        x = solve(-np.ones(n))
+    except RuntimeError:  # an exactly singular matrix fails the certificate
+        x = np.zeros(n)
     if not (np.all((x > 0) & (x < np.inf)) and cw_bounds(op_c, x).upper < 0):
         raise ValueError("spectral precondition fails: no positive solution of (K+CI)x = -1 "
                          "certifies a negative spectral bound of K+CI")
-    phi = lu_solve(lu, -d, trans=1, check_finite=False)
-    phi += lu_solve(lu, -d - op_c.apply(phi), trans=1, check_finite=False)  # one refinement step
+    phi = solve(-d)
+    if solve.lu is not None:
+        phi += solve(-d - op_c.apply(phi))  # one refinement step
     scale = 1.0 + float(np.max(np.abs(d)))
     if float(np.max(np.abs(op_c.apply(phi) + d))) > RESIDUAL_TOL * scale:
         raise RuntimeError("envelope solve residual too large")
     if np.min(phi) < -1e-10 * scale:
         raise RuntimeError("envelope solution lost nonnegativity")
     return phi
+
+
+def _pcg(op: NonlocalOperator, q, b: np.ndarray) -> Optional[np.ndarray]:
+    """x solving (amat + diag q)x = b for a symmetric kernel by CG, or None.
+
+    In the W^½ basis, y = W^½x, the matrix is -P, P = diag(h - q) - W^½·jmat·W^½,
+    positive definite iff the spectral bound is negative.  Diagonally
+    preconditioned CG on P takes one dsymv per iteration and a count flat in
+    n (Winther, SIAM J. Numer. Anal. 17, 1980) to ‖r‖ <= PCG_TOL·‖W^½b‖.
+    None on a nonpositive diagonal entry, a breakdown pᵀPp <= 0 or the cap.
+    """
+    sw, d = np.sqrt(op.space.weights), op.h - q
+    pre = d - op.space.weights * np.diagonal(op.kernel.jmat)
+    if not np.all(pre > 0):
+        return None
+    y, r = np.zeros(op.n), -sw * b
+    stop, p = PCG_TOL ** 2 * (r @ r), r / pre
+    rz = r @ p
+    for _ in range(PCG_MAX_ITER):
+        if r @ r <= stop:
+            return y / sw
+        pp = d * p - sw * op.kernel.matvec(sw * p)
+        pap = p @ pp
+        if not pap > 0:
+            return None
+        y += (rz / pap) * p
+        r -= (rz / pap) * pp
+        z = r / pre
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    return None
+
+
+class _JacobianSolve:
+    """b ↦ x solving Jx = b, J = amat + diag q: _pcg for a symmetric kernel,
+    else, or where it gives up, one LU of Jᵀ (J's Fortran-ordered view),
+    kept.  J starts from a copy of the caller's amat or a fresh read; an
+    exactly zero pivot raises RuntimeError."""
+
+    def __init__(self, op: NonlocalOperator, q=0.0, amat: Optional[np.ndarray] = None):
+        self.op, self.q, self.amat, self.lu = op, q, amat, None
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+
+        if self.lu is None and self.op.kernel.symmetric:
+            x = _pcg(self.op, self.q, b)
+            if x is not None:
+                return x
+        if self.lu is None:
+            jac = self.op.amat if self.amat is None else self.amat.copy()
+            jac.flat[:: self.op.n + 1] += self.q
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", LinAlgWarning)  # an exactly zero pivot
+                try:
+                    self.lu = lu_factor(jac.T, overwrite_a=True, check_finite=False)
+                except LinAlgWarning as exc:
+                    raise RuntimeError("singular jacobian in newton refinement") from exc
+        return lu_solve(self.lu, b, trans=1, check_finite=False)
 
 
 def _envelope(op: NonlocalOperator, f: Reaction):
@@ -182,11 +242,11 @@ def _monotone_orbit(op: NonlocalOperator, f: Reaction, u_start: np.ndarray,
         if try_cert and sup_diff <= CERT_TRY:
             try_cert = False
             try:
-                e, lu = _newton(op, f, u)
-            except RuntimeError:  # no Newton limit, nothing to certify
-                e = lu = None
-            if lu is not None and _certifies(op, f, e, lu, u, u_start, direction, slack):
-                return e, blocks, "certified"
+                e, solve = _newton(op, f, u)
+                if solve is not None and _certifies(op, f, e, solve, u, u_start, direction, slack):
+                    return e, blocks, "certified"
+            except RuntimeError:  # no Newton limit, or J(e) singular: nothing certified
+                pass
         if sup_diff <= tol:
             break
         if blocks > 200 and l2_diff <= tol:
@@ -197,11 +257,11 @@ def _monotone_orbit(op: NonlocalOperator, f: Reaction, u_start: np.ndarray,
     return newton_refine(op, f, u), blocks, criterion
 
 
-def _certifies(op: NonlocalOperator, f: Reaction, e: np.ndarray, lu,
+def _certifies(op: NonlocalOperator, f: Reaction, e: np.ndarray, solve,
                u: np.ndarray, u_start: np.ndarray, direction: int,
                slack: float) -> bool:
-    """True when Newton's limit e from the block end u, with lu the last
-    factorization _newton made, is provably the orbit's limit L.
+    """True when Newton's limit e from the block end u, with the solve
+    _newton returned, is provably the orbit's limit L.
 
     With J = amat + diag ∂f/∂s, Metzler, e is accepted (Sattinger, 1972; Amann, 1976) when
     1. e has Newton's residual NEWTON_TOL (the caller's _newton);
@@ -210,8 +270,8 @@ def _certifies(op: NonlocalOperator, f: Reaction, e: np.ndarray, lu,
        it is a fixed point of the order-preserving scheme, and the orbit
        from u_start stays on e's far side; L lies in the box between e and
        u, which the orbit passed on its monotone way to L;
-    3. ψ solving J(u_k)ψ = -1 is positive, u_k being the iterate at which
-       _newton last refactored (a chord step keeps an older LU);
+    3. ψ solving J(u_k)ψ = -1 is positive, u_k = e for a symmetric kernel
+       (PCG), else the iterate of _newton's last LU;
     4. cw_bounds(NonlocalOperator(op.kernel, op.h - q̄, op.h0), ψ).upper < 0, q̄ =
        f.ds_sup (rounded up) over the box widened by slack.  Then L - e
        solves (amat + diag q)(L - e) = 0 with secant slopes q <= q̄, whose
@@ -219,11 +279,9 @@ def _certifies(op: NonlocalOperator, f: Reaction, e: np.ndarray, lu,
     ψ is only a test vector, so the check trusts no solve; rounding h - q̄
     adds at most ε·|(h - q̄)ψ|, well inside cw_bounds' margin of 4γ_{n+2}.
     """
-    from scipy.linalg import lu_solve
-
     if np.any(direction * (e - u_start) < -slack):
         return False
-    psi = lu_solve(lu, -np.ones(op.n), trans=1, check_finite=False)
+    psi = solve(-np.ones(op.n))
     qbar = f.ds_sup(np.minimum(e, u) - slack, np.maximum(e, u) + slack)
     return bool(np.all((psi > 0) & (psi < np.inf))
                 and cw_bounds(NonlocalOperator(op.kernel, op.h - qbar, op.h0), psi).upper < 0)
@@ -231,43 +289,36 @@ def _certifies(op: NonlocalOperator, f: Reaction, e: np.ndarray, lu,
 
 def _newton(op: NonlocalOperator, f: Reaction, guess: np.ndarray,
             tol: float = NEWTON_TOL, max_steps: int = 50):
-    """Damped chord Newton on R(u) = amat·u + f(u), halving on residual rise.
+    """Damped Newton on R(u) = Lu + f(u), halving on residual rise.
 
-    One LU of the Jacobian J serves later (chord) steps.  J is refactored
-    at the new iterate after a step leaving more than CHORD_RATE of the
-    residual, and at the same iterate when a chord step fails even at
-    damping 1/64; a failed step on a fresh J raises (Kelley, *Solving
-    Nonlinear Equations with Newton's Method*, ch. 2).  Returns the root
-    and the last LU, of J at the last refactored iterate, None if the
-    guess met tol.  It factors Jᵀ, the Fortran-ordered view of J, sparing
-    LAPACK a copy: solve with lu_solve(..., trans=1).  max_steps bounds
-    the passes; an exactly zero pivot raises.
+    A symmetric kernel takes exact Newton, each step by PCG, with residuals
+    through op.apply, reading no amat.  A nonsymmetric one takes chord
+    Newton on amat: one LU of J = amat + diag ∂f/∂s serves later steps,
+    refactored at the new iterate after a step leaving more than CHORD_RATE
+    of the residual, and at the same iterate when a chord step fails even at
+    damping 1/64.  A failed step on a fresh J raises (Kelley, *Solving
+    Nonlinear Equations with Newton's Method*, ch. 2).  Returns the root and
+    a _JacobianSolve: of J at the root (symmetric), else the last LU, None
+    if the guess met tol.  max_steps bounds the passes.
     """
-    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-
     u = np.array(guess, dtype=float)
-    amat = op.amat
-    r = amat @ u + f.apply(u)
+    sym = op.kernel.symmetric
+    amat = None if sym else op.amat
+    lin = op.apply if sym else amat.__matmul__
+    r = lin(u) + f.apply(u)
     rn = float(np.max(np.abs(r)))
-    lu, refactor = None, True
+    solve, refactor = None, True
     for _ in range(max_steps):
         if rn <= tol:
-            return u, lu
+            break
         fresh = refactor
         if fresh:
-            jac = amat.copy()
-            jac.flat[::op.n + 1] += f.apply_ds(u)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", LinAlgWarning)  # an exactly zero pivot
-                try:
-                    lu = lu_factor(jac.T, overwrite_a=True, check_finite=False)
-                except LinAlgWarning as exc:
-                    raise RuntimeError("singular jacobian in newton refinement") from exc
-        delta = lu_solve(lu, -r, trans=1, check_finite=False)
+            solve = _JacobianSolve(op, f.apply_ds(u), amat)
+        delta = solve(-r)
         lam = 1.0
         while True:
             u_try = u + lam * delta
-            r_try = amat @ u_try + f.apply(u_try)
+            r_try = lin(u_try) + f.apply(u_try)
             rn_try = float(np.max(np.abs(r_try)))
             if rn_try < rn or lam <= 1.0 / 64.0:
                 break
@@ -277,16 +328,16 @@ def _newton(op: NonlocalOperator, f: Reaction, guess: np.ndarray,
                 raise RuntimeError("newton refinement diverged")
             refactor = True  # a stale LU failed: refactor at this iterate
             continue
-        refactor = rn_try > CHORD_RATE * rn
+        refactor = sym or rn_try > CHORD_RATE * rn
         u, r, rn = u_try, r_try, rn_try
-    if rn <= tol:
-        return u, lu
-    raise RuntimeError(f"newton refinement stalled at residual {rn:.3e}")
+    if rn > tol:
+        raise RuntimeError(f"newton refinement stalled at residual {rn:.3e}")
+    return u, (_JacobianSolve(op, f.apply_ds(u)) if sym else solve)
 
 
 def newton_refine(op: NonlocalOperator, f: Reaction, guess: np.ndarray,
                   tol: float = NEWTON_TOL, max_steps: int = 50) -> np.ndarray:
-    """Damped chord Newton on R(u) = amat·u + f(u), refactoring as _newton."""
+    """Damped Newton on R(u) = Lu + f(u), by PCG or chord LU as _newton."""
     return _newton(op, f, guess, tol, max_steps)[0]
 
 

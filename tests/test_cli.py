@@ -230,6 +230,17 @@ class TestEvolveCommand:
         assert named in err
         assert not (tmp_path / f"{command}.json").exists()
 
+    @pytest.mark.parametrize("command", ["evolve", "equilibria"])
+    @pytest.mark.parametrize("key", ["exponent", "scale"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_power_coefficient_exits_2(self, tmp_path, capsys, command, key, value):
+        """Unchecked, "scale": NaN read as a blow-up at the first step."""
+        cfg = write_config(tmp_path, reaction={"kind": "power", key: value})
+        rc = main(["--out", str(tmp_path), command, "--config", str(cfg)])
+        assert rc == 2
+        assert f"config field 'reaction.{key}': must be finite" in capsys.readouterr().err
+        assert not (tmp_path / f"{command}.json").exists()
+
     @pytest.mark.parametrize("scheme", ["rk4", "vcf_exact_linear"])
     def test_propagator_key(self, tmp_path, scheme):
         cfg = write_config(tmp_path, integrator={"scheme": scheme, "dt": 0.01,

@@ -21,7 +21,7 @@ from nonlocalrd.equilibria import (
     uniqueness_experiment,
 )
 from nonlocalrd.evolve import IntegratorConfig, envelope_U, evolve_nonlinear
-from nonlocalrd.kernel import assemble_kernel, build_operator, compute_h0
+from nonlocalrd.kernel import NonlocalOperator, assemble_kernel, build_operator, compute_h0
 from nonlocalrd.reaction import CallableReaction, LogisticReaction, monotone_shift, truncate
 from nonlocalrd.space import build_graph, build_interval, merge_spaces
 from nonlocalrd.verify import asymptotic_suite, sample_system
@@ -356,23 +356,20 @@ class TestNewton:
         assert residual_norm(op, logistic(n), out) <= 1e-12
 
     def test_jacobian_is_bitwise_the_dense_expression(self, monkeypatch):
-        """The Jacobian is amat with ∂f/∂s added on the diagonal in place; its
-        bytes are those of amat + diag(∂f/∂s), which differ only at -0.0
-        entries of amat that no built-in law produces.  The LU factorization
-        takes Jᵀ, the Fortran-ordered view of J, so J is its transpose."""
+        """On a nonsymmetric kernel, whose steps LU serves, the Jacobian is
+        amat with ∂f/∂s added on the diagonal in place; its bytes are those
+        of amat + diag(∂f/∂s), which differ only at -0.0 entries of amat
+        that no built-in law produces.  The LU factorization takes Jᵀ, the
+        Fortran-ordered view of J, so J is its transpose."""
         import scipy.linalg
 
-        n = 40
-        s = build_interval(0, 1, n)
-        op = build_operator(assemble_kernel(s, "tophat", R=0.3, J0=2.0),
-                            1.0 + 0.5 * np.sin(2 * np.pi * s.x))
-        f = LogisticReaction(g=0.2, n=1.0, m=1.0, rho=3.0, n_nodes=n)
+        op, f = bench_system(40, skew=True)
         states, jacobians = [], []
         real_ds, real_factor = f.apply_ds, scipy.linalg.lu_factor
         monkeypatch.setattr(f, "apply_ds", lambda u: states.append(u.copy()) or real_ds(u))
         monkeypatch.setattr(scipy.linalg, "lu_factor", lambda a, **kw: (
             jacobians.append(a.T.copy()) or real_factor(a, **kw)))
-        guess = 1.0 + 0.1 * np.random.default_rng(8).standard_normal(n)
+        guess = 1.0 + 0.1 * np.random.default_rng(8).standard_normal(op.n)
         newton_refine(op, f, guess)
         assert len(jacobians) == len(states) >= 2
         for u, jac in zip(states, jacobians):
@@ -393,11 +390,18 @@ class TestNewton:
             newton_refine(op, f, np.zeros(n))
 
 
-def bench_system(n):
-    """The benchmark's equilibria system at its nominal coefficients."""
+def bench_system(n, skew=False):
+    """The benchmark's equilibria system at its nominal coefficients.  skew
+    tilts its tophat to the nonsymmetric table (2 + y - x)·[|y - x| < 0.3],
+    on which equilibria solves by LU instead of PCG."""
     s = build_interval(0, 1, n)
-    op = build_operator(assemble_kernel(s, "tophat", R=0.3, J0=2.0),
-                        1.0 + 0.5 * np.sin(2 * np.pi * s.x))
+    if skew:
+        d = s.x[None, :] - s.x[:, None]
+        kernel = assemble_kernel(s, "table", jmat=(np.abs(d) < 0.3) * (2.0 + d))
+        assert not kernel.symmetric
+    else:
+        kernel = assemble_kernel(s, "tophat", R=0.3, J0=2.0)
+    op = build_operator(kernel, 1.0 + 0.5 * np.sin(2 * np.pi * s.x))
     return op, LogisticReaction(g=0.2, n=1.0, m=1.0, rho=3.0, n_nodes=n)
 
 
@@ -495,11 +499,17 @@ def factored_states(monkeypatch, f):
     return states, factors
 
 
-def cubic_on_constants(n, a, c, b):
+def cubic_on_constants(n, a, c, b, skew=False):
     """unit_op with the reaction f(s) = s³ + as² + (c-1)s + b: on constant
     states R(s·1) = (s³ + as² + cs + b)·1, a scalar cubic, and Newton's
-    direction from a constant state is constant."""
-    _, _, op = unit_op(n)
+    direction from a constant state is constant.  skew swaps the constant
+    kernel for the nonsymmetric 1 + sin(2π(y - x))/2, whose rows still sum
+    to 1 on the midpoint grid, so that LU serves Newton."""
+    s, _, op = unit_op(n)
+    if skew:
+        jmat = 1.0 + 0.5 * np.sin(2 * np.pi * (s.x[None, :] - s.x[:, None]))
+        op = build_operator(assemble_kernel(s, "table", jmat=jmat), 0.0)
+        assert not op.kernel.symmetric
     f = CallableReaction(lambda s: s ** 3 + a * s ** 2 + (c - 1.0) * s + b,
                          lambda s: 3.0 * s ** 2 + 2.0 * a * s + (c - 1.0), n_nodes=n)
     return op, f
@@ -519,16 +529,32 @@ class TestChordNewton:
         assert all(count <= 1 for count in per_call), per_call
 
     def test_bench_op_factors_three_times_in_newton(self, monkeypatch):
+        """The bench op with its tophat skewed, so that LU serves Newton."""
         per_call = count_newton_factorizations(monkeypatch)
-        es = extremal_equilibria(*bench_system(512))
+        es = extremal_equilibria(*bench_system(512, skew=True))
         assert sum(per_call) == 3 and max(es.residuals.values()) <= 1e-12
+
+    def test_symmetric_bench_op_factors_nothing(self, monkeypatch):
+        """PCG serves every solve on the bench op, solve_phi's too: no LU
+        is made and no amat is read."""
+        import scipy.linalg
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a symmetric kernel's solve took LU or amat")
+
+        per_call = count_newton_factorizations(monkeypatch)
+        monkeypatch.setattr(scipy.linalg, "lu_factor", forbidden)
+        monkeypatch.setattr(NonlocalOperator, "amat", property(forbidden))
+        es = extremal_equilibria(*bench_system(512))
+        assert len(per_call) == 3 and max(es.residuals.values()) <= 1e-12
+        assert set(es.stopping_criteria.values()) == {"certified"}
 
     def test_slow_step_refactors_at_the_new_iterate(self, monkeypatch):
         """From 4 the first step leaves 0.29 of the residual, more than
         CHORD_RATE: the next LU is of J at that step's iterate, which is the
         full-Newton iterate bit for bit, and the root is the full-Newton
-        root."""
-        op, f = bench_system(48)
+        root.  The kernel is skewed, so that LU serves Newton."""
+        op, f = bench_system(48, skew=True)
         guess = np.full(op.n, 4.0)
         ref_states, _ = factored_states(monkeypatch, f)
         ref, _ = _full_newton(op, f, guess)
@@ -547,12 +573,12 @@ class TestChordNewton:
         the local minimum of R at 0.25 with an eighth of the residual, so the
         LU is kept, but the chord direction on it is uphill at every damping;
         Newton factors again at 0.25, not raising, and reaches the root
-        0.1705...."""
-        op, f = cubic_on_constants(8, 2.6, 0.7, -0.2)
+        0.1705....  The kernel is skewed, so that LU serves Newton."""
+        op, f = cubic_on_constants(8, 2.6, 0.7, -0.2, skew=True)
         guess = np.full(op.n, -1.5)
         states, factors = factored_states(monkeypatch, f)
-        root, lu = eqmod._newton(op, f, guess)
-        assert lu is not None and len(factors) == len(states) == 2
+        root, solve = eqmod._newton(op, f, guess)
+        assert solve.lu is not None and len(factors) == len(states) == 2
         np.testing.assert_allclose(states[1], 0.25, rtol=0, atol=1e-14)
         assert residual_norm(op, f, states[1]) <= eqmod.CHORD_RATE * residual_norm(op, f, guess)
         assert residual_norm(op, f, root) <= eqmod.NEWTON_TOL
@@ -569,36 +595,174 @@ class TestChordNewton:
                 newton(op, f, guess)
 
 
+def lu_solution(op, q, b):
+    """(amat + diag q)x = b by dense LU, the reference for _pcg."""
+    from scipy.linalg import lu_factor, lu_solve
+
+    return lu_solve(lu_factor(op.amat + np.diag(q)), b)
+
+
+def assert_pcg_matches_lu(op, q, b, rtol=1e-12):
+    x = eqmod._pcg(op, q, b)
+    ref = lu_solution(op, np.broadcast_to(q, (op.n,)), b)
+    assert x is not None
+    assert np.max(np.abs(x - ref)) <= rtol * np.max(np.abs(ref))
+
+
+def pcg_products(monkeypatch):
+    """Kernel products made inside _pcg, one list entry per call."""
+    from nonlocalrd.kernel import Kernel
+
+    counts, real_pcg, real_matvec = [], eqmod._pcg, Kernel.matvec
+
+    def matvec(self, x):
+        counts[-1] += 1
+        return real_matvec(self, x)
+
+    def pcg(*args):
+        counts.append(0)
+        with monkeypatch.context() as m:
+            m.setattr(Kernel, "matvec", matvec)
+            return real_pcg(*args)
+
+    monkeypatch.setattr(eqmod, "_pcg", pcg)
+    return counts
+
+
+class TestPCG:
+    """_pcg against the dense LU it replaces on symmetric kernels."""
+
+    @pytest.mark.parametrize("system", EQUILIBRIUM_SYSTEMS, ids=lambda k: f"{k[0]}{k[1]}")
+    def test_matches_lu_on_equilibrium_systems(self, system):
+        """J at both extremal equilibria and the envelope matrix K + (C-h)I."""
+        op, f = equilibrium_system(system)
+        assert op.kernel.symmetric
+        es = extremal_equilibria(op, f)
+        rhs = [-np.ones(op.n), np.random.default_rng(op.n).uniform(-1.0, 1.0, op.n)]
+        for u in (es.phi_M, es.phi_m):
+            for b in rhs:
+                assert_pcg_matches_lu(op, f.apply_ds(u), b)
+        c_eff, d, _ = eqmod._envelope(op, f)
+        for b in rhs + [-d]:
+            assert_pcg_matches_lu(build_operator(op.kernel, -c_eff), np.zeros(op.n), b)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["interval", "graph", "union"]),
+           st.integers(2, 40), st.floats(0.1, 2.0))
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    def test_matches_lu_on_drawn_symmetric_systems(self, seed, kind, n, margin):
+        """K - (h0 + margin + v)I, v >= 0, has Λ <= -margin: rows of K - h0I sum to 0."""
+        rng = np.random.default_rng(seed)
+        k = sampled_kernel(rng, kind, n)
+        assert k.symmetric
+        op = build_operator(k, compute_h0(k) + margin + rng.uniform(0.0, 0.5, size=k.space.n))
+        assert_pcg_matches_lu(op, np.zeros(k.space.n), rng.uniform(-1.0, 1.0, size=k.space.n))
+
+    def test_iteration_count_is_flat_in_n(self, monkeypatch):
+        """The bench op's envelope matrix and its J at u = 1 take the same
+        number of products from n = 64 to 1024 (Winther, 1980)."""
+        counts = pcg_products(monkeypatch)
+        per_n = []
+        for n in (64, 128, 256, 512, 1024):
+            op, f = bench_system(n)
+            c_eff, d, _ = eqmod._envelope(op, f)
+            counts.clear()
+            assert eqmod._pcg(build_operator(op.kernel, -c_eff), 0.0, -d) is not None
+            assert eqmod._pcg(op, f.apply_ds(np.ones(n)), -np.ones(n)) is not None
+            per_n.append(tuple(counts))
+        assert max(max(c) for c in per_n) <= 15
+        assert all(max(abs(a - b) for a, b in zip(c, per_n[0])) <= 1 for c in per_n), per_n
+
+    def test_gives_up_on_an_indefinite_or_slow_system(self, monkeypatch):
+        """None on a nonpositive preconditioner entry, on a breakdown and at
+        the cap.  With J = K + qI on the constant kernel (n = 16, w = 1/16)
+        CG runs on P = -qI - 11ᵀ/16: q = 0.5 makes its diagonal negative,
+        q = -0.43 leaves it positive but P indefinite, negative on the
+        constant direction along which a constant b starts CG, and q = -1.43
+        makes P positive definite."""
+        _, _, op = unit_op(16)
+        b = -np.ones(16)
+        assert eqmod._pcg(op, np.full(16, 0.5), b) is None
+        assert eqmod._pcg(op, np.full(16, -0.43), b) is None
+        assert eqmod._pcg(op, np.full(16, -1.43), b) is not None
+        bench, f = bench_system(64)
+        monkeypatch.setattr(eqmod, "PCG_MAX_ITER", 2)
+        assert eqmod._pcg(bench, f.apply_ds(np.ones(64)), -np.ones(64)) is None
+        # solve_phi then takes LU and its refinement step, as it did before PCG
+        c_eff, d, phi = eqmod._envelope(bench, f)
+        monkeypatch.undo()
+        np.testing.assert_allclose(phi, solve_phi(bench.kernel, c_eff, d), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("guess", [0.7, 0.9])
+    def test_indefinite_jacobian_falls_back_to_lu(self, monkeypatch, guess):
+        """Logistic 2s - s³ on the unit op: J is indefinite at the start, so
+        LU takes the step, and the root is that of _full_newton, which
+        factors J at every step (a nonconstant equilibrium from 0.7, zero
+        from 0.9)."""
+        op, f = unit_op(48)[2], logistic(48)
+        start = np.full(48, guess) + 0.05 * np.sin(np.arange(48))
+        factors = factored_states(monkeypatch, f)[1]
+        got = newton_refine(op, f, start)
+        assert factors
+        np.testing.assert_allclose(got, _full_newton(op, f, start)[0], rtol=0, atol=1e-12)
+
+    def test_indefinite_jacobian_diverges_as_lu_did(self, monkeypatch):
+        """From about 0.5 on the bench op LU takes the steps, and Newton
+        fails with _full_newton's error."""
+        op, f = bench_system(48)
+        start = np.full(48, 0.5) + 0.05 * np.sin(np.arange(48))
+        factors = factored_states(monkeypatch, f)[1]
+        with pytest.raises(RuntimeError, match="newton refinement diverged"):
+            eqmod._newton(op, f, start)
+        assert factors
+        with pytest.raises(RuntimeError, match="newton refinement diverged"):
+            _full_newton(op, f, start)
+
+    def test_failing_precondition_falls_back_to_lu(self, monkeypatch):
+        """C = 0.5 makes the diagonal of K + CI positive, so P's is negative:
+        PCG gives up at once, LU solves, and the certificate fails with the
+        message it gave before PCG."""
+        import scipy.linalg
+
+        factors, real = [], scipy.linalg.lu_factor
+        monkeypatch.setattr(scipy.linalg, "lu_factor",
+                            lambda a, **kw: factors.append(1) or real(a, **kw))
+        s, k, _ = unit_op(16)
+        with pytest.raises(ValueError, match="spectral precondition fails"):
+            solve_phi(k, 0.5, np.ones(16))
+        assert factors == [1]
+
+
 class TestCertificate:
     def certificate_inputs(self, op, f):
-        """φ_m with its last Newton factorization, and an orbit's slack."""
+        """φ_m with the Jacobian solve _newton returns, and an orbit's slack."""
         es = extremal_equilibria(op, f)
-        e, lu = eqmod._newton(op, f, es.phi_m + 1e-3)
+        e, solve = eqmod._newton(op, f, es.phi_m + 1e-3)
         np.testing.assert_allclose(e, es.phi_m, atol=1e-10)
         start = es.phi + es.epsilon
-        return es, e, lu, start, eqmod.ORDER_TOL * (1.0 + float(np.max(start)))
+        return es, e, solve, start, eqmod.ORDER_TOL * (1.0 + float(np.max(start)))
 
     def test_control_box_holding_two_equilibria_refuses(self):
         """e = φ_m with u just above φ_M: the box holds φ_M ≠ φ_m, so the
-        certificate must refuse; the mirrored box below φ_m accepts."""
+        certificate must refuse; the mirrored box below φ_m accepts.  PCG
+        gives ψ on the symmetric systems, the last LU on the skewed one."""
         sampled = sampled_logistic_systems(10)
         assert {op.n for op, _ in sampled} == {32, 64, 128}
         controls = 0
-        for op, f in [bench_system(256), bench_system(512)] + sampled:
-            es, e, lu, start, slack = self.certificate_inputs(op, f)
-            assert eqmod._certifies(op, f, e, lu, es.phi_m - 1e-3, -start, +1, slack)
+        for op, f in [bench_system(256), bench_system(512), bench_system(256, skew=True)] + sampled:
+            es, e, solve, start, slack = self.certificate_inputs(op, f)
+            assert eqmod._certifies(op, f, e, solve, es.phi_m - 1e-3, -start, +1, slack)
             if np.max(es.phi_M - es.phi_m) > 1e-6:  # else φ_m is the only equilibrium
                 controls += 1
-                assert not eqmod._certifies(op, f, e, lu, es.phi_M + 1e-3, start, -1, slack)
-        assert controls >= 6
+                assert not eqmod._certifies(op, f, e, solve, es.phi_M + 1e-3, start, -1, slack)
+        assert controls >= 7
 
     def test_limit_on_the_wrong_side_of_the_start_refuses(self):
         for op, f in (bench_system(256), sampled_logistic_systems(1)[0]):
-            es, e, lu, start, slack = self.certificate_inputs(op, f)
+            es, e, solve, start, slack = self.certificate_inputs(op, f)
             below = es.phi_m - 1e-3
-            assert eqmod._certifies(op, f, e, lu, below, -start, +1, slack)
-            assert not eqmod._certifies(op, f, e, lu, below, es.phi_m + 0.1, +1, slack)
-            assert not eqmod._certifies(op, f, e, lu, below, -start, -1, slack)
+            assert eqmod._certifies(op, f, e, solve, below, -start, +1, slack)
+            assert not eqmod._certifies(op, f, e, solve, below, es.phi_m + 0.1, +1, slack)
+            assert not eqmod._certifies(op, f, e, solve, below, -start, -1, slack)
 
     def test_reaction_without_exact_derivative_bound_takes_the_fallback(self):
         n = 48

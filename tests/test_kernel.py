@@ -521,7 +521,7 @@ def _consumer_cases():
     op = build_operator(kernel, 1.0 + 0.5 * np.sin(2 * np.pi * space.x))
     f = LogisticReaction(g=0.2, n=1.0, m=1.0, rho=3.0, n_nodes=n)
     guess = 1.0 + 0.1 * np.random.default_rng(8).standard_normal(n)
-    e, lu = _newton(op, f, guess)
+    e, solve = _newton(op, f, guess)
     graph = build_graph(n, [(i, i + 1, 0.1) for i in range(n - 1)], np.ones(n))
     graph_op = build_operator(assemble_kernel(graph, "tophat", R=0.25, J0=1.0), 1.0)
     big = build_interval(0, 1, DENSE_CUTOFF)  # where "auto" runs ARPACK
@@ -529,10 +529,15 @@ def _consumer_cases():
     big_h = 1.0 + 0.5 * np.sin(2 * np.pi * big.x)
     sym_op = build_operator(assemble_kernel(big, "tophat", R=0.3, J0=2.0), big_h)
     table_op = build_operator(assemble_kernel(big, "table", jmat=(np.abs(d) < 0.3) * (2.0 + d)), big_h)
-    return {  # each call with the reads it makes
-        "_newton": (lambda: _newton(op, f, guess), {"amat": 1}),
-        "_certifies": (lambda: _certifies(op, f, e, lu, e + 1e-3, e + 1.0, -1, 1e-12), {}),
-        "solve_phi": (lambda: solve_phi(kernel, -5.0, 1.0), {"amat": 1}),
+    gap = space.x[None, :] - space.x[:, None]
+    skew = assemble_kernel(space, "table", jmat=(np.abs(gap) < 0.3) * (2.0 + gap))
+    skew_op = build_operator(skew, op.h)
+    return {  # each call with the reads it makes; LU serves the nonsymmetric skew
+        "_newton": (lambda: _newton(skew_op, f, guess), {"amat": 1}),
+        "_newton_symmetric": (lambda: _newton(op, f, guess), {}),
+        "_certifies": (lambda: _certifies(op, f, e, solve, e + 1e-3, e + 1.0, -1, 1e-12), {}),
+        "solve_phi": (lambda: solve_phi(skew, -5.0, 1.0), {"amat": 1}),
+        "solve_phi_symmetric": (lambda: solve_phi(kernel, -5.0, 1.0), {}),
         "principal_value_dense": (lambda: principal_value(op, method="dense"), {"amat": 1}),
         "principal_value_lanczos": (lambda: principal_value(sym_op), {}),
         "principal_value_arnoldi": (lambda: principal_value(table_op), {}),
@@ -554,6 +559,7 @@ def test_consumers_read_an_on_demand_matrix_at_most_once(consumer, matrix_reads)
 
 
 def test_newton_takes_several_steps_on_one_matrix_read(monkeypatch, matrix_reads):
+    """LU Newton, on the nonsymmetric skew kernel, refactors on the one amat it reads."""
     import scipy.linalg
 
     cases = _consumer_cases()
@@ -563,6 +569,21 @@ def test_newton_takes_several_steps_on_one_matrix_read(monkeypatch, matrix_reads
     matrix_reads.clear()
     cases["_newton"][0]()
     assert len(factored) >= 2 and matrix_reads == {"amat": 1}
+
+
+def test_symmetric_newton_takes_several_steps_on_no_matrix(monkeypatch, matrix_reads):
+    """PCG Newton, on a symmetric kernel, neither factors nor reads amat."""
+    import scipy.linalg
+
+    import nonlocalrd.equilibria as eqmod
+
+    cases = _consumer_cases()
+    calls, real = [], eqmod._pcg
+    monkeypatch.setattr(scipy.linalg, "lu_factor", lambda a, **kw: calls.append("lu_factor"))
+    monkeypatch.setattr(eqmod, "_pcg", lambda *args: calls.append("pcg") or real(*args))
+    matrix_reads.clear()
+    cases["_newton_symmetric"][0]()
+    assert calls.count("pcg") >= 2 and "lu_factor" not in calls and matrix_reads == {}
 
 
 # --- the kernel's one product: a symmetric single vector reads one triangle --
