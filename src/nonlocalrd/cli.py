@@ -293,27 +293,33 @@ def _write_json(payload: dict, out_dir: Path, name: str) -> Path:
     return out
 
 
-def _write_csv(out: Path, header: list, rows) -> Path:
+def _csv_line(values: list) -> str:
+    # repr of a list is its floats' reprs joined by ", ", and no repr holds ", "
+    return repr(values)[1:-1].replace(", ", ",")
+
+
+def _write_csv(out: Path, header: list, lines) -> Path:
+    """The header and the given lines, each ended by CRLF: csv.writer's bytes
+    for fields that need no quoting, as float reprs do not."""
     with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(line + "\r\n" for line in lines)
     return out
 
 
 def _write_profile(vec: np.ndarray, space, out_dir: Path, name: str) -> Path:
     xs = space.x if space.points is not None else np.arange(space.n, dtype=float)
-    # tolist() gives Python floats, whose repr is what repr(float(v)) gave
+    # one repr per column: tolist() gives Python floats, whose repr is repr(float(v))
+    xcol, vcol = (repr(col.tolist())[1:-1].split(", ") for col in (xs, vec))
     return _write_csv(out_dir / name, ["node", "x", "value"],
-                      ([i, repr(x), repr(v)]
-                       for i, (x, v) in enumerate(zip(xs.tolist(), vec.tolist()))))
+                      map(",".join, zip(map(str, range(len(xcol))), xcol, vcol)))
 
 
 def _write_trajectory(traj, out_dir: Path, name: str) -> Path:
     n = traj.states.shape[1]
     return _write_csv(out_dir / name, ["t"] + [f"node_{i}" for i in range(n)],
-                      ([repr(t), *map(repr, row)]
-                       for t, row in zip(traj.times.tolist(), traj.states.tolist())))
+                      (f"{t!r},{_csv_line(row.tolist())}"
+                       for t, row in zip(traj.times.tolist(), traj.states)))
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +589,7 @@ def _case_shift(name: str, cfg: dict, out_dir: Path) -> dict:
                      "closed_form": closed})
     header = ["A", "lambda_H", "bound_rhs", "closed_form"]
     _write_csv(out_dir / f"{name}_table.csv", header,
-               ([repr(r[k]) for k in header] for r in rows))
+               (_csv_line([r[k] for k in header]) for r in rows))
     # the bound's sign claim is reported next to the computed value, not asserted
     return {"case": name, "table": rows}
 

@@ -209,10 +209,11 @@ def _monotone_orbit(op: NonlocalOperator, f: Reaction, u_start: np.ndarray,
     +1: non-decreasing) across blocks; a failure on the very first block
     means the block is too short to enter the monotone regime, so it is
     doubled a few times before giving up.  When the block difference
-    first falls to CERT_TRY, a reaction with an exact ds_sup gets one
-    try at Newton's limit from the block end, kept when _certifies proves
-    it the orbit's limit (criterion "certified").  Otherwise, or on
-    refusal, convergence is sup-norm Cauchy between block endpoints, with
+    first falls to CERT_TRY, a reaction with an exact ds_sup tries
+    Newton's limit from the block end, kept when _certifies proves it the
+    orbit's limit (criterion "certified"); after a refusal it tries again
+    once the difference has fallen by another decade.  Otherwise
+    convergence is sup-norm Cauchy between block endpoints, with
     a weighted-L² fallback recorded when the sup norm stalls while the
     mean-square difference contracts, and the last block end is
     Newton-polished.  Returns the limit, the block count and the
@@ -223,7 +224,7 @@ def _monotone_orbit(op: NonlocalOperator, f: Reaction, u_start: np.ndarray,
     slack = ORDER_TOL * (1.0 + float(np.max(np.abs(u))))
     blocks = 0
     criterion = "sup"
-    try_cert = f.ds_sup(u, u) is not None
+    next_try = CERT_TRY if f.ds_sup(u, u) is not None else -1.0  # -1: never tried
     config = _block_config(op, f, k_window, 1.0, beta)
     while blocks < MAX_BLOCKS:
         u_new = evolve_nonlinear(op, f, u, config).final()
@@ -239,8 +240,8 @@ def _monotone_orbit(op: NonlocalOperator, f: Reaction, u_start: np.ndarray,
         sup_diff = float(np.max(np.abs(u_new - u)))
         l2_diff = float(np.sqrt(np.sum(w * (u_new - u) ** 2)))
         u = u_new
-        if try_cert and sup_diff <= CERT_TRY:
-            try_cert = False
+        if sup_diff <= next_try:
+            next_try = sup_diff / 10.0
             try:
                 e, solve = _newton(op, f, u)
                 if solve is not None and _certifies(op, f, e, solve, u, u_start, direction, slack):

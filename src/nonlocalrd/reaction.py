@@ -408,10 +408,17 @@ def structure_bounds(f: Reaction, strategy: str = "plain", a: float = 0.0,
 
 def check_sign_condition(f: Reaction, c, d, s_grid) -> bool:
     """True iff f(x_i, s) s <= c(x_i) s² + d(x_i) |s| on the grid (relative
-    tol 1e-9); c and d are scalars or per-node vectors."""
+    tol 1e-9); c and d are scalars or per-node vectors.  A logistic f(x_i, ·)
+    depends on i only through (g, n, m)_i, so its check runs once per
+    distinct column (g, n, m, c, d)_i: the same values, max and answer."""
     c, d = np.asarray(c, dtype=float), np.asarray(d, dtype=float)
     if np.any(d < 0):
         raise ValueError("d must be nonnegative")
+    if isinstance(f, LogisticReaction) and f.g.ndim == 1:
+        cols = np.stack(np.broadcast_arrays(f.g, f.ncoef, f.m, c, d))
+        _, keep = np.unique(cols, axis=1, return_index=True)
+        g, n, m, c, d = cols[:, keep]
+        f = LogisticReaction(g, n, m, f.rho)
 
     def extremes(s):  # max of lhs - rhs and of |rhs| on a block
         rhs = c * s * s + d * np.abs(s)

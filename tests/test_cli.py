@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nonlocalrd.cli import _EXPR_NAMES, _eval_expr, _write_profile, _write_trajectory, main
 from nonlocalrd.evolve import Trajectory
@@ -581,6 +582,29 @@ def test_profile_csv_bytes_match_per_value_repr(tmp_path, embedded):
                               ([i, repr(float(x)), repr(float(v))]
                                for i, (x, v) in enumerate(zip(xs, vec))))
     assert _write_profile(vec, space, tmp_path, "prof.csv").read_bytes() == expected
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=12),
+       st.integers(1, 3), st.booleans())
+@settings(derandomize=True, deadline=None, max_examples=100)
+def test_csv_bytes_match_csv_writer_on_any_floats(tmp_path_factory, values, rows, embedded):
+    tmp_path = tmp_path_factory.mktemp("csv")
+    n = len(values)
+    vec = np.array(values)
+    space = (build_interval(-1.0, 2.0, n) if embedded
+             else build_graph(n, [(i, i + 1, 1.0) for i in range(n - 1)], np.ones(n)))
+    xs = space.x if embedded else np.arange(n, dtype=float)
+    expected = _reference_csv(tmp_path / "ref.csv", ["node", "x", "value"],
+                              ([i, repr(float(x)), repr(float(v))]
+                               for i, (x, v) in enumerate(zip(xs, vec))))
+    assert _write_profile(vec, space, tmp_path, "prof.csv").read_bytes() == expected
+    states = np.array([np.roll(vec, j) for j in range(rows)])
+    traj = Trajectory(times=np.arange(rows) / 3.0, states=states, scheme="rk4", dt=0.1)
+    expected = _reference_csv(
+        tmp_path / "ref.csv", ["t"] + [f"node_{i}" for i in range(n)],
+        ([repr(float(t))] + [repr(float(v)) for v in row]
+         for t, row in zip(traj.times, traj.states)))
+    assert _write_trajectory(traj, tmp_path, "traj.csv").read_bytes() == expected
 
 
 def test_invalid_json_exits_2(tmp_path, capsys):

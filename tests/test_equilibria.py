@@ -780,6 +780,37 @@ class TestCertificate:
         for name in ("phi_M", "phi_m", "phi_m_plus"):
             np.testing.assert_allclose(getattr(es, name), getattr(ref, name), rtol=0, atol=1e-10)
 
+    def test_refused_try_is_repeated_a_decade_later(self, monkeypatch):
+        op, f = bench_system(256)
+        plain = extremal_equilibria(op, f)
+        certifies, tries = eqmod._certifies, []
+
+        def refuse_first(op, f, e, solve, u, *rest):
+            tries.append(u)
+            return len(tries) > 1 and certifies(op, f, e, solve, u, *rest)
+
+        monkeypatch.setattr(eqmod, "_certifies", refuse_first)
+        es = extremal_equilibria(op, f)
+        # φ_M's orbit runs first: refused at its first try, accepted at its second
+        assert len(tries) == 4
+        assert es.stopping_criteria == plain.stopping_criteria == {
+            "phi_M": "certified", "phi_m": "certified", "phi_m_plus": "certified"}
+        assert es.iterations["phi_M"] > plain.iterations["phi_M"]
+        assert np.max(np.abs(tries[1] - es.phi_M)) < 0.1 * np.max(np.abs(tries[0] - es.phi_M))
+        np.testing.assert_allclose(es.phi_M, plain.phi_M, rtol=0, atol=1e-12)
+
+    def test_orbit_refused_early_is_certified_later(self):
+        """A nonsymmetric table on which φ_m's first Newton try diverges: a
+        single try per orbit left it "sup" after 338 blocks."""
+        n = 256
+        s = build_interval(0, 1, n)
+        d = s.x[None, :] - s.x[:, None]
+        kernel = assemble_kernel(s, "table", jmat=(np.abs(d) < 0.25) * (1.5 + np.sin(3 * d)))
+        op = build_operator(kernel, 1.0 + 0.5 * np.sin(2 * np.pi * s.x))
+        es = extremal_equilibria(op, LogisticReaction(g=0.2, n=1.0, m=1.0, rho=3.0, n_nodes=n))
+        assert set(es.stopping_criteria.values()) == {"certified"}
+        eqmod._check_equilibrium_set(es)
+
     @pytest.mark.parametrize("system", EQUILIBRIUM_SYSTEMS, ids=lambda k: f"{k[0]}{k[1]}")
     def test_certified_limits_match_the_fallback(self, system, monkeypatch):
         op, f = equilibrium_system(system)

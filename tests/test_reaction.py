@@ -18,6 +18,7 @@ from nonlocalrd.reaction import (
     structure_bounds,
     truncate,
     young_constant,
+    _block_reduce,
     _log_grid,
 )
 
@@ -373,6 +374,61 @@ class TestSignCondition:
     def test_rejects_negative_d(self):
         with pytest.raises(ValueError):
             check_sign_condition(cube(), 0.0, -1.0, np.linspace(-1, 1, 11))
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 48), st.sampled_from([1, 2, 3, None]),
+           st.booleans(), st.booleans(), st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3]))
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    def test_distinct_columns_give_the_full_grid_answer(self, seed, n, pieces, c_vec, d_vec,
+                                                        offset):
+        # coefficients constant on `pieces` runs of nodes, or drawn per node
+        # (None); c, d are the plain logistic constants n, |g| moved by up to
+        # ±offset, so both answers occur, some within the check's 1e-9
+        rng = np.random.default_rng(seed)
+        levels = n if pieces is None else pieces
+        cut = np.sort(rng.integers(0, levels, n))
+        g, nc, m = (rng.uniform(lo, hi, levels)[cut] for lo, hi in ((-2, 2), (-2, 2), (0, 2)))
+        m[rng.uniform(size=n) < 0.2] = 0.0  # undamped nodes: c below n fails at large |s|
+        f = LogisticReaction(g, nc, m, rho=float(rng.choice([1.5, 2.0, 3.0, 4.5])))
+        c = nc + offset * rng.uniform(-1.0, 1.0, n)
+        d = np.abs(g) + offset * rng.uniform(-1.0, 1.0, n)
+        d = np.maximum(d, 0.0)
+        if not c_vec:
+            c = float(np.max(c))
+        if not d_vec:
+            d = float(np.max(d))
+        grid = _log_grid(1e-6, 1e6)
+        assert check_sign_condition(f, c, d, grid) == _full_grid_sign_condition(f, c, d, grid)
+
+    def test_constant_coefficients_check_one_column(self, monkeypatch):
+        f = LogisticReaction(g=0.2, n=1.0, m=1.0, rho=3.0, n_nodes=512)
+        widths = []
+        apply = LogisticReaction.apply
+
+        def spy(self, u):
+            widths.append(np.shape(u)[-1])
+            return apply(self, u)
+
+        monkeypatch.setattr(LogisticReaction, "apply", spy)
+        assert check_sign_condition(f, 1.0, [0.2] * 512, _log_grid(1e-6, 1e6))
+        assert widths == [1]
+        widths.clear()
+        assert check_sign_condition(f, np.r_[np.ones(256), np.full(256, 2.0)], 0.2,
+                                    _log_grid(1e-6, 1e6))
+        assert widths == [2]
+
+
+def _full_grid_sign_condition(f, c, d, s_grid):
+    """check_sign_condition as it was before it checked distinct columns:
+    every node of the (G, n) grid."""
+    c, d = np.asarray(c, dtype=float), np.asarray(d, dtype=float)
+
+    def extremes(s):
+        rhs = c * s * s + d * np.abs(s)
+        return np.max(f.apply(s) * s - rhs), np.max(np.abs(rhs))
+
+    top, scale = np.max(_block_reduce(np.asarray(s_grid, dtype=float), f.n_nodes, extremes),
+                        axis=0)
+    return bool(top <= 1e-9 * (1.0 + scale))
 
 
 class TestRatioMonotonicity:

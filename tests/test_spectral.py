@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 import scipy.sparse.linalg
+from hypothesis import assume, given, settings, strategies as st
 
 from nonlocalrd.evolve import IntegratorConfig, evolve_nonlinear, kaplan_witness
 from nonlocalrd.kernel import Kernel, assemble_kernel, build_operator, compute_h0
 from nonlocalrd.reaction import CallableReaction
 from nonlocalrd.space import build_graph, build_interval, merge_spaces
+from nonlocalrd import spectral
 from nonlocalrd.spectral import (
+    CERT_RTOL,
     DENSE_CUTOFF,
     POWER_MAX_ITER,
     POWER_RTOL,
@@ -185,6 +188,32 @@ class TestCertifiedSolver:
                 assert again.certificate.lower == rep.certificate.lower
                 assert again.certificate.upper == rep.certificate.upper
 
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["interval", "graph", "table"]),
+           st.integers(2, 48))
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    def test_certificate_sandwiches_the_eig_bound(self, seed, kind, n):
+        # sampled_operator's systems with the tophat reaching past the node
+        # spacing: irreducible, so the eigenfunction is positive
+        rng = np.random.default_rng(seed)
+        if kind == "graph":
+            op = sampled_operator(rng, kind, n)
+        else:
+            s = build_interval(0, 1, n)
+            d = s.x[None, :] - s.x[:, None]
+            r = float(rng.uniform(0.05, 0.5)) + 1.5 / n
+            drift = 0.5 * d / r if kind == "table" else 0.0
+            jmat = rng.uniform(0.5, 2.0) * (np.abs(d) < r) * (1.0 + drift)
+            h = rng.uniform(0.5, 1.5) + rng.uniform(-0.5, 0.5) * np.sin(2 * np.pi * s.x)
+            op = build_operator(assemble_kernel(s, "table", jmat=jmat), h)
+        ref = float(np.max(np.linalg.eigvals(op.amat).real))
+        cert = principal_value(op, "auto").certificate
+        assume(cert is not None)  # entries below PRINCIPAL_FLOOR: nothing certified
+        assert cert.lower <= ref <= cert.upper
+        # an entry φ_i carries error ~eps·|A|/φ_i in its ratio, so only an
+        # eigenfunction without tiny entries gives a CERT_RTOL-narrow sandwich
+        if np.min(cert.test_function) >= 1e-5:
+            assert cert.upper - cert.lower <= CERT_RTOL * max(1.0, abs(ref))
+
     @pytest.mark.parametrize("kind", ("interval", "table"))
     @pytest.mark.parametrize("error", (
         scipy.sparse.linalg.ArpackError(-9),
@@ -282,6 +311,26 @@ class TestEssentialRange:
         h = np.arange(10, dtype=float)
         out = essential_range(h, s.weights, tol=0.5)
         assert len(out) == 10
+
+
+def test_essential_range_is_computed_on_read(monkeypatch):
+    calls = []
+    frozen = spectral.essential_range
+
+    def counted(h, weights, tol=1e-12):
+        calls.append(1)
+        return frozen(h, weights, tol)
+
+    monkeypatch.setattr(spectral, "essential_range", counted)
+    rng = np.random.default_rng(3)
+    s, k, op = random_system(rng, n=80)
+    reps = [principal_value(op, method) for method in ("auto", "dense", "power")]
+    reps.append(rayleigh_lambda(k, op.h))
+    assert calls == []
+    for rep in reps:
+        assert rep.essential_range == frozen(op.h, s.weights)
+    assert len(calls) == len(reps)
+    assert "essential_range" not in repr(reps[0]) and "op=" not in repr(reps[0])
 
 
 def _reference_essential_range(h, weights, tol=1e-12):
