@@ -389,6 +389,8 @@ def _cmd_equilibria(args, out_dir: Path) -> int:
     exp = Experiment(load_config(args.config))
     if exp.reaction is None:
         raise ConfigError("reaction", "equilibria need a reaction")
+    if args.epsilon is not None and not 0 < args.epsilon < math.inf:
+        raise ConfigError("epsilon", f"must be a positive finite number, got {args.epsilon}")
     if args.dry_run:
         print("config ok")
         return 0
@@ -460,11 +462,12 @@ def _case_system(n: int):
 
 
 def _like(default, value) -> bool:
-    """value has default's JSON shape: a number for a number (an int may replace a
-    float, a bool neither), a non-empty list of values like default[0] for a list."""
+    """value has default's JSON shape: a finite number for a number (an int may replace
+    a float, a bool neither), a non-empty list of values like default[0] for a list."""
     if isinstance(default, list):
         return isinstance(value, list) and bool(value) and all(_like(default[0], v) for v in value)
-    return type(value) is type(default) or {type(default), type(value)} == {int, float}
+    return ((type(value) is type(default) or {type(default), type(value)} == {int, float})
+            and (not isinstance(value, float) or math.isfinite(value)))
 
 
 def _cmd_case(args, out_dir: Path) -> int:
@@ -480,7 +483,7 @@ def _cmd_case(args, out_dir: Path) -> int:
         raise ConfigError(key, f"case {args.name!r} has no such key")
     for key, default in _CASE_DEFAULTS[args.name].items():
         if not _like(default, cfg[key]):
-            raise ConfigError(key, f"expected the shape of the default {default!r}, got {cfg[key]!r}")
+            raise ConfigError(key, f"expected finite values shaped like {default!r}, got {cfg[key]!r}")
     if args.dry_run:
         print("config ok")
         return 0

@@ -6,7 +6,8 @@ from ±(Φ+ε), stopped at a certified damped-Newton limit; minimal
 nonnegative and minimal positive equilibria come from monotone orbits
 off 0 and off small multiples of a principal eigenfunction; and the
 constant-kernel cubic gives the piecewise-constant non-isolated family.
-Each linear system is solved by PCG for a symmetric kernel, else by LU.
+Each linear system, a Newton step's at its own iterate, is solved by PCG
+for a symmetric kernel, else by LU.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ RESIDUAL_TOL = 1e-10
 NEWTON_TOL = 1e-12
 ORDER_TOL = 1e-12  # relative rounding slack of a monotone orbit's ordering
 CERT_TRY = 1e-1    # block difference at which an orbit tries its Newton certificate
-CHORD_RATE = 0.25  # LU Newton keeps its LU while each step cuts the residual to this
 PCG_TOL = 1e-14    # relative residual at which _pcg stops
 PCG_MAX_ITER = 100
 
@@ -143,8 +143,8 @@ def _pcg(op: NonlocalOperator, q, b: np.ndarray) -> Optional[np.ndarray]:
 class _JacobianSolve:
     """b ↦ x solving Jx = b, J = amat + diag q: _pcg for a symmetric kernel,
     else, or where it gives up, one LU of Jᵀ (J's Fortran-ordered view),
-    kept.  J starts from a copy of the caller's amat or a fresh read; an
-    exactly zero pivot raises RuntimeError."""
+    kept.  J starts from a copy of the caller's amat (newton_refine's one
+    read per call) or a fresh read; an exactly zero pivot raises RuntimeError."""
 
     def __init__(self, op: NonlocalOperator, q=0.0, amat: Optional[np.ndarray] = None):
         self.op, self.q, self.amat, self.lu = op, q, amat, None
@@ -243,8 +243,8 @@ def _monotone_orbit(op: NonlocalOperator, f: Reaction, u_start: np.ndarray,
         if sup_diff <= next_try:
             next_try = sup_diff / 10.0
             try:
-                e, solve = _newton(op, f, u)
-                if solve is not None and _certifies(op, f, e, solve, u, u_start, direction, slack):
+                e = newton_refine(op, f, u)
+                if _certifies(op, f, e, u, u_start, direction, slack):
                     return e, blocks, "certified"
             except RuntimeError:  # no Newton limit, or J(e) singular: nothing certified
                 pass
@@ -258,21 +258,18 @@ def _monotone_orbit(op: NonlocalOperator, f: Reaction, u_start: np.ndarray,
     return newton_refine(op, f, u), blocks, criterion
 
 
-def _certifies(op: NonlocalOperator, f: Reaction, e: np.ndarray, solve,
-               u: np.ndarray, u_start: np.ndarray, direction: int,
-               slack: float) -> bool:
-    """True when Newton's limit e from the block end u, with the solve
-    _newton returned, is provably the orbit's limit L.
+def _certifies(op: NonlocalOperator, f: Reaction, e: np.ndarray, u: np.ndarray,
+               u_start: np.ndarray, direction: int, slack: float) -> bool:
+    """True when Newton's limit e from the block end u is provably the orbit's limit L.
 
     With J = amat + diag ∂f/∂s, Metzler, e is accepted (Sattinger, 1972; Amann, 1976) when
-    1. e has Newton's residual NEWTON_TOL (the caller's _newton);
+    1. e has Newton's residual NEWTON_TOL (the caller's newton_refine);
     2. e lies on the start's side: direction·(e - u_start) >= -slack.  An
        equilibrium lies in the envelope, inside the truncation window, so
        it is a fixed point of the order-preserving scheme, and the orbit
        from u_start stays on e's far side; L lies in the box between e and
        u, which the orbit passed on its monotone way to L;
-    3. ψ solving J(u_k)ψ = -1 is positive, u_k = e for a symmetric kernel
-       (PCG), else the iterate of _newton's last LU;
+    3. ψ solving J(e)ψ = -1, by a _JacobianSolve at e, is positive;
     4. cw_bounds(NonlocalOperator(op.kernel, op.h - q̄, op.h0), ψ).upper < 0, q̄ =
        f.ds_sup (rounded up) over the box widened by slack.  Then L - e
        solves (amat + diag q)(L - e) = 0 with secant slopes q <= q̄, whose
@@ -282,64 +279,44 @@ def _certifies(op: NonlocalOperator, f: Reaction, e: np.ndarray, solve,
     """
     if np.any(direction * (e - u_start) < -slack):
         return False
-    psi = solve(-np.ones(op.n))
+    psi = _JacobianSolve(op, f.apply_ds(e))(-np.ones(op.n))
     qbar = f.ds_sup(np.minimum(e, u) - slack, np.maximum(e, u) + slack)
     return bool(np.all((psi > 0) & (psi < np.inf))
                 and cw_bounds(NonlocalOperator(op.kernel, op.h - qbar, op.h0), psi).upper < 0)
 
 
-def _newton(op: NonlocalOperator, f: Reaction, guess: np.ndarray,
-            tol: float = NEWTON_TOL, max_steps: int = 50):
+def newton_refine(op: NonlocalOperator, f: Reaction, guess: np.ndarray,
+                  tol: float = NEWTON_TOL, max_steps: int = 50) -> np.ndarray:
     """Damped Newton on R(u) = Lu + f(u), halving on residual rise.
 
-    A symmetric kernel takes exact Newton, each step by PCG, with residuals
-    through op.apply, reading no amat.  A nonsymmetric one takes chord
-    Newton on amat: one LU of J = amat + diag ∂f/∂s serves later steps,
-    refactored at the new iterate after a step leaving more than CHORD_RATE
-    of the residual, and at the same iterate when a chord step fails even at
-    damping 1/64.  A failed step on a fresh J raises (Kelley, *Solving
-    Nonlinear Equations with Newton's Method*, ch. 2).  Returns the root and
-    a _JacobianSolve: of J at the root (symmetric), else the last LU, None
-    if the guess met tol.  max_steps bounds the passes.
+    Exact Newton: each step solves J = amat + diag ∂f/∂s at its own iterate
+    by a _JacobianSolve (PCG, or LU on the one amat read per call for a
+    nonsymmetric kernel), residuals through op.apply.  A step failing even at
+    damping 1/64 raises (Kelley, *Solving Nonlinear Equations with Newton's
+    Method*, ch. 2).  max_steps bounds the steps.
     """
     u = np.array(guess, dtype=float)
-    sym = op.kernel.symmetric
-    amat = None if sym else op.amat
-    lin = op.apply if sym else amat.__matmul__
-    r = lin(u) + f.apply(u)
+    amat = None if op.kernel.symmetric else op.amat
+    r = op.apply(u) + f.apply(u)
     rn = float(np.max(np.abs(r)))
-    solve, refactor = None, True
     for _ in range(max_steps):
         if rn <= tol:
             break
-        fresh = refactor
-        if fresh:
-            solve = _JacobianSolve(op, f.apply_ds(u), amat)
-        delta = solve(-r)
+        delta = _JacobianSolve(op, f.apply_ds(u), amat)(-r)
         lam = 1.0
         while True:
             u_try = u + lam * delta
-            r_try = lin(u_try) + f.apply(u_try)
+            r_try = op.apply(u_try) + f.apply(u_try)
             rn_try = float(np.max(np.abs(r_try)))
             if rn_try < rn or lam <= 1.0 / 64.0:
                 break
             lam /= 2.0
         if rn_try >= rn:
-            if fresh:
-                raise RuntimeError("newton refinement diverged")
-            refactor = True  # a stale LU failed: refactor at this iterate
-            continue
-        refactor = sym or rn_try > CHORD_RATE * rn
+            raise RuntimeError("newton refinement diverged")
         u, r, rn = u_try, r_try, rn_try
     if rn > tol:
         raise RuntimeError(f"newton refinement stalled at residual {rn:.3e}")
-    return u, (_JacobianSolve(op, f.apply_ds(u)) if sym else solve)
-
-
-def newton_refine(op: NonlocalOperator, f: Reaction, guess: np.ndarray,
-                  tol: float = NEWTON_TOL, max_steps: int = 50) -> np.ndarray:
-    """Damped Newton on R(u) = Lu + f(u), by PCG or chord LU as _newton."""
-    return _newton(op, f, guess, tol, max_steps)[0]
+    return u
 
 
 def extremal_equilibria(op: NonlocalOperator, f: Reaction,
@@ -356,8 +333,8 @@ def extremal_equilibria(op: NonlocalOperator, f: Reaction,
     """
     c_eff, d_vec, phi = _envelope(op, f)
     eps = epsilon if epsilon is not None else 1e-3 * (1.0 + float(np.max(np.abs(phi))))
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {eps}")
     k_window, beta = _orbit_window(op, f, pad=eps)
 
     phi_M, it_up, crit_up = _monotone_orbit(op, f, phi + eps, -1, tol, k_window, beta)

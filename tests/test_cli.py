@@ -276,6 +276,18 @@ class TestEquilibriaCommand:
         assert rc == 2
         assert "spectral precondition" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dry", [True, False])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-3"])
+    def test_epsilon_must_be_positive_and_finite(self, tmp_path, capsys, dry, value):
+        cfg = write_config(tmp_path, potential={"kind": "constant", "value": 0.0})
+        rc = main(["--out", str(tmp_path)] + ["--dry-run"] * dry
+                  + ["equilibria", "--config", str(cfg), f"--epsilon={value}"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: config field 'epsilon': ")
+        assert "config ok" not in captured.out
+        assert not (tmp_path / "equilibria.json").exists()
+
 
 class TestVerifyCommand:
     def test_pass_exit_zero(self, tmp_path):
@@ -440,6 +452,25 @@ class TestCaseCommand:
         assert captured.err.startswith(f"error: config field '{key}': ")
         assert "config ok" not in captured.out
         assert not (tmp_path / "case_shift.json").exists()
+
+    @pytest.mark.parametrize("dry", [True, False])
+    @pytest.mark.parametrize("case, item, key", [
+        ("logistic-sub", "t_end=Infinity", "t_end"),
+        ("logistic-sub", "t_end=NaN", "t_end"),
+        ("logistic-sub", "m=NaN", "m"),
+        ("logistic-sub", "trials=[0.5,NaN]", "trials"),
+        ("bistable", "lambda=NaN", "lambda"),
+        ("bistable", "measures=[[0.5,-Infinity,0.5]]", "measures"),
+        ("shift", "levels=[1.0,Infinity]", "levels"),
+    ])
+    def test_non_finite_override_exits_2_naming_the_key(self, tmp_path, capsys, dry,
+                                                        case, item, key):
+        rc = main(["--out", str(tmp_path)] + ["--dry-run"] * dry + ["case", case, "--set", item])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: config field '{key}': ")
+        assert "config ok" not in captured.out
+        assert not (tmp_path / f"case_{case}.json").exists()
 
     @pytest.mark.parametrize("item", ["measures=[[0.5,0.5],[0.2,0.3,0.5]]",
                                       "measures=[[1,0]]"])

@@ -252,6 +252,12 @@ class TestExtremal:
         np.testing.assert_allclose(es.phi_M, 1.0, atol=1e-8)
         np.testing.assert_allclose(es.phi_m, 1.0, atol=1e-8)
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan, math.inf])
+    def test_epsilon_must_be_positive_and_finite(self, eps):
+        _, _, op = unit_op(16)
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            extremal_equilibria(op, logistic(16), epsilon=eps)
+
     def test_stability_from_above_and_below(self):
         n = 48
         _, _, op = unit_op(n)
@@ -426,7 +432,8 @@ EQUILIBRIUM_SYSTEMS = [("bench", 256), ("bench", 512)] + [("sampled", i) for i i
 
 
 def _full_newton(op, f, guess, tol=eqmod.NEWTON_TOL, max_steps=50):
-    """_newton as it stood with a fresh LU at every step, frozen."""
+    """Exact Newton by a fresh LU of J at every step, with residuals through
+    amat, frozen: the reference for newton_refine on a nonsymmetric kernel."""
     from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
     u = np.array(guess, dtype=float)
@@ -462,29 +469,36 @@ def _full_newton(op, f, guess, tol=eqmod.NEWTON_TOL, max_steps=50):
     raise RuntimeError(f"newton refinement stalled at residual {rn:.3e}")
 
 
-def count_newton_factorizations(monkeypatch):
-    """Per _newton call, the scipy.linalg.lu_factor calls made while it runs."""
+def count_newton_factorizations(monkeypatch, f=None):
+    """Per newton_refine call, the scipy.linalg.lu_factor calls made while it
+    runs, and its steps: the f.apply_ds calls it makes, one per Jacobian
+    (zeros when no reaction f is given)."""
     import scipy.linalg
 
-    per_call, running = [], []
-    real_newton, real_factor = eqmod._newton, scipy.linalg.lu_factor
+    per_call, steps, running = [], [], []
+    real_newton, real_factor = eqmod.newton_refine, scipy.linalg.lu_factor
 
     def newton(*args, **kwargs):
         per_call.append(0)
+        steps.append(0)
         running.append(True)
         try:
             return real_newton(*args, **kwargs)
         finally:
             running.pop()
 
-    def factor(*args, **kwargs):
-        if running:
-            per_call[-1] += 1
-        return real_factor(*args, **kwargs)
+    def counted(tally, real):
+        def call(*args, **kwargs):
+            if running:
+                tally[-1] += 1
+            return real(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(eqmod, "_newton", newton)
-    monkeypatch.setattr(scipy.linalg, "lu_factor", factor)
-    return per_call
+    monkeypatch.setattr(eqmod, "newton_refine", newton)
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counted(per_call, real_factor))
+    if f is not None:
+        monkeypatch.setattr(f, "apply_ds", counted(steps, f.apply_ds))
+    return per_call, steps
 
 
 def factored_states(monkeypatch, f):
@@ -497,6 +511,26 @@ def factored_states(monkeypatch, f):
     monkeypatch.setattr(scipy.linalg, "lu_factor", lambda a, **kw: (
         factors.append(1) or real_factor(a, **kw)))
     return states, factors
+
+
+def amat_reads(monkeypatch):
+    """One list entry per read of NonlocalOperator.amat."""
+    reads, real = [], NonlocalOperator.amat.fget
+    monkeypatch.setattr(NonlocalOperator, "amat", property(lambda op: reads.append(1) or real(op)))
+    return reads
+
+
+def jacobian_solves(monkeypatch):
+    """(q, b) of every right-hand side b that a _JacobianSolve of amat + diag q solves."""
+    calls, real = [], eqmod._JacobianSolve
+
+    class Spy(real):
+        def __call__(self, b):
+            calls.append((np.broadcast_to(self.q, (self.op.n,)).copy(), b.copy()))
+            return super().__call__(b)
+
+    monkeypatch.setattr(eqmod, "_JacobianSolve", Spy)
+    return calls
 
 
 def cubic_on_constants(n, a, c, b, skew=False):
@@ -519,7 +553,7 @@ class TestChordNewton:
     @pytest.mark.parametrize("system", EQUILIBRIUM_SYSTEMS, ids=lambda k: f"{k[0]}{k[1]}")
     def test_one_factorization_per_certified_orbit(self, system, monkeypatch):
         op, f = equilibrium_system(system)
-        per_call = count_newton_factorizations(monkeypatch)
+        per_call = count_newton_factorizations(monkeypatch)[0]
         es = extremal_equilibria(op, f)
         plus = "certified" if np.all(f.g0 >= -1e-14) else None
         assert es.stopping_criteria == {"phi_M": "certified", "phi_m": "certified",
@@ -528,11 +562,15 @@ class TestChordNewton:
         assert len(per_call) == orbits
         assert all(count <= 1 for count in per_call), per_call
 
-    def test_bench_op_factors_three_times_in_newton(self, monkeypatch):
-        """The bench op with its tophat skewed, so that LU serves Newton."""
-        per_call = count_newton_factorizations(monkeypatch)
-        es = extremal_equilibria(*bench_system(512, skew=True))
-        assert sum(per_call) == 3 and max(es.residuals.values()) <= 1e-12
+    def test_skewed_bench_op_factors_once_per_step(self, monkeypatch):
+        """The bench op with its tophat skewed, so that LU serves Newton: every
+        orbit is certified, and each Newton step factors its own J."""
+        op, f = bench_system(512, skew=True)
+        per_call, steps = count_newton_factorizations(monkeypatch, f)
+        es = extremal_equilibria(op, f)
+        assert set(es.stopping_criteria.values()) == {"certified"}
+        assert max(es.residuals.values()) <= 1e-12
+        assert len(per_call) == 3 and per_call == steps and min(steps) >= 1
 
     def test_symmetric_bench_op_factors_nothing(self, monkeypatch):
         """PCG serves every solve on the bench op, solve_phi's too: no LU
@@ -542,55 +580,55 @@ class TestChordNewton:
         def forbidden(*args, **kwargs):
             raise AssertionError("a symmetric kernel's solve took LU or amat")
 
-        per_call = count_newton_factorizations(monkeypatch)
+        per_call = count_newton_factorizations(monkeypatch)[0]
         monkeypatch.setattr(scipy.linalg, "lu_factor", forbidden)
         monkeypatch.setattr(NonlocalOperator, "amat", property(forbidden))
         es = extremal_equilibria(*bench_system(512))
         assert len(per_call) == 3 and max(es.residuals.values()) <= 1e-12
         assert set(es.stopping_criteria.values()) == {"certified"}
 
-    def test_slow_step_refactors_at_the_new_iterate(self, monkeypatch):
-        """From 4 the first step leaves 0.29 of the residual, more than
-        CHORD_RATE: the next LU is of J at that step's iterate, which is the
-        full-Newton iterate bit for bit, and the root is the full-Newton
-        root.  The kernel is skewed, so that LU serves Newton."""
-        op, f = bench_system(48, skew=True)
-        guess = np.full(op.n, 4.0)
-        ref_states, _ = factored_states(monkeypatch, f)
-        ref, _ = _full_newton(op, f, guess)
+    @pytest.mark.parametrize("system, guess", [
+        ("bench", 4.0), ("bench", None), ("cubic", -1.5)], ids=["bench4", "bench_noisy", "cubic"])
+    def test_skewed_newton_is_full_newton(self, monkeypatch, system, guess):
+        """On a nonsymmetric kernel newton_refine is _full_newton: the same
+        root, one LU per step, and one amat read for all of them."""
+        if system == "bench":
+            op, f = bench_system(48, skew=True)
+        else:
+            op, f = cubic_on_constants(8, 2.6, 0.7, -0.2, skew=True)
+        start = (np.full(op.n, guess) if guess is not None
+                 else 1.0 + 0.1 * np.random.default_rng(8).standard_normal(op.n))
+        ref_states, ref_factors = factored_states(monkeypatch, f)
+        ref, _ = _full_newton(op, f, start)
         monkeypatch.undo()
-        r0 = residual_norm(op, f, guess)
-        assert residual_norm(op, f, ref_states[1]) > eqmod.CHORD_RATE * r0
         states, factors = factored_states(monkeypatch, f)
-        root = newton_refine(op, f, guess)
-        assert len(factors) == len(states) < len(ref_states)
-        assert states[1].tobytes() == ref_states[1].tobytes()
-        np.testing.assert_allclose(root, ref, rtol=0, atol=1e-10)
+        reads = amat_reads(monkeypatch)
+        root = newton_refine(op, f, start)
+        assert len(factors) == len(states) == len(ref_factors) >= 2 and len(reads) == 1
+        np.testing.assert_allclose(root, ref, rtol=0, atol=1e-12)
         assert residual_norm(op, f, root) <= eqmod.NEWTON_TOL
 
-    def test_failed_stale_step_refactors_where_it_stands(self, monkeypatch):
-        """R(s) = s³ + 2.6s² + 0.7s - 0.2 from -1.5: the first step lands past
-        the local minimum of R at 0.25 with an eighth of the residual, so the
-        LU is kept, but the chord direction on it is uphill at every damping;
-        Newton factors again at 0.25, not raising, and reaches the root
-        0.1705....  The kernel is skewed, so that LU serves Newton."""
+    def test_skewed_cubic_reaches_the_root_past_the_local_minimum(self, monkeypatch):
+        """R(s) = s³ + 2.6s² + 0.7s - 0.2 from -1.5: the first step lands at
+        0.25, past the local minimum of R, and Newton goes on from there, its
+        J factored afresh, to the root 0.1705....  The kernel is skewed, so
+        that LU serves Newton."""
         op, f = cubic_on_constants(8, 2.6, 0.7, -0.2, skew=True)
         guess = np.full(op.n, -1.5)
         states, factors = factored_states(monkeypatch, f)
-        root, solve = eqmod._newton(op, f, guess)
-        assert solve.lu is not None and len(factors) == len(states) == 2
+        root = newton_refine(op, f, guess)
+        assert len(factors) == len(states) >= 3
         np.testing.assert_allclose(states[1], 0.25, rtol=0, atol=1e-14)
-        assert residual_norm(op, f, states[1]) <= eqmod.CHORD_RATE * residual_norm(op, f, guess)
         assert residual_norm(op, f, root) <= eqmod.NEWTON_TOL
         np.testing.assert_allclose(root, 0.17056623133835, rtol=0, atol=1e-12)
 
     def test_failed_fresh_step_raises(self):
         """R(s) = s³ - 3s + 3 has its local minimum 1 at s = 1; from 1.01 the
-        fresh Newton step overshoots and fails even at damping 1/64, as it
-        did with a fresh LU at every step."""
+        Newton step overshoots and fails even at damping 1/64, as it did
+        with a fresh LU at every step."""
         op, f = cubic_on_constants(8, 0.0, -3.0, 3.0)
         guess = np.full(op.n, 1.01)
-        for newton in (eqmod._newton, _full_newton):
+        for newton in (newton_refine, _full_newton):
             with pytest.raises(RuntimeError, match="newton refinement diverged"):
                 newton(op, f, guess)
 
@@ -712,7 +750,7 @@ class TestPCG:
         start = np.full(48, 0.5) + 0.05 * np.sin(np.arange(48))
         factors = factored_states(monkeypatch, f)[1]
         with pytest.raises(RuntimeError, match="newton refinement diverged"):
-            eqmod._newton(op, f, start)
+            newton_refine(op, f, start)
         assert factors
         with pytest.raises(RuntimeError, match="newton refinement diverged"):
             _full_newton(op, f, start)
@@ -734,35 +772,48 @@ class TestPCG:
 
 class TestCertificate:
     def certificate_inputs(self, op, f):
-        """φ_m with the Jacobian solve _newton returns, and an orbit's slack."""
+        """φ_m as Newton's limit, the orbit's start and its slack."""
         es = extremal_equilibria(op, f)
-        e, solve = eqmod._newton(op, f, es.phi_m + 1e-3)
+        e = newton_refine(op, f, es.phi_m + 1e-3)
         np.testing.assert_allclose(e, es.phi_m, atol=1e-10)
         start = es.phi + es.epsilon
-        return es, e, solve, start, eqmod.ORDER_TOL * (1.0 + float(np.max(start)))
+        return es, e, start, eqmod.ORDER_TOL * (1.0 + float(np.max(start)))
 
     def test_control_box_holding_two_equilibria_refuses(self):
         """e = φ_m with u just above φ_M: the box holds φ_M ≠ φ_m, so the
-        certificate must refuse; the mirrored box below φ_m accepts.  PCG
-        gives ψ on the symmetric systems, the last LU on the skewed one."""
+        certificate must refuse; the mirrored box below φ_m accepts.  ψ is
+        solved at e: by PCG on the symmetric systems, by LU on the skewed one."""
         sampled = sampled_logistic_systems(10)
         assert {op.n for op, _ in sampled} == {32, 64, 128}
         controls = 0
         for op, f in [bench_system(256), bench_system(512), bench_system(256, skew=True)] + sampled:
-            es, e, solve, start, slack = self.certificate_inputs(op, f)
-            assert eqmod._certifies(op, f, e, solve, es.phi_m - 1e-3, -start, +1, slack)
+            es, e, start, slack = self.certificate_inputs(op, f)
+            assert eqmod._certifies(op, f, e, es.phi_m - 1e-3, -start, +1, slack)
             if np.max(es.phi_M - es.phi_m) > 1e-6:  # else φ_m is the only equilibrium
                 controls += 1
-                assert not eqmod._certifies(op, f, e, solve, es.phi_M + 1e-3, start, -1, slack)
+                assert not eqmod._certifies(op, f, e, es.phi_M + 1e-3, start, -1, slack)
         assert controls >= 7
 
     def test_limit_on_the_wrong_side_of_the_start_refuses(self):
         for op, f in (bench_system(256), sampled_logistic_systems(1)[0]):
-            es, e, solve, start, slack = self.certificate_inputs(op, f)
+            es, e, start, slack = self.certificate_inputs(op, f)
             below = es.phi_m - 1e-3
-            assert eqmod._certifies(op, f, e, solve, below, -start, +1, slack)
-            assert not eqmod._certifies(op, f, e, solve, below, es.phi_m + 0.1, +1, slack)
-            assert not eqmod._certifies(op, f, e, solve, below, -start, -1, slack)
+            assert eqmod._certifies(op, f, e, below, -start, +1, slack)
+            assert not eqmod._certifies(op, f, e, below, es.phi_m + 0.1, +1, slack)
+            assert not eqmod._certifies(op, f, e, below, -start, -1, slack)
+
+    @pytest.mark.parametrize("skew", [False, True], ids=["bench", "skew"])
+    def test_psi_is_solved_at_the_limit(self, monkeypatch, skew):
+        """_certifies solves one system, with J at e itself, for ψ with
+        right-hand side -1."""
+        op, f = bench_system(256, skew=skew)
+        es, e, start, slack = self.certificate_inputs(op, f)
+        solves = jacobian_solves(monkeypatch)
+        assert eqmod._certifies(op, f, e, es.phi_m - 1e-3, -start, +1, slack)
+        assert len(solves) == 1
+        q, b = solves[0]
+        assert q.tobytes() == f.apply_ds(e).tobytes()
+        np.testing.assert_array_equal(b, -1.0)
 
     def test_reaction_without_exact_derivative_bound_takes_the_fallback(self):
         n = 48
@@ -785,9 +836,9 @@ class TestCertificate:
         plain = extremal_equilibria(op, f)
         certifies, tries = eqmod._certifies, []
 
-        def refuse_first(op, f, e, solve, u, *rest):
+        def refuse_first(op, f, e, u, *rest):
             tries.append(u)
-            return len(tries) > 1 and certifies(op, f, e, solve, u, *rest)
+            return len(tries) > 1 and certifies(op, f, e, u, *rest)
 
         monkeypatch.setattr(eqmod, "_certifies", refuse_first)
         es = extremal_equilibria(op, f)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nonlocalrd.kernel as kmod
-from nonlocalrd.equilibria import _certifies, _newton, solve_phi
+from nonlocalrd.equilibria import _certifies, newton_refine, solve_phi
 from nonlocalrd.evolve import IntegratorConfig, make_stepper
 from nonlocalrd.kernel import (
     Kernel,
@@ -521,7 +521,7 @@ def _consumer_cases():
     op = build_operator(kernel, 1.0 + 0.5 * np.sin(2 * np.pi * space.x))
     f = LogisticReaction(g=0.2, n=1.0, m=1.0, rho=3.0, n_nodes=n)
     guess = 1.0 + 0.1 * np.random.default_rng(8).standard_normal(n)
-    e, solve = _newton(op, f, guess)
+    e = newton_refine(op, f, guess)
     graph = build_graph(n, [(i, i + 1, 0.1) for i in range(n - 1)], np.ones(n))
     graph_op = build_operator(assemble_kernel(graph, "tophat", R=0.25, J0=1.0), 1.0)
     big = build_interval(0, 1, DENSE_CUTOFF)  # where "auto" runs ARPACK
@@ -532,10 +532,13 @@ def _consumer_cases():
     gap = space.x[None, :] - space.x[:, None]
     skew = assemble_kernel(space, "table", jmat=(np.abs(gap) < 0.3) * (2.0 + gap))
     skew_op = build_operator(skew, op.h)
+    e_skew = newton_refine(skew_op, f, guess)
     return {  # each call with the reads it makes; LU serves the nonsymmetric skew
-        "_newton": (lambda: _newton(skew_op, f, guess), {"amat": 1}),
-        "_newton_symmetric": (lambda: _newton(op, f, guess), {}),
-        "_certifies": (lambda: _certifies(op, f, e, solve, e + 1e-3, e + 1.0, -1, 1e-12), {}),
+        "_newton": (lambda: newton_refine(skew_op, f, guess), {"amat": 1}),
+        "_newton_symmetric": (lambda: newton_refine(op, f, guess), {}),
+        "_certifies": (lambda: _certifies(op, f, e, e + 1e-3, e + 1.0, -1, 1e-12), {}),
+        "_certifies_skew": (lambda: _certifies(skew_op, f, e_skew, e_skew + 1e-3, e_skew + 1.0,
+                                               -1, 1e-12), {"amat": 1}),
         "solve_phi": (lambda: solve_phi(skew, -5.0, 1.0), {"amat": 1}),
         "solve_phi_symmetric": (lambda: solve_phi(kernel, -5.0, 1.0), {}),
         "principal_value_dense": (lambda: principal_value(op, method="dense"), {"amat": 1}),
@@ -559,7 +562,8 @@ def test_consumers_read_an_on_demand_matrix_at_most_once(consumer, matrix_reads)
 
 
 def test_newton_takes_several_steps_on_one_matrix_read(monkeypatch, matrix_reads):
-    """LU Newton, on the nonsymmetric skew kernel, refactors on the one amat it reads."""
+    """LU Newton, on the nonsymmetric skew kernel, factors each step's J
+    from the one amat it reads."""
     import scipy.linalg
 
     cases = _consumer_cases()
