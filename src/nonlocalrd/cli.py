@@ -377,8 +377,7 @@ def _cmd_evolve(args, out_dir: Path) -> int:
     }
     if exp.kernel.symmetric:
         f_eff = rxmod.absorb_potential(f, exp.h) if np.any(exp.h != 0) else f
-        payload["lyapunov"] = [evmod.lyapunov_E(exp.kernel, f_eff, u)
-                               for u in traj.states]
+        payload["lyapunov"] = evmod.lyapunov_E(exp.kernel, f_eff, traj.states).tolist()
     path = _write_json(payload, out_dir, "evolve.json")
     print(f"evolved to t = {traj.times[-1]:.6g}"
           + (" (blow-up)" if traj.blowup else "") + f" -> {path}")

@@ -270,7 +270,7 @@ def _certifies(op: NonlocalOperator, f: Reaction, e: np.ndarray, u: np.ndarray,
        from u_start stays on e's far side; L lies in the box between e and
        u, which the orbit passed on its monotone way to L;
     3. ψ solving J(e)ψ = -1, by a _JacobianSolve at e, is positive;
-    4. cw_bounds(NonlocalOperator(op.kernel, op.h - q̄, op.h0), ψ).upper < 0, q̄ =
+    4. cw_bounds(NonlocalOperator(op.kernel, op.h - q̄), ψ).upper < 0, q̄ =
        f.ds_sup (rounded up) over the box widened by slack.  Then L - e
        solves (amat + diag q)(L - e) = 0 with secant slopes q <= q̄, whose
        matrix has Λ <= Λ(amat + diag q̄) < 0 and is nonsingular: L = e.
@@ -282,7 +282,7 @@ def _certifies(op: NonlocalOperator, f: Reaction, e: np.ndarray, u: np.ndarray,
     psi = _JacobianSolve(op, f.apply_ds(e))(-np.ones(op.n))
     qbar = f.ds_sup(np.minimum(e, u) - slack, np.maximum(e, u) + slack)
     return bool(np.all((psi > 0) & (psi < np.inf))
-                and cw_bounds(NonlocalOperator(op.kernel, op.h - qbar, op.h0), psi).upper < 0)
+                and cw_bounds(NonlocalOperator(op.kernel, op.h - qbar), psi).upper < 0)
 
 
 def newton_refine(op: NonlocalOperator, f: Reaction, guess: np.ndarray,

@@ -23,11 +23,11 @@ stores the state on steps chosen before the loop.  monotone_stages splits
 an order-preserving run into stages that end where the comparison bound
 doubles, each truncated at the bound's level up to its end.
 
-A (k, n) batch u0, one datum per row, is one run with states (len(times), k, n),
-each step mapping all rows at once as v @ M.T.  The truncation level and β come from
-max|u0| over the batch, valid for every row, so rows equal separate runs when
-trunc_k and β are given or coincide; the run stops when any row blows up.  rk4 steps
-an OperatorStack's (G, k, n) stack by the same product; any system's blow-up stops it.
+A (k, n) batch u0, one datum per row, is one run with states (len(times), k, n), each step
+mapping all rows at once as (M @ v.T).T on scipy's BLAS, as every step and exponential but rk4's
+on an OperatorStack's (G, k, n) stack, numpy's matmul.  The truncation level and β come from max|u0|
+over the batch, valid for every row, so rows equal separate runs when trunc_k and β are given
+or coincide; the run stops when any row blows up, and a stack when any system's does.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from nonlocalrd.kernel import Kernel, NonlocalOperator, apply_K, build_operator
+from nonlocalrd.kernel import Kernel, NonlocalOperator, _blas_dot, apply_K, build_operator
 from nonlocalrd.reaction import (
     LogisticReaction,
     Reaction,
@@ -117,7 +117,7 @@ def linear_semigroup_apply(op: NonlocalOperator, t: float, u0: np.ndarray) -> np
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (op.n,):
         raise ValueError("state length mismatch")
-    return _expm_phi1(op.amat * t)[0] @ u0
+    return _blas_dot(_expm_phi1(op.amat * t)[0], u0)
 
 
 def _auto_structure(op: NonlocalOperator, f: Reaction):
@@ -188,7 +188,7 @@ def _expm_phi1(mat: np.ndarray):
 
     No identity is stored, bitwise the np.eye forms: Horner starts at
     y/(d+1)! + I/d!, e^Y + I is made on a diagonal, and y is mat if s = 0.
-    Besides mat the work holds at most four n×n arrays.
+    Products go to spare buffers: besides mat the work holds at most four n×n arrays.
     """
     n = mat.shape[0]
     norm = float(np.linalg.norm(mat, 1))
@@ -202,18 +202,19 @@ def _expm_phi1(mat: np.ndarray):
         d += 1
     phi = y * (1.0 / math.factorial(d + 1)) + 0.0  # y @ (I/(d+1)!); + 0.0 as the gemm
     phi.flat[::n + 1] += 1.0 / math.factorial(d)
+    spare = np.empty_like(phi)
     for k in range(d - 2, -1, -1):
-        phi = y @ phi
+        phi, spare = _blas_dot(phi.T, y, out=spare), phi  # y @ phi
         phi.flat[::n + 1] += 1.0 / math.factorial(k + 1)
-    emat = y @ phi
+    emat = _blas_dot(phi.T, y, out=spare)  # y @ phi
     emat.flat[::n + 1] += 1.0
-    del y  # the doublings need only φ1(Y) and e^Y
-    for _ in range(s):
-        buf = emat + 0.0  # e^Y + I; + 0.0 turns -0.0 to +0.0, as + eye does
-        buf.flat[::n + 1] += 1.0
-        phi = phi @ buf
+    spare = np.empty_like(phi) if s else None
+    for _ in range(s):  # s > 0: y is not mat, and a free buffer now
+        np.add(emat, 0.0, out=y)  # e^Y + I; + 0.0 turns -0.0 to +0.0, as + eye does
+        y.flat[::n + 1] += 1.0
+        phi, spare = _blas_dot(y.T, phi, out=spare), phi  # phi @ (e^Y + I)
         phi *= 0.5
-        emat = np.matmul(emat, emat, out=buf)
+        emat, y = _blas_dot(emat.T, emat, out=y), emat
     return emat, phi, {"taylor_degree": d, "squarings": s}
 
 
@@ -229,7 +230,7 @@ def _propagate(amat: np.ndarray, vecs: np.ndarray, times) -> np.ndarray:
         if abs(t - prev - gap_used) > tol:
             gap_used = t - prev
             emat = _expm_phi1(amat * gap_used)[0]
-        cur = out[i] = emat @ cur
+        cur = out[i] = _blas_dot(emat, cur) if cur.ndim == 1 else _blas_dot(cur.T, emat)
         prev = t
     return out
 
@@ -286,10 +287,10 @@ def make_stepper(op: NonlocalOperator, f: Reaction, u0: np.ndarray,
             def rhs(v):
                 return op.apply(v) + f.apply(v)
         else:  # a batch, a stack or a nonsymmetric kernel reads amat once per product
-            amat_t = op.amat.swapaxes(-1, -2)
+            amat = op.amat
 
-            def rhs(v):
-                return v @ amat_t + f.apply(v)
+            def rhs(v):  # no one BLAS call steps a (G, k, n) stack
+                return (v @ amat.swapaxes(-1, -2) if v.ndim == 3 else _blas_dot(amat, v)) + f.apply(v)
 
         def step(v):
             k1 = rhs(v)
@@ -307,7 +308,7 @@ def make_stepper(op: NonlocalOperator, f: Reaction, u0: np.ndarray,
         phi1 *= dt
 
         def step(v):
-            return (emat @ v.T).T + (phi1 @ (f.apply(v) + beta * v).T).T
+            return _blas_dot(emat, v) + _blas_dot(phi1, f.apply(v) + beta * v)
     return Stepper(step=step, beta=beta, trunc_k=k, propagator=propagator)
 
 
@@ -551,19 +552,21 @@ def envelope_U(op_c: NonlocalOperator, d, u0, times) -> np.ndarray:
     return phi + _propagate(op_c.amat, np.abs(u0) - phi, times)
 
 
-def lyapunov_E(kernel: Kernel, f: Reaction, u: np.ndarray) -> float:
+def lyapunov_E(kernel: Kernel, f: Reaction, u: np.ndarray):
     """Energy decreasing along trajectories of u_t = Ku + f(x, u).
 
     E(u) = -½ <u, Ku>_w - Σ w_i F(x_i, u_i) with F the s-primitive of f;
     its gradient is -w·(Ku + f(u)), so dE/dt = -∫ |u_t|² along smooth
-    trajectories and E is stationary exactly at equilibria.
+    trajectories and E is stationary exactly at equilibria.  A (T, n) stack
+    of states gives an array of energies, one per row, from one product.
     """
     if not kernel.symmetric:
         raise ValueError("the energy functional needs a symmetric kernel")
     u = np.asarray(u, dtype=float)
     w = kernel.space.weights
     ku = apply_K(kernel, u)
-    return float(-0.5 * np.sum(w * u * ku) - np.sum(w * f.primitive(u)))
+    energy = -0.5 * np.sum(w * u * ku, axis=-1) - np.sum(w * f.primitive(u), axis=-1)
+    return float(energy) if u.ndim == 1 else energy
 
 
 def bernoulli_blowup_time(a: float, rho: float, z0: float) -> Optional[float]:

@@ -8,9 +8,9 @@ L v = jmat @ (w·v) - h·v, and a consumer that needs the matrix reads
 amat, assembled fresh on each read, once per call.  Kernel laws and the
 positivity certificate read the distances in the space's row blocks.
 
-Kernel.matvec is the one product x ↦ jmat @ x that the steppers, apply
-and apply_K share.  A symmetric kernel is exactly symmetric, so on a
-single vector it reads one triangle through BLAS dsymv.
+Kernel.matvec is the one product x ↦ jmat @ x of h0, the steppers, apply and apply_K;
+a symmetric kernel's vector reads one triangle through dsymv.  It, and evolve's steppers and
+exponentials, run on scipy's BLAS: numpy's own OpenBLAS pool, left spinning, slows it ~10×.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class Kernel:
     jmat: np.ndarray
     positivity_cert: Optional[Tuple[float, float]] = None
     symmetric: bool = field(init=False)  # found by inspection of jmat
-    h0: np.ndarray = field(init=False, repr=False)  # jmat @ w, read-only: operators share it
+    h0: np.ndarray = field(init=False, repr=False)  # matvec(w), read-only: operators share it
 
     def __post_init__(self):
         j = np.ascontiguousarray(self.jmat, dtype=float)
@@ -70,7 +70,7 @@ class Kernel:
                 raise ValueError("positivity certificate needs J0 > 0")
             if any(np.any((d < r) & (j[rows] <= j0)) for rows, d in self.space.row_blocks()):
                 raise ValueError("positivity certificate fails entrywise")
-        h0 = j @ self.space.weights  # checked against einsum's row sums: no n×n temporary
+        h0 = self.matvec(self.space.weights)  # checked against einsum's row sums: no n×n temporary
         sums = np.einsum("ij,j->i", j, self.space.weights)
         if np.max(np.abs(h0 - sums)) > 1e-10 * max(1.0, float(np.max(np.abs(h0)))):
             raise AssertionError("operator assembly inconsistent: h0 is not the row sums of jmat·w")
@@ -78,27 +78,36 @@ class Kernel:
         object.__setattr__(self, "h0", h0)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """jmat @ x on an (n,) vector, and row by row on a (k, n) batch.
-
-        A symmetric kernel's single vector goes through BLAS dsymv on the
-        Fortran-ordered view jmat.T: it reads one triangle and copies
-        nothing.  Everything else is (jmat @ x.T).T, which reads jmat once
-        for all k rows of a batch.
-        """
+        """jmat @ x on an (n,) vector, row by row on a (k, n) batch: dsymv on one triangle
+        (the Fortran-ordered view jmat.T) for a symmetric kernel's vector, else _blas_dot."""
+        if x.ndim > 2 or x.shape[-1:] != (self.space.n,):  # BLAS would read a longer x's head
+            raise ValueError(f"matvec needs (n,) or (k, n), n = {self.space.n}, not {x.shape}")
         if self.symmetric and x.ndim == 1:
             from scipy.linalg.blas import dsymv  # here, so the CLI imports no scipy
 
             return dsymv(1.0, self.jmat.T, x)
-        return (self.jmat @ x.T).T
+        return _blas_dot(self.jmat, x)
+
+
+def _blas_dot(mat: np.ndarray, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """(mat @ x.T).T for x (n,) or C-ordered (k, n) by one scipy dgemv or dgemm, into a
+    C-ordered out if given; _blas_dot(b.T, a) is a @ b.  mat goes in Fortran-ordered with a
+    trans flag, as f2py silently copies a C-ordered array handed to a Fortran argument."""
+    from scipy.linalg.blas import dgemm, dgemv  # here, so the CLI imports no scipy
+
+    a, ta = (mat.T, 1) if mat.flags.c_contiguous else (mat, 0)
+    if x.ndim == 1:
+        return dgemv(1.0, a, x, trans=ta)
+    return dgemm(1.0, a, x.T, trans_a=ta, c=None if out is None else out.T, overwrite_c=1).T
 
 
 @dataclass(frozen=True)
 class NonlocalOperator:
-    """L = K - hI by its ingredients: the kernel, h and h0 = ∫ J(·, y) dy."""
+    """L = K - hI by its ingredients: the kernel and h."""
 
     kernel: Kernel
     h: np.ndarray
-    h0: np.ndarray
+    h0 = property(lambda self: self.kernel.h0)  # ∫ J(·, y) dy: the kernel's read-only array
 
     @property
     def space(self) -> MeasureSpace:
@@ -167,9 +176,9 @@ def assemble_kernel(space: MeasureSpace, law: str, **params) -> Kernel:
 
 
 def apply_K(kernel: Kernel, u: np.ndarray) -> np.ndarray:
-    """Quadrature evaluation of Ku: result[i] = sum_j J_ij w_j u_j."""
+    """Quadrature evaluation of Ku: result[i] = sum_j J_ij w_j u_j, row by row on a (k, n) batch."""
     u = np.asarray(u, dtype=float)
-    if u.shape != (kernel.space.n,):
+    if u.ndim > 2 or u.shape[-1:] != (kernel.space.n,):
         raise ValueError("state vector length mismatch")
     return kernel.matvec(kernel.space.weights * u)
 
@@ -188,4 +197,4 @@ def build_operator(kernel: Kernel, h) -> NonlocalOperator:
         raise ValueError("potential length mismatch")
     if not np.all(np.isfinite(h)):
         raise ValueError("potential must be finite")
-    return NonlocalOperator(kernel=kernel, h=h, h0=kernel.h0)
+    return NonlocalOperator(kernel=kernel, h=h)

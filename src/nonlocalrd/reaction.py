@@ -92,8 +92,10 @@ class Reaction:
                                           lambda s: np.max(np.abs(self.apply_ds(s))))))
 
     def primitive(self, u: np.ndarray) -> np.ndarray:
-        """F(x_i, u_i) = ∫_0^{u_i} f(x_i, r) dr by refining composite Simpson."""
+        """F(x_i, u_i) = ∫_0^{u_i} f(x_i, r) dr by refining composite Simpson, row by row."""
         u = np.asarray(u, dtype=float)
+        if u.ndim == 2:
+            return np.array([self.primitive(row) for row in u]).reshape(u.shape)
         prev = None
         for npan in (8, 16, 32, 64, 128, 256, 512, 1024):
             t = np.linspace(0.0, 1.0, 2 * npan + 1)

@@ -205,11 +205,13 @@ class TestExpmPhi1:
         assert got[2] == ref[2] == {"taylor_degree": 1, "squarings": 0}
         assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()
 
-    @pytest.mark.parametrize("scale, squarings, bound", [(1e-3, 0, 2.1), (5.0, 5, 4.1)])
+    @pytest.mark.parametrize("scale, squarings, bound",
+                             [(1e-3, 0, 2.1), (5.0, 5, 4.1), (300.0, 11, 4.1)])
     def test_work_besides_mat(self, scale, squarings, bound):
         """At most four n×n arrays besides mat (φ1, e^Y, e^Y + I and the
-        next φ1) while doubling, two without a doubling; the form with a
-        stored identity and a copied y peaked at six."""
+        next φ1) while doubling, however many doublings, two without a
+        doubling; the form with a stored identity and a copied y peaked at
+        six."""
         n = 256
         _, _, op = unit_op(n, h=np.linspace(0.5, 2.0, n))
         mat = op.amat * scale
@@ -1307,8 +1309,28 @@ class TestLyapunov:
         jmat = np.triu(np.ones((4, 4)))
         k = assemble_kernel(s, "table", jmat=jmat)
         f = LogisticReaction(g=0.0, n=1.0, m=1.0, rho=2.0, n_nodes=4)
-        with pytest.raises(ValueError):
-            lyapunov_E(k, f, np.ones(4))
+        for u in (np.ones(4), np.ones((3, 4))):
+            with pytest.raises(ValueError, match="symmetric kernel"):
+                lyapunov_E(k, f, u)
+
+    @pytest.mark.parametrize("kind", ["logistic", "truncated", "callable"])
+    def test_a_stack_of_states_gives_the_energy_of_each(self, kind):
+        """One call on a (T, n) stack, one product, equals the per-state
+        calls within 1e-14 relative; the Simpson primitive of a callable
+        reaction refines each row on its own."""
+        n = 48
+        s = build_interval(0, 1, n)
+        k = assemble_kernel(s, "gaussian", sigma=0.2)
+        base = LogisticReaction(g=0.3, n=1.0, m=1.0, rho=3.0, n_nodes=n)
+        f = {"logistic": base, "truncated": truncate(base, 1.5),
+             "callable": CallableReaction(lambda s_: np.sin(s_) - s_ ** 3, n_nodes=n)}[kind]
+        states = np.random.default_rng(5).uniform(-2.0, 2.0, size=(7, n))
+        got = lyapunov_E(k, f, states)
+        ref = np.array([lyapunov_E(k, f, u) for u in states])
+        assert got.shape == (7,) and isinstance(lyapunov_E(k, f, states[0]), float)
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+        with pytest.raises(ValueError, match="length mismatch"):
+            lyapunov_E(k, f, np.ones((7, n + 1)))
 
 
 class TestKaplan:

@@ -172,6 +172,16 @@ def test_apply_K_rejects_wrong_length():
         apply_K(k, np.ones(5))
 
 
+@pytest.mark.parametrize("shape", [(5,), (3,), (2, 5), (2, 3), (2, 2, 4)])
+@pytest.mark.parametrize("law", ["constant", "table"])
+def test_matvec_rejects_a_wrong_shape(law, shape):
+    """BLAS dgemv and dsymv read the head of a longer vector without complaint."""
+    s = build_interval(0, 1, 4)
+    k = assemble_kernel(s, law, **({"c": 1.0} if law == "constant" else {"jmat": np.triu(np.ones((4, 4)))}))
+    with pytest.raises(ValueError, match="matvec needs"):
+        k.matvec(np.ones(shape))
+
+
 def test_h0_constant_kernel_unit_interval():
     s = build_interval(0, 1, 32)
     np.testing.assert_allclose(compute_h0(assemble_kernel(s, "constant", c=1.0)),
@@ -452,8 +462,9 @@ def test_kernel_rejects_an_inconsistent_h0(monkeypatch):
 
 
 def test_h0_is_formed_and_checked_once_per_kernel(monkeypatch):
-    """Repeated operators on one kernel share its h0, bitwise jmat @ w, and
-    build_operator makes no product and no einsum cross-check of its own."""
+    """Repeated operators on one kernel share its h0, bitwise the kernel's
+    own product matvec(w), and build_operator makes no product and no
+    einsum cross-check of its own."""
     real, sums = np.einsum, []
     monkeypatch.setattr(np, "einsum", lambda *a: sums.append(a[0]) or real(*a))
     space = build_interval(0, 1, 64)
@@ -462,7 +473,7 @@ def test_h0_is_formed_and_checked_once_per_kernel(monkeypatch):
     ops = [build_operator(kernel, h) for h in (0.0, 1.0, np.linspace(0, 1, 64))]
     assert sums == ["ij,j->i"] and kmod.compute_h0(kernel) is kernel.h0
     assert all(op.h0 is kernel.h0 for op in ops) and not kernel.h0.flags.writeable
-    assert np.array_equal(kernel.h0, kernel.jmat @ space.weights)
+    assert kernel.h0.tobytes() == kernel.matvec(space.weights).tobytes()
 
 
 def test_one_matrix_per_operator():
@@ -624,30 +635,90 @@ def dsymv_calls(monkeypatch):
 @pytest.mark.parametrize("kind", ["interval", "union", "graph", "constant"])
 @pytest.mark.parametrize("n", [1, 2, 127, 128, 300])
 def test_matvec_agrees_with_the_dense_product(kind, n, dsymv_calls):
-    """Each entry of either product, dsymv's triangle sum on one vector or
-    gemm on a batch, is a sum of m products, so it lies within
-    γ_m·(|J| @ |x|) of the exact value, γ_m = mu/(1 - mu), u = 2⁻⁵³.  The
-    exact value is taken in extended precision and the bound widened to
-    γ_{m+1} for its own rounding."""
+    """Either product, dsymv's triangle sum on one vector or gemm on a
+    batch, lies within the γ bound of _assert_within_gamma."""
     rng = np.random.default_rng(n)
     kernel = _symmetric_kernel(kind, n, rng)
+    dsymv_calls.clear()  # h0's product at assembly
     m = kernel.space.n
     assert kernel.symmetric and kernel.jmat.flags.c_contiguous
-    gamma = (m + 1) * 2.0 ** -53 / (1 - (m + 1) * 2.0 ** -53)
-    wide = kernel.jmat.astype(np.longdouble)
     for x in (rng.standard_normal(m), rng.standard_normal((3, m))):
         got = kernel.matvec(x)
         assert got.shape == x.shape
-        exact = (wide @ x.T.astype(np.longdouble)).T
-        bound = gamma * (np.abs(kernel.jmat) @ np.abs(x).T).T
-        assert np.all(np.abs(got - exact) <= bound), (kind, x.shape)
+        _assert_within_gamma(kernel.jmat, x, got)
         assert got.tobytes() == kernel.matvec(x).tobytes()  # repeat runs, same bits
     assert len(dsymv_calls) == 2  # the single vector only, twice
+
+
+def _assert_within_gamma(mat, x, got):
+    """Each entry of (mat @ x.T).T is a sum of m products, so a computed one
+    lies within γ_m·(|mat| @ |x|) of the exact value, γ_m = mu/(1 - mu),
+    u = 2⁻⁵³; the exact value is taken in extended precision and the bound
+    widened to γ_{m+1} for its own rounding."""
+    m = mat.shape[1]
+    gamma = (m + 1) * 2.0 ** -53 / (1 - (m + 1) * 2.0 ** -53)
+    exact = (mat.astype(np.longdouble) @ x.T.astype(np.longdouble)).T
+    bound = gamma * (np.abs(mat) @ np.abs(x).T).T
+    assert got.shape == exact.shape and np.all(np.abs(got - exact) <= bound), x.shape
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 300])
+def test_blas_dot_agrees_with_the_dense_product_in_either_order(n):
+    """A nonsymmetric table's matvec on (n,) and (k, n) inputs, and the
+    helper on C- and Fortran-ordered operands, where _blas_dot(b.T, a) is
+    the square product a @ b, all lie within the γ bound."""
+    rng = np.random.default_rng(n)
+    kernel = assemble_kernel(build_interval(0, 1, n), "table", jmat=rng.uniform(0, 2, (n, n)))
+    assert n == 1 or not kernel.symmetric
+    for x in (rng.standard_normal(n), rng.standard_normal((3, n)), rng.standard_normal((1, n))):
+        _assert_within_gamma(kernel.jmat, x, kernel.matvec(x))
+        _assert_within_gamma(kernel.jmat, x, kmod._blas_dot(np.asfortranarray(kernel.jmat), x))
+    a, b = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    out = np.empty((n, n))
+    got = kmod._blas_dot(b.T, a, out=out)
+    assert got.flags.c_contiguous and np.shares_memory(got, out)
+    _assert_within_gamma(b.T, a, got)
+    _assert_within_gamma(b.T, a, kmod._blas_dot(np.asfortranarray(b).T, np.asfortranarray(a)))
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_a_product_copies_no_matrix(symmetric):
+    """matvec and the square product read their n×n operands in place
+    (f2py copies a C-ordered array handed to a Fortran argument): the
+    peak stays below one n×n array, 8 MiB here."""
+    n = 1024
+    rng = np.random.default_rng(3)
+    space = build_interval(0, 1, n)
+    kernel = (assemble_kernel(space, "gaussian", sigma=0.2) if symmetric
+              else assemble_kernel(space, "table", jmat=rng.uniform(0, 2, (n, n))))
+    assert kernel.symmetric == symmetric
+    a, out = rng.standard_normal((n, n)), np.empty((n, n))
+    kernel.matvec(np.ones(n))  # scipy's BLAS is imported, untraced
+    for build in (lambda: kernel.matvec(np.ones(n)), lambda: kernel.matvec(np.ones((4, n))),
+                  lambda: kmod._blas_dot(kernel.jmat.T, a, out=out)):
+        assert _transient_bytes(build, count_result=True) < 8 * n * n
+
+
+@pytest.mark.parametrize("kind", ["interval", "union", "graph"])
+@pytest.mark.parametrize("n", [64, 300])
+def test_mass_is_conserved_exactly_at_the_threshold_potential(kind, n):
+    """h0 is the kernel's own product matvec(w), the one apply takes on
+    the constant 1, so L·1 = K1 - h0 is exactly 0, on a nonsymmetric
+    table too."""
+    rng = np.random.default_rng(n)
+    kernels = [_symmetric_kernel(kind, n, rng)]
+    if kind == "interval":
+        kernels.append(assemble_kernel(build_interval(0, 1, n), "table",
+                                       jmat=rng.uniform(0, 2, (n, n))))
+    for kernel in kernels:
+        ones = np.ones(kernel.space.n)
+        assert np.all(build_operator(kernel, kernel.h0).apply(ones) == 0.0)
 
 
 def test_apply_and_apply_K_take_the_product(dsymv_calls):
     kernel = _symmetric_kernel("interval", 50, np.random.default_rng(0))
     op = build_operator(kernel, 0.5)
+    dsymv_calls.clear()  # h0's product at assembly
     v = np.linspace(-1, 1, kernel.space.n)
     wv = kernel.space.weights * v
     assert apply_K(kernel, v).tobytes() == kernel.matvec(wv).tobytes()
