@@ -339,7 +339,7 @@ def _cmd_spectrum(args, out_dir: Path) -> int:
         "residual": rep.residual,
         "certificate": None if rep.certificate is None else {
             "lower": rep.certificate.lower, "upper": rep.certificate.upper},
-        "essential_range": [[v, m] for v, m in rep.essential_range],
+        "essential_range": [[v, m] for v, m in spmod.essential_range(exp.op.h, exp.space.weights)],
         "bounds": {"lower": -float(np.min(exp.h)),
                    "upper": float(np.max(exp.op.h0 - exp.h))},
     }

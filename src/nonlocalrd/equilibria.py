@@ -23,7 +23,6 @@ from nonlocalrd.evolve import (
     IntegratorConfig,
     _comparison_bound,
     _nsteps,
-    _prepare_monotone,
     evolve_nonlinear,
     monotone_config,
 )
@@ -39,10 +38,15 @@ from nonlocalrd.spectral import cw_bounds, principal_value
 MAX_BLOCKS = 10_000
 RESIDUAL_TOL = 1e-10
 NEWTON_TOL = 1e-12
-ORDER_TOL = 1e-12  # relative rounding slack of a monotone orbit's ordering
-CERT_TRY = 1e-1    # block difference at which an orbit tries its Newton certificate
-PCG_TOL = 1e-14    # relative residual at which _pcg stops
+NEWTON_MAX_STEPS = 50
+ORBIT_TOL = 1e-9     # Cauchy stop of the extremal and minimal nonnegative orbits
+POSITIVE_TOL = 1e-8  # Cauchy stop of the minimal positive orbits; 10x it bounds their spread
+ORDER_TOL = 1e-12    # relative rounding slack of a monotone orbit's ordering
+CERT_TRY = 1e-1      # block difference at which an orbit tries its Newton certificate
+PCG_TOL = 1e-14      # relative residual at which _pcg stops
 PCG_MAX_ITER = 100
+UNIQUENESS_TOL = 1e-4  # endpoint distance from φ_M that counts as agreement
+UNIQUENESS_DT = 1e-2   # rk4 step of the uniqueness experiment
 
 
 @dataclass
@@ -194,16 +198,16 @@ def _envelope(op: NonlocalOperator, f: Reaction):
     return c_eff, d, phi
 
 
-def _block_config(op: NonlocalOperator, f: Reaction, k_window: float,
-                  block_t: float, beta: float) -> IntegratorConfig:
+def _block_config(op: NonlocalOperator, f: Reaction, block_t: float, k_window: float,
+                  beta: Optional[float] = None) -> IntegratorConfig:
     cfg = monotone_config(op, f, np.zeros(op.n), block_t, trunc_k=k_window, beta=beta)
     cfg.store_every = _nsteps(cfg.dt, cfg.t_end)
     return cfg
 
 
 def _monotone_orbit(op: NonlocalOperator, f: Reaction, u_start: np.ndarray,
-                    direction: int, tol: float, k_window: float, beta: float):
-    """Iterate unit time blocks of the order-preserving scheme to its limit.
+                    direction: int, tol: float, config: IntegratorConfig):
+    """Iterate config's unit time blocks of the order-preserving scheme to its limit.
 
     The orbit must move monotonically (direction -1: non-increasing,
     +1: non-decreasing) across blocks; a failure on the very first block
@@ -225,13 +229,12 @@ def _monotone_orbit(op: NonlocalOperator, f: Reaction, u_start: np.ndarray,
     blocks = 0
     criterion = "sup"
     next_try = CERT_TRY if f.ds_sup(u, u) is not None else -1.0  # -1: never tried
-    config = _block_config(op, f, k_window, 1.0, beta)
     while blocks < MAX_BLOCKS:
         u_new = evolve_nonlinear(op, f, u, config).final()
         gap = direction * (u_new - u)
         if np.min(gap) < -slack:
             if blocks == 0 and config.t_end < 64.0:
-                config = _block_config(op, f, k_window, 2.0 * config.t_end, beta)
+                config = _block_config(op, f, 2.0 * config.t_end, config.trunc_k, config.beta)
                 continue
             raise RuntimeError(
                 f"monotone orbit violated ordering at block {blocks} "
@@ -285,22 +288,21 @@ def _certifies(op: NonlocalOperator, f: Reaction, e: np.ndarray, u: np.ndarray,
                 and cw_bounds(NonlocalOperator(op.kernel, op.h - qbar), psi).upper < 0)
 
 
-def newton_refine(op: NonlocalOperator, f: Reaction, guess: np.ndarray,
-                  tol: float = NEWTON_TOL, max_steps: int = 50) -> np.ndarray:
+def newton_refine(op: NonlocalOperator, f: Reaction, guess: np.ndarray) -> np.ndarray:
     """Damped Newton on R(u) = Lu + f(u), halving on residual rise.
 
     Exact Newton: each step solves J = amat + diag ∂f/∂s at its own iterate
     by a _JacobianSolve (PCG, or LU on the one amat read per call for a
     nonsymmetric kernel), residuals through op.apply.  A step failing even at
     damping 1/64 raises (Kelley, *Solving Nonlinear Equations with Newton's
-    Method*, ch. 2).  max_steps bounds the steps.
+    Method*, ch. 2).  NEWTON_MAX_STEPS bounds the steps, NEWTON_TOL the residual.
     """
     u = np.array(guess, dtype=float)
     amat = None if op.kernel.symmetric else op.amat
     r = op.apply(u) + f.apply(u)
     rn = float(np.max(np.abs(r)))
-    for _ in range(max_steps):
-        if rn <= tol:
+    for _ in range(NEWTON_MAX_STEPS):
+        if rn <= NEWTON_TOL:
             break
         delta = _JacobianSolve(op, f.apply_ds(u), amat)(-r)
         lam = 1.0
@@ -314,14 +316,13 @@ def newton_refine(op: NonlocalOperator, f: Reaction, guess: np.ndarray,
         if rn_try >= rn:
             raise RuntimeError("newton refinement diverged")
         u, r, rn = u_try, r_try, rn_try
-    if rn > tol:
+    if rn > NEWTON_TOL:
         raise RuntimeError(f"newton refinement stalled at residual {rn:.3e}")
     return u
 
 
 def extremal_equilibria(op: NonlocalOperator, f: Reaction,
-                        epsilon: Optional[float] = None,
-                        tol: float = 1e-9) -> EquilibriumSet:
+                        epsilon: Optional[float] = None) -> EquilibriumSet:
     """Extremal equilibria as monotone limits from ±(Φ+ε).
 
     The downward orbit from Φ+ε and the upward orbit from -Φ-ε converge
@@ -335,14 +336,14 @@ def extremal_equilibria(op: NonlocalOperator, f: Reaction,
     eps = epsilon if epsilon is not None else 1e-3 * (1.0 + float(np.max(np.abs(phi))))
     if not 0 < eps < np.inf:
         raise ValueError(f"epsilon must be positive and finite, got {eps}")
-    k_window, beta = _orbit_window(op, f, pad=eps)
+    window = _orbit_window(op, f, pad=eps)
 
-    phi_M, it_up, crit_up = _monotone_orbit(op, f, phi + eps, -1, tol, k_window, beta)
-    phi_m, it_dn, crit_dn = _monotone_orbit(op, f, -phi - eps, +1, tol, k_window, beta)
+    phi_M, it_up, crit_up = _monotone_orbit(op, f, phi + eps, -1, ORBIT_TOL, window)
+    phi_m, it_dn, crit_dn = _monotone_orbit(op, f, -phi - eps, +1, ORBIT_TOL, window)
 
     phi_m_plus, it_plus, crit_plus = None, 0, None
     if np.all(f.g0 >= -1e-14):
-        phi_m_plus, it_plus, crit_plus = _minimal_nonnegative(op, f, tol, k_window, beta)
+        phi_m_plus, it_plus, crit_plus = _minimal_nonnegative(op, f, window)
 
     res = {"phi_M": residual_norm(op, f, phi_M), "phi_m": residual_norm(op, f, phi_m)}
     if phi_m_plus is not None:
@@ -375,30 +376,29 @@ def _check_equilibrium_set(es: EquilibriumSet) -> None:
         raise RuntimeError("equilibrium residual above tolerance")
 
 
-def _minimal_nonnegative(op, f, tol, k_window, beta):
+def _minimal_nonnegative(op, f, window):
     if float(np.max(np.abs(f.g0))) == 0.0:
         return np.zeros(op.n), 0, "certified"  # 0 is an equilibrium: the orbit stays there
-    return _monotone_orbit(op, f, np.zeros(op.n), +1, tol, k_window, beta)
+    return _monotone_orbit(op, f, np.zeros(op.n), +1, ORBIT_TOL, window)
 
 
-def minimal_nonnegative_equilibrium(op: NonlocalOperator, f: Reaction,
-                                    tol: float = 1e-9) -> np.ndarray:
+def minimal_nonnegative_equilibrium(op: NonlocalOperator, f: Reaction) -> np.ndarray:
     """Monotone limit from u0 = 0; zero itself when f(·,0) vanishes."""
     if np.any(f.g0 < -1e-14):
         raise ValueError("needs f(·,0) >= 0 so that 0 is a subsolution")
-    return _minimal_nonnegative(op, f, tol, *_orbit_window(op, f))[0]
+    return _minimal_nonnegative(op, f, _orbit_window(op, f))[0]
 
 
-def _orbit_window(op: NonlocalOperator, f: Reaction, pad: float = 1.0) -> Tuple[float, float]:
-    """Truncation level covering every monotone orbit in the envelope, and its β."""
+def _orbit_window(op: NonlocalOperator, f: Reaction, pad: float = 1.0) -> IntegratorConfig:
+    """Unit-block config of every monotone orbit in the envelope: its truncation
+    level covers them all, and monotone_config derives its β."""
     c_eff, d_vec, phi = _envelope(op, f)
     bound = _comparison_bound(op, c_eff, d_vec, float(np.max(np.abs(phi))) + pad, 1.0)
-    _, beta, k_window = _prepare_monotone(op, f, bound.m0, 1.0, trunc_k=bound.trunc_level)
-    return k_window, beta
+    return _block_config(op, f, 1.0, bound.trunc_level)
 
 
 def minimal_positive_equilibrium(op: NonlocalOperator, f: Reaction, m_lower,
-                                 s0: float, tol: float = 1e-8) -> Optional[np.ndarray]:
+                                 s0: float) -> Optional[np.ndarray]:
     """Minimal positive equilibrium when 0 is linearly unstable.
 
     Requires f(x,s) >= M(x)s on [0, s0] (grid-checked) and a positive
@@ -419,13 +419,13 @@ def minimal_positive_equilibrium(op: NonlocalOperator, f: Reaction, m_lower,
         return None
     phi_t = rep.eigenfunction  # sup-normalized, positive
     gamma = 0.5 * min(s0, s0 / float(np.max(phi_t)))
-    k_window, beta = _orbit_window(op, f)
+    window = _orbit_window(op, f)
 
     limits: List[np.ndarray] = []
     for level in (gamma, gamma / 2, gamma / 4, gamma / 8):
-        limits.append(_monotone_orbit(op, f, level * phi_t, +1, tol, k_window, beta)[0])
+        limits.append(_monotone_orbit(op, f, level * phi_t, +1, POSITIVE_TOL, window)[0])
     worst = max(float(np.max(np.abs(limits[0] - other))) for other in limits[1:])
-    if worst > 10 * tol:
+    if worst > 10 * POSITIVE_TOL:
         raise RuntimeError(
             f"limits from shrinking starts disagree by {worst:.3e}: minimality not evidenced")
     if np.min(limits[0]) <= 0:
@@ -538,8 +538,7 @@ class UniquenessReport:
 
 
 def uniqueness_experiment(op: NonlocalOperator, f: Reaction, trial_data,
-                          t_end: float, tol: float = 1e-4,
-                          dt: float = 1e-2) -> UniquenessReport:
+                          t_end: float) -> UniquenessReport:
     """Evolve several nonnegative data and report convergence to φ_M.
 
     The hypotheses of the uniqueness theorem (symmetric kernel, strictly
@@ -558,12 +557,12 @@ def uniqueness_experiment(op: NonlocalOperator, f: Reaction, trial_data,
         raise ValueError("trial data must be nonnegative")
     phi_M = extremal_equilibria(op, f).phi_M
     zero_reaction = float(np.max(np.abs(f.g0))) == 0.0
-    config = IntegratorConfig(scheme="rk4", dt=dt, t_end=t_end,
-                              store_every=max(1, int(round(t_end / dt))))
+    config = IntegratorConfig(scheme="rk4", dt=UNIQUENESS_DT, t_end=t_end,
+                              store_every=max(1, int(round(t_end / UNIQUENESS_DT))))
     ends = evolve_nonlinear(op, f, data, config).final()
     distances = np.max(np.abs(ends - phi_M), axis=1).tolist()
     trivial = [zero_reaction and float(np.max(np.abs(u0))) == 0.0 for u0 in data]
     live = [d for d, t in zip(distances, trivial) if not t]
     return UniquenessReport(phi_M=phi_M, distances=distances, trivial=trivial,
-                            all_agree=bool(live) and all(d <= tol for d in live),
-                            tol=tol)
+                            all_agree=bool(live) and all(d <= UNIQUENESS_TOL for d in live),
+                            tol=UNIQUENESS_TOL)

@@ -52,6 +52,9 @@ from nonlocalrd.spectral import principal_value
 SCHEMES = ("euler_op", "rk4", "vcf_exact_linear")
 TRUNC_CAP = 1e9  # beyond this a derived truncation level is useless
 PHI_THETA = 0.5  # ‖M/2^s‖₁ bound under which φ1 is summed by Taylor
+PICARD_ITERS = 20
+KAPLAN_TOL = 1e-6     # relative slack of the witness's domination check
+GROWTH_MARGIN = 0.01  # rate margin over Λ of fit_growth_constant
 
 
 @dataclass
@@ -345,7 +348,6 @@ def evolve_nonlinear(op: NonlocalOperator, f: Reaction, u0: np.ndarray,
     guard = 0.25 * thr * thr if 1e-150 <= thr <= 1e150 else None
     every = config.store_every
     next_store = min(every, nsteps)
-    times = [0.0]
     states = [u.copy()]
     steps_idx = [0]
     for m in range(1, nsteps + 1):
@@ -356,17 +358,15 @@ def evolve_nonlinear(op: NonlocalOperator, f: Reaction, u0: np.ndarray,
                 meta["blowup"] = True
                 meta["blowup_time"] = m * dt
                 if finite:
-                    times.append(m * dt)
                     states.append(u.copy())
                     steps_idx.append(m)
                 break
         if m == next_store:
-            times.append(m * dt)
             states.append(u.copy())
             steps_idx.append(m)
             next_store = min(m + every, nsteps)
     meta["steps"] = np.asarray(steps_idx, dtype=int)
-    return Trajectory(times=np.asarray(times), states=np.asarray(states),
+    return Trajectory(times=meta["steps"] * dt, states=np.asarray(states),
                       scheme=config.scheme, dt=dt, metadata=meta)
 
 
@@ -487,7 +487,7 @@ def _cumulative_weights(j: int) -> np.ndarray:
 
 
 def picard_solve(op: NonlocalOperator, f: Reaction, u0: np.ndarray, tau: float,
-                 iters: int = 20, n_sub: int = 64) -> PicardResult:
+                 n_sub: int = 64) -> PicardResult:
     """Fixed-point iteration for the solution on [0, tau].
 
     Iterates u ↦ e^{(L-βI)t} u0 + ∫_0^t e^{(L-βI)(t-s)} (f(u(s)) + βu(s)) ds
@@ -514,7 +514,7 @@ def picard_solve(op: NonlocalOperator, f: Reaction, u0: np.ndarray, tau: float,
     cur = np.tile(u0, (n_sub + 1, 1))
     weights = [_cumulative_weights(j) for j in range(n_sub + 1)]
     distances: List[float] = []
-    for it in range(iters):
+    for _ in range(PICARD_ITERS):
         gvals = f.apply(cur) + beta * cur  # g(s_i) rows
         nxt = np.empty_like(cur)
         for j in range(n_sub + 1):
@@ -592,14 +592,13 @@ class KaplanWitness:
     times: np.ndarray
     z: np.ndarray               # eigenfunction-weighted mass of the trajectory
     comparison: np.ndarray      # scalar ODE ż = (Λ - max|h|) z + z^ρ
-    dominated: bool             # z >= comparison at stored times (within tol)
+    dominated: bool             # z >= comparison at stored times (within KAPLAN_TOL)
     lam: float
     eigenfunction: np.ndarray
     blowup_time_estimate: Optional[float]
 
 
-def kaplan_witness(kernel: Kernel, h, rho: float, trajectory: Trajectory,
-                   tol: float = 1e-6) -> KaplanWitness:
+def kaplan_witness(kernel: Kernel, h, rho: float, trajectory: Trajectory) -> KaplanWitness:
     """Project a trajectory on the principal eigenfunction of K and compare
     with the scalar lower-bound ODE whose blow-up dooms large data.
 
@@ -646,18 +645,17 @@ def kaplan_witness(kernel: Kernel, h, rho: float, trajectory: Trajectory,
                 comp[pos] = z
                 pos += 1
     finite = np.isfinite(comp)
-    dominated = bool(np.all(zvals[finite] >= comp[finite] - tol * (1.0 + np.abs(comp[finite]))))
+    dominated = bool(np.all(zvals[finite] >= comp[finite] - KAPLAN_TOL * (1.0 + np.abs(comp[finite]))))
     return KaplanWitness(times=trajectory.times, z=zvals, comparison=comp,
                          dominated=dominated, lam=rep.lam, eigenfunction=phi,
                          blowup_time_estimate=bernoulli_blowup_time(a, rho, float(zvals[0])))
 
 
-def fit_growth_constant(op: NonlocalOperator, trajectory: Trajectory,
-                        margin: float = 0.01) -> float:
-    """Smallest M with ‖u(t)‖_∞ <= M e^{(Λ+margin) t} ‖u0‖_∞ on the stored orbit."""
+def fit_growth_constant(op: NonlocalOperator, trajectory: Trajectory) -> float:
+    """Smallest M with ‖u(t)‖_∞ <= M e^{(Λ+GROWTH_MARGIN) t} ‖u0‖_∞ on the stored orbit."""
     if trajectory.states.ndim != 2:
         raise ValueError(f"the fit needs one datum, not states of shape {trajectory.states.shape}")
-    lam = principal_value(op).lam + margin
+    lam = principal_value(op).lam + GROWTH_MARGIN
     norms = np.max(np.abs(trajectory.states), axis=1)
     base = norms[0]
     if base == 0:

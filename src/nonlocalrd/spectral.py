@@ -26,23 +26,14 @@ CERT_RTOL = 1e-9  # widest accepted sandwich around an ARPACK Λ, relative to ma
 
 @dataclass
 class SpectralReport:
-    """Λ of op with the eigenfunction and its certificate when one is positive.
-
-    essential_range is computed from op on each read, not per solve: only
-    the spectrum command reads it.
-    """
+    """Λ of op with the eigenfunction and its certificate when one is positive."""
 
     lam: float
     eigenfunction: Optional[np.ndarray]
     is_principal: bool
     method: str
     residual: Optional[float]
-    op: NonlocalOperator = field(repr=False, compare=False)
     certificate: Optional[CwBounds] = None  # sandwich of the eigenfunction when principal
-
-    @property
-    def essential_range(self) -> List[Tuple[float, float]]:
-        return essential_range(self.op.h, self.op.space.weights)
 
 
 @dataclass
@@ -162,7 +153,6 @@ def _report(op: NonlocalOperator, lam: float, vec: np.ndarray, method: str) -> S
         is_principal=is_principal,
         method=method,
         residual=float(np.max(np.abs(cert.applied - lam * phi))) if is_principal else None,
-        op=op,
         certificate=cert,
     )
 

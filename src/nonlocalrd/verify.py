@@ -24,7 +24,6 @@ from nonlocalrd.evolve import (
     IntegratorConfig,
     OperatorStack,
     _comparison_bound,
-    _prepare_monotone,
     _propagate,
     evolve_nonlinear,
     monotone_config,
@@ -166,10 +165,10 @@ def _shared_monotone_config(op, f0, f1, u_init_scale, t_end):
     The coupling argument needs both trajectories to share dt, β and the
     truncation level, so take the envelope of the two derived setups.
     """
-    _, beta0, k0 = _prepare_monotone(op, f0, u_init_scale, t_end)
-    _, beta1, k1 = _prepare_monotone(op, f1, u_init_scale, t_end)
-    return monotone_config(op, f0, np.full(op.n, u_init_scale), t_end,
-                           trunc_k=max(k0 or 0.0, k1 or 0.0) or None, beta=max(beta0, beta1))
+    probe = np.full(op.n, u_init_scale)
+    c0, c1 = (monotone_config(op, f, probe, t_end) for f in (f0, f1))
+    k = max(c0.trunc_k or 0.0, c1.trunc_k or 0.0) or None
+    return monotone_config(op, f0, probe, t_end, trunc_k=k, beta=max(c0.beta, c1.beta))
 
 
 def _run_trials(prop: str, trials: int, seed: int, tol: float, trial, control,

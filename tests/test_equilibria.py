@@ -185,8 +185,9 @@ class TestMonotoneOrbit:
         eqmod, configs = self.record(monkeypatch)
         _, _, op = unit_op(24)
         f = logistic(24)
-        u, blocks, _ = eqmod._monotone_orbit(op, f, np.full(24, 3.0), -1, 1e-10, 4.0,
-                                             monotone_shift(truncate(f, 4.0), 4.0))
+        window = eqmod._block_config(op, f, 1.0, 4.0)
+        assert window.beta == monotone_shift(truncate(f, 4.0), 4.0)
+        u, blocks, _ = eqmod._monotone_orbit(op, f, np.full(24, 3.0), -1, 1e-10, window)
         np.testing.assert_allclose(u, SQRT3, atol=1e-8)
         assert len(configs) == blocks > 1
         assert all(cfg is configs[0] for cfg in configs)
@@ -198,8 +199,7 @@ class TestMonotoneOrbit:
         u0[5] = 0.5  # rises first, so no block length sees a non-increasing orbit
         with pytest.raises(RuntimeError, match="ordering"):
             f = logistic(24)
-            beta = monotone_shift(truncate(f, 4.0), 4.0)
-            eqmod._monotone_orbit(op, f, u0, -1, 1e-10, 4.0, beta)
+            eqmod._monotone_orbit(op, f, u0, -1, 1e-10, eqmod._block_config(op, f, 1.0, 4.0))
         assert [cfg.t_end for cfg in configs] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
         assert len({id(cfg) for cfg in configs}) == 7
 
@@ -221,6 +221,18 @@ class TestMonotoneOrbit:
         out = minimal_positive_equilibrium(op, logistic(24), np.full(24, 1.9), s0=0.3)
         np.testing.assert_allclose(out, SQRT3, atol=1e-6)  # four orbits
         assert len(windows) == 2
+
+    def test_every_orbit_of_a_family_runs_on_the_window_config(self, monkeypatch):
+        eqmod, configs = self.record(monkeypatch)
+        _, _, op = unit_op(24)
+        es = extremal_equilibria(op, logistic(24, g=0.3))  # three orbits, no block doubles
+        assert es.phi_m_plus is not None
+        assert len(configs) == sum(es.iterations.values()) >= 3
+        assert configs[0].t_end == 1.0 and all(cfg is configs[0] for cfg in configs)
+        configs.clear()
+        out = minimal_positive_equilibrium(op, logistic(24), np.full(24, 1.9), s0=0.3)
+        assert out is not None and len(configs) >= 4  # four orbits
+        assert configs[0].t_end == 1.0 and all(cfg is configs[0] for cfg in configs)
 
 
 class TestExtremal:
@@ -994,7 +1006,7 @@ class TestUniqueness:
             k = assemble_kernel(s, "constant", c=1.0)
             op = build_operator(k, np.zeros(n))
             f = LogisticReaction(g=0.2, n=1.0, m=1.0, rho=3.0, n_nodes=n)
-            rep = uniqueness_experiment(op, f, [0.0, 0.5, 3.0], t_end=30.0, tol=1e-4)
+            rep = uniqueness_experiment(op, f, [0.0, 0.5, 3.0], t_end=30.0)
             assert rep.all_agree
             values.append(float(np.max(rep.phi_M)))
         assert values[0] == pytest.approx(values[1], abs=1e-8)

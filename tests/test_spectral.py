@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -313,7 +314,10 @@ class TestEssentialRange:
         assert len(out) == 10
 
 
-def test_essential_range_is_computed_on_read(monkeypatch):
+def test_essential_range_is_computed_on_read(monkeypatch, tmp_path):
+    # no solve computes it; the spectrum command reads it off the operator
+    from nonlocalrd.cli import Experiment, load_config, main
+
     calls = []
     frozen = spectral.essential_range
 
@@ -327,10 +331,22 @@ def test_essential_range_is_computed_on_read(monkeypatch):
     reps = [principal_value(op, method) for method in ("auto", "dense", "power")]
     reps.append(rayleigh_lambda(k, op.h))
     assert calls == []
-    for rep in reps:
-        assert rep.essential_range == frozen(op.h, s.weights)
-    assert len(calls) == len(reps)
-    assert "essential_range" not in repr(reps[0]) and "op=" not in repr(reps[0])
+    assert not hasattr(reps[0], "essential_range") and "op=" not in repr(reps[0])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "space": {"type": "interval", "a": 0.0, "b": 1.0, "n": 64},
+        "kernel": {"law": "constant", "c": 1.0},
+        "potential": {"kind": "expr", "expr": "1 + (x > 0.5)"},
+        "reaction": {"kind": "logistic", "g": 0.0, "n": 2.0, "m": 1.0, "rho": 3.0},
+        "u0": {"kind": "constant", "value": 0.5},
+        "integrator": {"scheme": "rk4", "dt": 0.01, "t_end": 0.5}}))
+    assert main(["--out", str(tmp_path), "spectrum", "--config", str(cfg)]) == 0
+    assert len(calls) == 1
+    exp = Experiment(load_config(str(cfg)))
+    expected = frozen(exp.op.h, exp.space.weights)
+    assert len(expected) == 2
+    payload = json.loads((tmp_path / "spectrum.json").read_text())
+    assert payload["essential_range"] == [list(pair) for pair in expected]
 
 
 def _reference_essential_range(h, weights, tol=1e-12):
