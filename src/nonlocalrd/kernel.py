@@ -77,6 +77,10 @@ class Kernel:
         h0.flags.writeable = False
         object.__setattr__(self, "h0", h0)
 
+    def __setstate__(self, state):  # unpickled arrays come back writeable: keep h0 read-only
+        self.__dict__.update(state)
+        self.h0.flags.writeable = False
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """jmat @ x on an (n,) vector, row by row on a (k, n) batch: dsymv on one triangle
         (the Fortran-ordered view jmat.T) for a symmetric kernel's vector, else _blas_dot."""

@@ -142,19 +142,30 @@ def _arpack_top(op: NonlocalOperator) -> Optional[Tuple[float, np.ndarray, str]]
     return float(vals[0].real), np.real(v / v[np.argmax(np.abs(v))]), "arnoldi"
 
 
-def _report(op: NonlocalOperator, lam: float, vec: np.ndarray, method: str) -> SpectralReport:
-    """Report for a computed eigenpair, certified when the eigenfunction is positive."""
+def _report(op: NonlocalOperator, lam: float, vec: np.ndarray, method: str,
+            amat: Optional[np.ndarray] = None) -> SpectralReport:
+    """Report for a computed eigenpair, certified when the eigenfunction is positive.
+
+    Given the dense path's amat (overwritten), a sandwich on φ wider than CERT_RTOL yields
+    to a narrower one on y = (σI - amat)⁻¹φ, σ = Λ + 1e-6·max(1, |Λ|): σI - amat is then an
+    M-matrix with a nonnegative inverse (Berman & Plemmons, ch. 6), so y's small entries
+    come from φ's large ones, not from rounding.  φ stays the eigenfunction."""
     phi = _sup_normalize(vec)
     is_principal = bool(np.all(phi > PRINCIPAL_FLOOR))
     cert = cw_bounds(op, phi) if is_principal else None  # kφ serves the residual too
-    return SpectralReport(
-        lam=float(lam),
-        eigenfunction=phi if is_principal else None,
-        is_principal=is_principal,
-        method=method,
-        residual=float(np.max(np.abs(cert.applied - lam * phi))) if is_principal else None,
-        certificate=cert,
-    )
+    residual = float(np.max(np.abs(cert.applied - lam * phi))) if is_principal else None
+    if is_principal and amat is not None and not _narrow(cert, lam):
+        amat.flat[:: op.n + 1] -= lam + 1e-6 * max(1.0, abs(lam))
+        try:
+            y = -np.linalg.solve(amat, phi)
+        except np.linalg.LinAlgError:  # σ is exactly an eigenvalue
+            y = -phi
+        if np.all((y > 0) & (y < np.inf)):  # else σ fell below the true Λ: keep φ's
+            step = cw_bounds(op, y)
+            cert = step if step.upper - step.lower < cert.upper - cert.lower else cert
+    return SpectralReport(lam=float(lam), eigenfunction=phi if is_principal else None,
+                          is_principal=is_principal, method=method, residual=residual,
+                          certificate=cert)
 
 
 def _certified(rep: SpectralReport) -> bool:
@@ -164,11 +175,14 @@ def _certified(rep: SpectralReport) -> bool:
     without one, only a symmetric (Lanczos) answer is kept, since a
     nonsymmetric Arnoldi value has nothing to certify that it is rightmost.
     """
-    cert = rep.certificate
-    if cert is None:
+    if rep.certificate is None:
         return rep.method == "lanczos"
-    width = max(cert.upper, rep.lam) - min(cert.lower, rep.lam)
-    return width <= CERT_RTOL * max(1.0, abs(rep.lam))
+    return _narrow(rep.certificate, rep.lam)
+
+
+def _narrow(cert: CwBounds, lam: float) -> bool:
+    """Whether the sandwich and Λ together span at most CERT_RTOL·max(1, |Λ|)."""
+    return max(cert.upper, lam) - min(cert.lower, lam) <= CERT_RTOL * max(1.0, abs(lam))
 
 
 def principal_value(op: NonlocalOperator, method: str = "auto") -> SpectralReport:
@@ -194,7 +208,8 @@ def principal_value(op: NonlocalOperator, method: str = "auto") -> SpectralRepor
             rep = _report(op, *top)
             if _certified(rep):
                 return rep
-    return _report(op, *_dense_top(op.amat), "dense")
+    amat = op.amat
+    return _report(op, *_dense_top(amat), "dense", amat)
 
 
 def cw_bounds(op: NonlocalOperator, phi: np.ndarray) -> CwBounds:

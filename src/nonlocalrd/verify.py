@@ -8,11 +8,22 @@ the suite itself fails for having no teeth).  A suite supplies only its
 sampler, its violation and its control; `_run_trials` seeds, counts and
 reports for all four, and needs at least one trial.  The asymptotic suite
 integrates its sampled trials as one stack per (n, ρ) before it checks them.
+
+The trials, and the asymptotic suite's stacks, are spread over the CPUs in
+the process's affinity mask by `fork` on Linux and run serially otherwise: on
+one CPU, without `fork`, or beside a second live thread, whose locks a forked
+copy could inherit held.  Controls, checks and the report stay in the calling
+process, in trial order, so a report's bytes are the same either way.  The
+calling process's own CPU time and peak RSS (the bench's `cpu_s` and
+`peak_rss_mb`) leave out the children's.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import threading
 from dataclasses import asdict, dataclass, field
 from typing import List
 
@@ -171,6 +182,54 @@ def _shared_monotone_config(op, f0, f1, u_init_scale, t_end):
     return monotone_config(op, f0, probe, t_end, trunc_k=k, beta=max(c0.beta, c1.beta))
 
 
+def _map(fn, items):
+    """[fn(x) for x in items], in order: child k of w - 1 forked children computes items[k::w]
+    and pickles back (True, results) or (False, exception), the parent computes items[0::w],
+    reaps every child, then raises its own exception, else the first child's."""
+    items = list(items)
+    fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    w = min(len(items), len(os.sched_getaffinity(0)) if fork else 1)
+    if w < 2 or threading.active_count() > 1:
+        return [fn(x) for x in items]
+    kids, out = [], [None] * len(items)
+    try:
+        for k in range(1, w):
+            r, wr = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child never returns into its caller
+                try:
+                    try:
+                        msg = (True, [fn(x) for x in items[k::w]])
+                    except BaseException as exc:  # raised again in the parent
+                        msg = (False, exc)
+                    try:
+                        data = pickle.dumps(msg)
+                    except Exception:  # pickling raises PicklingError, TypeError, AttributeError...
+                        data = pickle.dumps((False, RuntimeError(repr(msg[1]))))
+                    with os.fdopen(wr, "wb") as fh:
+                        fh.write(data)
+                finally:
+                    os._exit(0)
+            os.close(wr)
+            kids.append((pid, r))
+        out[0::w] = [fn(x) for x in items[0::w]]
+    finally:
+        sent = []
+        for pid, r in kids:
+            with os.fdopen(r, "rb") as fh:
+                sent.append(fh.read())
+            os.waitpid(pid, 0)
+    for k, data in enumerate(sent, 1):
+        try:
+            ok, res = pickle.loads(data)
+        except Exception as exc:  # a child that died, or a result that fails to load
+            ok, res = False, RuntimeError(f"worker {k} sent no result: {exc!r}")
+        if not ok:
+            raise res
+        out[k::w] = res
+    return out
+
+
 def _run_trials(prop: str, trials: int, seed: int, tol: float, trial, control,
                 summary=None, check=None) -> PropertyReport:
     """Run `trials` seeded trials and one control into a report.
@@ -185,7 +244,7 @@ def _run_trials(prop: str, trials: int, seed: int, tol: float, trial, control,
     failures = 0
     worst = 0.0
     details: List[dict] = []
-    results = [trial(np.random.default_rng([seed, t]), t) for t in range(trials)]
+    results = _map(lambda t: trial(np.random.default_rng([seed, t]), t), range(trials))
     for t, (viol, extra) in enumerate(check(results) if check else results):
         if not (viol <= tol and extra.get("strong_ok", True)):
             failures += 1
@@ -374,7 +433,8 @@ def asymptotic_suite(trials: int, seed: int) -> PropertyReport:
     def check(samples):
         keys = [(s[0].n, s[1].rho) for s in samples]
         groups = [[t for t, k in enumerate(keys) if k == key] for key in dict.fromkeys(keys)]
-        runs = {t: out for idx in groups for t, out in zip(idx, run([samples[t] for t in idx]))}
+        outs = _map(lambda idx: run([samples[t] for t in idx]), groups)
+        runs = {t: out for idx, res in zip(groups, outs) for t, out in zip(idx, res)}
         return [check_one(*s, *runs[t]) for t, s in enumerate(samples)]
 
     def check_one(op, f, op_c, lam, phi, data, times, both):

@@ -1,5 +1,16 @@
+import os
+
+import pytest
 from hypothesis import settings
 
 # every property test replays the same examples and keeps no example database
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every child process a test forks is reaped by the time the test ends."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

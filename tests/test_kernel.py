@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -753,3 +754,26 @@ def test_a_near_symmetric_table_is_stored_exactly_symmetric():
     certified = Kernel(space=space, jmat=near, positivity_cert=(0.1, 0.5))
     assert certified.jmat.tobytes() == table.tobytes()
     assert assemble_kernel(space, "table", jmat=table).jmat.tobytes() == table.tobytes()
+
+
+@pytest.mark.parametrize("kind", ("interval", "graph", "table"))
+def test_a_pickled_kernel_keeps_its_arrays_and_a_read_only_h0(kind):
+    """Forked workers send kernels back pickled; h0 is shared by operators, so it
+    must come back read-only, with every array and flag bit for bit."""
+    n = 24
+    rng = np.random.default_rng(3)
+    if kind == "interval":
+        kernel = assemble_kernel(build_interval(0, 1, n), "tophat", R=0.3, J0=1.5)
+    elif kind == "graph":
+        space = build_graph(n, [(i, i + 1, 1.0 / n) for i in range(n - 1)], np.ones(n) / n)
+        kernel = assemble_kernel(space, "gaussian", sigma=0.4)
+    else:
+        kernel = assemble_kernel(build_interval(0, 1, n), "table", jmat=rng.uniform(0, 2, (n, n)))
+    op = build_operator(kernel, rng.uniform(0, 1, n))
+    back = pickle.loads(pickle.dumps(op)).kernel
+    assert back.jmat.tobytes() == kernel.jmat.tobytes()
+    assert back.h0.tobytes() == kernel.h0.tobytes()
+    assert (back.symmetric, back.positivity_cert) == (kernel.symmetric, kernel.positivity_cert)
+    assert not back.h0.flags.writeable
+    with pytest.raises(ValueError):
+        back.h0[0] = 0.0

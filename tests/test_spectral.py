@@ -158,6 +158,18 @@ def sampled_operator(rng, kind, n):
     return build_operator(k, h)
 
 
+def banded_operator(rng, kind, n):
+    """A tophat-banded interval kernel reaching past the node spacing, with a
+    drift on "table" that makes it nonsymmetric: irreducible, so Λ is principal."""
+    s = build_interval(0, 1, n)
+    d = s.x[None, :] - s.x[:, None]
+    r = float(rng.uniform(0.05, 0.5)) + 1.5 / n
+    drift = 0.5 * d / r if kind == "table" else 0.0
+    jmat = rng.uniform(0.5, 2.0) * (np.abs(d) < r) * (1.0 + drift)
+    h = rng.uniform(0.5, 1.5) + rng.uniform(-0.5, 0.5) * np.sin(2 * np.pi * s.x)
+    return build_operator(assemble_kernel(s, "table", jmat=jmat), h)
+
+
 class TestCertifiedSolver:
     KINDS = ("interval", "graph", "union", "table")
     SIZES = (24, DENSE_CUTOFF - 1, DENSE_CUTOFF, 100, 200)
@@ -196,24 +208,27 @@ class TestCertifiedSolver:
         # sampled_operator's systems with the tophat reaching past the node
         # spacing: irreducible, so the eigenfunction is positive
         rng = np.random.default_rng(seed)
-        if kind == "graph":
-            op = sampled_operator(rng, kind, n)
-        else:
-            s = build_interval(0, 1, n)
-            d = s.x[None, :] - s.x[:, None]
-            r = float(rng.uniform(0.05, 0.5)) + 1.5 / n
-            drift = 0.5 * d / r if kind == "table" else 0.0
-            jmat = rng.uniform(0.5, 2.0) * (np.abs(d) < r) * (1.0 + drift)
-            h = rng.uniform(0.5, 1.5) + rng.uniform(-0.5, 0.5) * np.sin(2 * np.pi * s.x)
-            op = build_operator(assemble_kernel(s, "table", jmat=jmat), h)
+        op = sampled_operator(rng, kind, n) if kind == "graph" else banded_operator(rng, kind, n)
         ref = float(np.max(np.linalg.eigvals(op.amat).real))
         cert = principal_value(op, "auto").certificate
         assume(cert is not None)  # entries below PRINCIPAL_FLOOR: nothing certified
         assert cert.lower <= ref <= cert.upper
-        # an entry φ_i carries error ~eps·|A|/φ_i in its ratio, so only an
-        # eigenfunction without tiny entries gives a CERT_RTOL-narrow sandwich
-        if np.min(cert.test_function) >= 1e-5:
-            assert cert.upper - cert.lower <= CERT_RTOL * max(1.0, abs(ref))
+        # a tiny φ_i carries a ratio error ~eps·|A|/φ_i; the dense path certifies
+        # one shifted inverse-iteration step instead, whose entries are not rounding
+        assert cert.upper - cert.lower <= CERT_RTOL * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("seed, kind, n", [(34, "interval", 48), (53, "table", 40)])
+    def test_localized_eigenfunction_gets_a_narrow_dense_certificate(self, seed, kind, n):
+        # φ's own sandwiches are 5.6e-9 and 9.2e-8 wide (min φ 3.2e-8 and 1.3e-8)
+        op = banded_operator(np.random.default_rng(seed), kind, n)
+        rep = principal_value(op, "auto")
+        ref = float(np.max(np.linalg.eigvals(op.amat).real))
+        cert, phi = rep.certificate, rep.eigenfunction
+        assert rep.method == "dense" and rep.lam == principal_value(op, "dense").lam
+        assert np.min(phi) < 1e-5 and not np.array_equal(cert.test_function, phi)
+        assert cw_bounds(op, phi).upper - cw_bounds(op, phi).lower > CERT_RTOL
+        assert cert.lower <= ref <= cert.upper
+        assert cert.upper - cert.lower <= CERT_RTOL * max(1.0, abs(ref))
 
     @pytest.mark.parametrize("kind", ("interval", "table"))
     @pytest.mark.parametrize("error", (

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -168,6 +172,7 @@ def test_stacked_asymptotic_suite_is_the_per_trial_suite(trials, seed, record_pr
 
 
 def test_asymptotic_suite_makes_one_run_per_n_rho_group(monkeypatch):
+    monkeypatch.setattr(verify, "_map", lambda fn, items: [fn(x) for x in items])
     runs, real = [], verify.evolve_nonlinear
 
     def counted(op, f, u0, cfg):
@@ -185,6 +190,7 @@ def test_asymptotic_suite_makes_one_run_per_n_rho_group(monkeypatch):
 
 
 def test_asymptotic_blowup_reruns_its_group_trial_by_trial(monkeypatch):
+    monkeypatch.setattr(verify, "_map", lambda fn, items: [fn(x) for x in items])
     trials, seed = 8, 0
     keys, real_sb = [], verify.structure_bounds
 
@@ -195,6 +201,7 @@ def test_asymptotic_blowup_reruns_its_group_trial_by_trial(monkeypatch):
     monkeypatch.setattr(verify, "structure_bounds", keyed)
     plain = asymptotic_suite(trials, seed)
     monkeypatch.undo()
+    monkeypatch.setattr(verify, "_map", lambda fn, items: [fn(x) for x in items])
     forced = next(t for t, k in enumerate(keys) if keys.count(k) > 1)
     group = [t for t, k in enumerate(keys) if k == keys[forced]]
 
@@ -247,6 +254,7 @@ def _recorded_runs(monkeypatch):
         return tr
 
     monkeypatch.setattr(verify, "evolve_nonlinear", recorded)
+    monkeypatch.setattr(verify, "_map", lambda fn, items: [fn(x) for x in items])
     return runs
 
 
@@ -428,3 +436,106 @@ def test_hops_to_cover_on_a_metric_asymmetric_at_r():
                           (np.arange(4) == 2, 2)):
         assert _hops_to_cover(space, 1.0, support) == hops
         assert _reference_hops_to_cover(space, 1.0, support) == hops
+
+
+def _serial(fn, items):
+    return [fn(x) for x in items]
+
+
+MULTI_CPU = pytest.mark.skipif(
+    not hasattr(os, "fork") or len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) < 2,
+    reason="needs fork and at least two CPUs in the affinity mask")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids os.fork returns to this process, one per child forked."""
+    pids, real = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: pids.append(real()) or pids[-1])
+    return pids
+
+
+@MULTI_CPU
+@pytest.mark.parametrize("seed", (0, 7))
+@pytest.mark.parametrize("name", sorted(verify.SUITES))
+def test_forked_suites_report_the_serial_bytes(monkeypatch, forks, name, seed):
+    forked = run_suite(name, 20, seed).to_json()
+    assert forks
+    monkeypatch.setattr(verify, "_map", _serial)
+    assert forked == run_suite(name, 20, seed).to_json()
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_map_keeps_the_order(n):
+    assert verify._map(lambda x: (x * x, str(x)), range(n)) == [(x * x, str(x)) for x in range(n)]
+
+
+@MULTI_CPU
+def test_map_runs_the_shares_in_other_processes(forks):
+    pids = [pid for _, pid in verify._map(lambda x: (x, os.getpid()), range(5))]
+    assert pids[0] == pids[2] == pids[4] == os.getpid()
+    assert pids[1] == pids[3] != os.getpid() and pids[1] in forks
+
+
+@MULTI_CPU
+def test_map_raises_a_childs_exception_in_the_caller():
+    def fn(x):  # item 1 is the first child's
+        if x == 1:
+            raise KeyError("raised in a child")
+        return x
+
+    with pytest.raises(KeyError, match="raised in a child"):
+        verify._map(fn, range(4))
+
+
+@MULTI_CPU
+def test_map_raises_its_own_exception_before_a_childs():
+    def fn(x):
+        raise (ValueError if x == 0 else KeyError)(f"item {x}")
+
+    with pytest.raises(ValueError, match="item 0"):
+        verify._map(fn, range(2))
+
+
+@MULTI_CPU
+def test_map_raises_on_a_result_that_cannot_be_pickled():
+    with pytest.raises(RuntimeError, match="lambda"):
+        verify._map(lambda x: (lambda: x), range(2))
+
+
+@MULTI_CPU
+def test_map_children_neither_return_nor_flush_the_callers_output():
+    # stdout is a pipe here, so "before" sits unflushed in the buffer every child copies
+    script = ("from nonlocalrd.verify import _map\n"
+              "print('before', end=' ')\n"
+              "assert _map(abs, range(-3, 3)) == [3, 2, 1, 0, 1, 2]\n"
+              "print('returned')\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "before returned\n", "")
+
+
+def test_map_runs_serially_on_one_cpu(monkeypatch, forks):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert verify._map(lambda x: (x, os.getpid()), range(3)) == [(x, os.getpid()) for x in range(3)]
+    assert forks == []
+
+
+def test_map_runs_serially_without_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert verify._map(lambda x: (x, os.getpid()), range(3)) == [(x, os.getpid()) for x in range(3)]
+
+
+def test_map_runs_serially_beside_a_second_thread(forks):
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait)
+    waiter.start()
+    try:
+        out = verify._map(lambda x: (x, os.getpid()), range(3))
+    finally:
+        stop.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert out == [(x, os.getpid()) for x in range(3)] and forks == []
